@@ -58,7 +58,9 @@ def _load(args) -> harness.RunConfig:
             if alg not in harness.ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {alg!r}")
         config = replace(config, algorithms=algorithms)
-    if getattr(args, "drops", None):
+    if getattr(args, "drops", None) is not None:
+        if args.drops < 1:
+            raise ConfigError("drops must be >= 1")
         config = replace(config, drops=args.drops)
     if getattr(args, "seed", None) is not None:
         config = replace(config, base_seed=args.seed)

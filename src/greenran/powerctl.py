@@ -13,6 +13,11 @@ The solver iterates two nested loops:
     smooth concave maximization over the box intersected with the linearized
     QoS constraints r_k(P) <= 0, solved with a log-barrier Newton method.
 
+Every log argument of the barrier (rate logs, box and normalized QoS slacks)
+is affine in P and is stacked as z = B P + b, so a Newton step costs a fixed
+handful of array calls. Cold solves start halfway toward the box center; warm
+Dinkelbach rounds start at the previous solution and the final barrier weight.
+
 The true EE of the iterates is nondecreasing because the surrogate is a global
 lower bound with equality at the anchor. Low-complexity controllers: fixed max
 power, a QoS feasibility LP (min-max residual), and statistical channel
@@ -88,8 +93,12 @@ class SolveDiagnostics:
     ee_trace: list = field(default_factory=list)
     dinkelbach_iterations: list = field(default_factory=list)
     pi_traces: list = field(default_factory=list)
-    newton_steps: int = 0
+    newton_steps: int = 0            # Newton systems solved
     hit_iteration_cap: bool = False
+    lstsq_fallbacks: int = 0         # singular Newton systems solved by least squares
+    line_search_exhausted: int = 0   # Newton stages ended with no admissible step
+    newton_cap_hits: int = 0         # barrier stages ended at newton_max_iter
+    interior_infeasible: bool = False    # no strict interior ended the SLM loop early
 
 
 @dataclass(frozen=True)
@@ -305,6 +314,18 @@ def _strictly_feasible(prob: ReducedProblem, p: np.ndarray, margin: float = 1e-9
     return bool((r < -margin).all())
 
 
+def _center(p: np.ndarray, B: np.ndarray, b: np.ndarray, pmax: float) -> np.ndarray:
+    """Move p toward the box center, halfway to where that ray leaves
+    {B P + b > 0} and at most to the center: every slack keeps half its value."""
+    d = 0.5 * pmax - p
+    dz = B @ d
+    shrink = dz < 0
+    if not shrink.any():
+        return p
+    s = min(1.0, 0.5 * float(np.min((B @ p + b)[shrink] / -dz[shrink])))
+    return p + s * d
+
+
 def _solve_parametric(sur: Surrogate, pi: float, settings: SolverSettings,
                       start: np.ndarray | None, diag: SolveDiagnostics,
                       warm: bool = False) -> np.ndarray:
@@ -327,77 +348,63 @@ def _solve_parametric(sur: Surrogate, pi: float, settings: SolverSettings,
         p = prob.interior_point().copy()
         warm = False
 
+    # every log argument is affine in P: z = B P + b stacks af, ag, the box
+    # slacks P and pmax - P, and the normalized QoS slacks
     rows = prob.qrows
-    wn = prob.W[rows] / prob.rscale[rows, None]
-    cn = prob.c[rows] / prob.rscale[rows]
-    m = 2 * k + len(rows)
+    B = np.vstack([prob.Af, prob.Ag, np.eye(k), -np.eye(k),
+                   -prob.W[rows] / prob.rscale[rows, None]])
+    b = np.concatenate([prob.n, prob.n, np.zeros(k), np.full(k, prob.pmax),
+                        -prob.c[rows] / prob.rscale[rows]])
+    # barrier = w . log z + t q . P: the objective's log2 terms carry weight
+    # t / ln 2, the box and QoS barrier terms weight 1
+    m = 2 * k + len(rows)    # barrier terms
+    w_obj = np.concatenate([np.ones(k), obj.c2, np.zeros(m)]) / _LN2
+    w_box = np.concatenate([np.zeros(2 * k), np.ones(m)])
 
-    # final barrier weight: duality-gap proxy m/t well below the target
+    # final barrier weight: duality-gap proxy m/t well below the target; warm
+    # rounds start next to the previous center and go straight to it
     t_final = m / (0.1 * settings.inner_tol)
-    t = min(t_final / 900.0 if warm else settings.barrier_t0, t_final)
-    ln2 = _LN2
-    AfT = np.ascontiguousarray(prob.Af.T)
-    AgT = np.ascontiguousarray(prob.Ag.T)
-    wnT = wn.T
-    diag_idx = (np.arange(k), np.arange(k))
-
-    def barrier_value(x, af_x, ag_x, sq_x):
-        return (t * (np.log2(af_x).sum() + obj.c2 @ np.log2(ag_x)
-                     + float(obj.q @ x))
-                + np.log(x).sum() + np.log(prob.pmax - x).sum()
-                + np.log(sq_x).sum())
+    if not warm:
+        p = _center(p, B, b, prob.pmax)
+    t = t_final if warm else min(settings.barrier_t0, t_final)
 
     while True:
         last_stage = t >= t_final * 0.999
         tol = 1e-6 if last_stage else 1e-2
-        af = prob.Af @ p + prob.n
-        ag = prob.Ag @ p + prob.n
-        s_q = -(wn @ p + cn)
-        phi = barrier_value(p, af, ag, s_q)
+        w = t * w_obj + w_box
+        tq = t * obj.q
+        z = B @ p + b
         for _ in range(settings.newton_max_iter):
-            s_lo = p
-            s_hi = prob.pmax - p
-            inv_af = 1.0 / (ln2 * af)
-            inv_ag = obj.c2 / (ln2 * ag)
-            grad = t * (AfT @ inv_af + AgT @ inv_ag + obj.q)
-            grad += 1.0 / s_lo - 1.0 / s_hi
-            hess = -t * ((AfT * (inv_af / af)) @ prob.Af
-                         + (AgT * (inv_ag / ag)) @ prob.Ag)
-            hess[diag_idx] -= 1.0 / s_lo**2 + 1.0 / s_hi**2
-            if len(rows):
-                inv_q = 1.0 / s_q
-                grad -= wnT @ inv_q
-                hess -= (wnT * inv_q**2) @ wn
+            wz = w / z
+            grad = B.T @ wz + tq
+            neg_hess = (B.T * (wz / z)) @ B
             try:
-                step = np.linalg.solve(-hess, grad)
+                step = np.linalg.solve(neg_hess, grad)
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(-hess, grad, rcond=None)[0]
+                diag.lstsq_fallbacks += 1
+                step = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
             dec = float(grad @ step)
             diag.newton_steps += 1
             if dec / 2 <= tol:
                 break
-            # line search along the ray using precomputed increments
-            d_af = prob.Af @ step
-            d_ag = prob.Ag @ step
-            d_q = -(wn @ step)
+            # line search on the barrier's change, w.log1p(scale dz/z) + scale t q.step:
+            # at t_final the barrier value is too large to resolve the Armijo gain
+            dz = B @ step
+            rz = dz / z
+            qs = float(tq @ step)
             scale = 1.0
-            accepted = False
             for _ in range(60):
-                cand = p + scale * step
-                af_c = af + scale * d_af
-                ag_c = ag + scale * d_ag
-                sq_c = s_q + scale * d_q
-                if (cand.min() > 0 and cand.max() < prob.pmax
-                        and af_c.min() > 0 and ag_c.min() > 0
-                        and (sq_c.min() > 0 if len(rows) else True)):
-                    val = barrier_value(cand, af_c, ag_c, sq_c)
-                    if val > phi + 0.25 * scale * dec:
-                        p, af, ag, s_q, phi = cand, af_c, ag_c, sq_c, val
-                        accepted = True
+                if (scale * rz).min() > -1:
+                    gain = w @ np.log1p(scale * rz) + scale * qs
+                    if gain > 0.25 * scale * dec:
+                        p, z = p + scale * step, z + scale * dz
                         break
                 scale *= 0.5
-            if not accepted:
-                break    # no admissible step: numerically converged
+            else:
+                diag.line_search_exhausted += 1
+                break
+        else:
+            diag.newton_cap_hits += 1
         if last_stage:
             break
         t = min(t * settings.barrier_mu, t_final)
@@ -492,7 +499,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
     except InfeasibleError:
         # feasible set has no strict interior (a single point, typically):
         # the feasible start is already the solution
-        pass
+        diag.interior_infeasible = True
 
     p_full = prob.expand(best_p)
     rates = _full_rates(prob, p_full)

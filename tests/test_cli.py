@@ -46,6 +46,13 @@ class TestCli:
         assert {r["algorithm"] for r in rows} == {"llsf", "tsap"}
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("drops", ["0", "-1"])
+    def test_nonpositive_drops_override_rejected(self, cfg_path, capsys, drops):
+        assert main(["run", "--config", cfg_path, "--drops", drops]) == 1
+        captured = capsys.readouterr()
+        assert "drops must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_bad_algorithm_override(self, cfg_path):
         assert main(["run", "--config", cfg_path, "--algorithm", "nope"]) == 1
 

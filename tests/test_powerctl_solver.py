@@ -3,6 +3,7 @@ import pytest
 
 from greenran import (InfeasibleError, SolverSettings, build_affine_form,
                       dinkelbach, link_coefficients, slmdb, solve_parametric)
+from greenran import powerctl
 from greenran.powerctl import ReducedProblem, SolveDiagnostics, _solve_parametric
 from conftest import make_context, strongest_assoc
 
@@ -12,6 +13,14 @@ def build_problem(ctx, assoc, settings=None):
     lc = link_coefficients(assoc, ctx.tensor)
     prob = ReducedProblem(lc, ctx.frame, form, ctx.qos, settings or ctx.settings)
     return prob, form
+
+
+def pinned_slmdb(p0=None):
+    """The well-posed M=4, K=2 instance the Newton-budget tests pin."""
+    ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=0)
+    assoc = strongest_assoc(ctx)
+    form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+    return slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings, p0=p0)
 
 
 def grid_best_scalar(prob, form, n=100001):
@@ -71,6 +80,22 @@ class TestParametricSolver:
         with pytest.raises(InfeasibleError):
             solve_parametric(0.0, np.zeros(2), assoc, ctx.tensor, ctx.frame,
                              form, ctx.qos, ctx.settings)
+
+    def test_warm_round_lands_on_cold_solution(self):
+        # a warm Dinkelbach round starts at the final barrier weight from the
+        # previous round's solution; it must reach the same maximizer
+        for seed in range(5):
+            ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=seed)
+            prob, _ = build_problem(ctx, strongest_assoc(ctx))
+            anchor = np.full(len(prob.idx), 0.05)
+            sur = prob.surrogate(anchor)
+            prev = _solve_parametric(sur, sur.ratio(anchor), ctx.settings, None,
+                                     SolveDiagnostics())
+            pi = sur.ratio(prev)
+            warm = _solve_parametric(sur, pi, ctx.settings, prev, SolveDiagnostics(),
+                                     warm=True)
+            cold = _solve_parametric(sur, pi, ctx.settings, None, SolveDiagnostics())
+            assert np.abs(warm - cold).max() <= 1e-6 * prob.pmax
 
     def test_objective_concavity_along_segments(self):
         ctx = make_context(M=3, K=3, N=4, L=2, area=300.0, seed=5)
@@ -172,6 +197,34 @@ class TestSlmdb:
         if sol.feasible:
             assert (sol.p >= 0).all() and (sol.p <= ctx.qos.p_max_w).all()
             assert (sol.rates >= ctx.qos.r_min_bps * (1 - 1e-6)).all()
+
+    def test_newton_budget(self):
+        # the log-barrier solver before centered cold starts and warm rounds
+        # at the final barrier weight took 598 Newton steps on this instance
+        sol = pinned_slmdb()
+        assert sol.feasible
+        assert sol.diagnostics.slm_iterations == 12
+        assert sol.diagnostics.newton_steps <= 598 // 2
+
+    def test_no_fallbacks_on_well_posed_instance(self):
+        sol = pinned_slmdb()
+        diag = sol.diagnostics
+        assert sol.feasible and diag.newton_steps > 0
+        assert diag.lstsq_fallbacks == 0
+        assert diag.line_search_exhausted == 0
+        assert diag.newton_cap_hits == 0
+        assert not diag.interior_infeasible
+
+    def test_swallowed_interior_failure_is_flagged(self, monkeypatch):
+        start = pinned_slmdb().p
+
+        def no_interior(*args, **kwargs):
+            raise InfeasibleError("no strict interior")
+
+        monkeypatch.setattr(powerctl, "_dinkelbach", no_interior)
+        sol = pinned_slmdb(p0=start)
+        assert sol.feasible and sol.diagnostics.interior_infeasible
+        assert np.array_equal(sol.p, start)
 
     def test_unserved_ue_with_target_infeasible(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=300.0, seed=2, r_min=10e6)

@@ -106,8 +106,8 @@ def _oracle_check(args) -> int:
         config = harness.load_config(args.config)
     else:
         config = harness.load_config(overrides)
-    if config.scenario.M * config.scenario.K > 16:
-        raise ConfigError("oracle-check needs M*K <= 16")
+    if args.instances < 1:
+        raise ConfigError("instances must be >= 1")
     worst = 1.0
     failures = 0
     for i in range(args.instances):

@@ -109,71 +109,58 @@ class SolutionReport:
 # Association rules
 # ---------------------------------------------------------------------------
 
-def recp_init(corr: CorrelationSet, scenario: ScenarioParams,
-              delta_percent: float) -> Association:
-    """Received-power prefix selection.
+def _greedy_assoc(corr: CorrelationSet, scenario: ScenarioParams,
+                  floor: np.ndarray, target: np.ndarray) -> Association:
+    """Capacity-respecting greedy selection, UEs in index order.
 
-    Per UE (index order): BSs sorted by descending gain; the minimal prefix
-    whose cumulative gain reaches delta% of the UE's total is kept, truncated
-    to L. BSs already serving N UEs are unavailable.
+    Each UE walks the BSs by descending gain (ties to the lowest index),
+    skipping BSs that already serve N UEs. It stops before a gain below
+    floor[k], and after L BSs or once the cumulative gain reaches target[k].
     """
-    if not 0 < delta_percent <= 100:
-        raise ConfigError("delta_percent must lie in (0, 100]")
     beta = corr.beta
     M, K = beta.shape
     S = np.zeros((M, K), dtype=bool)
     bs_load = np.zeros(M, dtype=int)
     for k in range(K):
-        target = delta_percent / 100.0 * beta[:, k].sum()
-        order = np.lexsort((np.arange(M), -beta[:, k]))
         cum = 0.0
         taken = 0
-        for m in order:
+        for m in np.lexsort((np.arange(M), -beta[:, k])):
+            if beta[m, k] < floor[k]:
+                break
             if bs_load[m] >= scenario.N:
                 continue
             S[m, k] = True
             bs_load[m] += 1
             cum += beta[m, k]
             taken += 1
-            if cum >= target * (1 - 1e-12) or taken >= scenario.L:
+            if cum >= target[k] * (1 - 1e-12) or taken >= scenario.L:
                 break
     return Association(S=S, max_per_ue=scenario.L, max_per_bs=scenario.N)
+
+
+def recp_init(corr: CorrelationSet, scenario: ScenarioParams,
+              delta_percent: float) -> Association:
+    """Received-power prefix selection: the minimal prefix whose cumulative
+    gain reaches delta% of the UE's total, truncated to L."""
+    if not 0 < delta_percent <= 100:
+        raise ConfigError("delta_percent must lie in (0, 100]")
+    beta = corr.beta    # per-column sums: beta.sum(axis=0) rounds differently
+    totals = np.array([beta[:, k].sum() for k in range(beta.shape[1])])
+    return _greedy_assoc(corr, scenario, np.zeros(beta.shape[1]),
+                         delta_percent / 100.0 * totals)
 
 
 def llsf_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> Association:
     """Single strongest-gain BS per UE, ties to the lowest index."""
-    beta = corr.beta
-    M, K = beta.shape
-    S = np.zeros((M, K), dtype=bool)
-    bs_load = np.zeros(M, dtype=int)
-    for k in range(K):
-        for m in np.lexsort((np.arange(M), -beta[:, k])):
-            if bs_load[m] < scenario.N:
-                S[m, k] = True
-                bs_load[m] += 1
-                break
-    return Association(S=S, max_per_ue=scenario.L, max_per_bs=scenario.N)
+    K = corr.beta.shape[1]
+    return _greedy_assoc(corr, scenario, np.zeros(K), np.zeros(K))
 
 
 def tsap_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> Association:
     """Neighborhood selection: every BS within 30% of the UE's best gain
     (inclusive), strongest L kept, capacity respected."""
-    beta = corr.beta
-    M, K = beta.shape
-    S = np.zeros((M, K), dtype=bool)
-    bs_load = np.zeros(M, dtype=int)
-    for k in range(K):
-        thresh = 0.3 * beta[:, k].max()
-        taken = 0
-        for m in np.lexsort((np.arange(M), -beta[:, k])):
-            if beta[m, k] < thresh or taken >= scenario.L:
-                break
-            if bs_load[m] >= scenario.N:
-                continue
-            S[m, k] = True
-            bs_load[m] += 1
-            taken += 1
-    return Association(S=S, max_per_ue=scenario.L, max_per_bs=scenario.N)
+    K = corr.beta.shape[1]
+    return _greedy_assoc(corr, scenario, 0.3 * corr.beta.max(axis=0), np.full(K, np.inf))
 
 
 # ---------------------------------------------------------------------------

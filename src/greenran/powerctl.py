@@ -15,8 +15,9 @@ The solver iterates two nested loops:
 
 Every log argument of the barrier (rate logs, box and normalized QoS slacks)
 is affine in P and is stacked as z = B P + b, so a Newton step costs a fixed
-handful of array calls. Cold solves start halfway toward the box center; warm
-Dinkelbach rounds start at the previous solution and the final barrier weight.
+handful of array calls. The interior start is the QoPC LP's min-max point;
+cold solves move it halfway toward the box center, and warm Dinkelbach rounds
+start at the previous solution and the final barrier weight.
 
 The true EE of the iterates is nondecreasing because the surrogate is a global
 lower bound with equality at the anchor. Low-complexity controllers: fixed max
@@ -114,25 +115,16 @@ class PowerSolution:
 # Reduced problem over served UEs
 # ---------------------------------------------------------------------------
 
-def _unit_form(lc: LinkCoefficients) -> AffinePowerForm:
-    """Placeholder affine form for controllers that never touch network power."""
-    K = len(lc.ns)
-    return AffinePowerForm(c0_w=1.0, alpha_per_k=np.ones(K), delta_per_k=np.ones(K),
-                           r_ref_bps=1.0)
-
-
 class ReducedProblem:
     """Fixed-association power problem restricted to UEs with a serving set.
 
     Unserved UEs keep zero power and zero rate; they still contribute circuit
-    power through the affine form's constant.
+    power through the affine form's constant. `form` is None for QoPC and bounds.
     """
 
     def __init__(self, lc: LinkCoefficients, frame: FrameConfig,
                  form: AffinePowerForm | None, qos: QosSpec,
                  settings: SolverSettings):
-        if form is None:
-            form = _unit_form(lc)    # feasibility-only use: power form untouched
         self.frame = frame
         self.form = form
         self.qos = qos
@@ -149,8 +141,9 @@ class ReducedProblem:
         self.Ag = self.Af - np.diag(self.D)
         self.n = frame.noise_power_w * lc.ns[s]
         self.gamma = qos.gamma[s].copy()
-        self.alpha = form.alpha_per_k[s].copy()
-        self.delta = form.delta_per_k[s].copy()
+        if form is not None:
+            self.alpha = form.alpha_per_k[s].copy()
+            self.delta = form.delta_per_k[s].copy()
 
         # affine QoS residuals r = W P + c  (<= 0 means the rate target is met)
         self.W = self.gamma[:, None] * self.Af - np.diag((1.0 + self.gamma) * self.D)
@@ -161,7 +154,7 @@ class ReducedProblem:
 
         # UEs with a rate target but no serving set make the problem infeasible
         self.structurally_infeasible = bool((qos.r_min_bps[~self.served] > 0).any())
-        self._interior = None
+        self._qopc = None    # cached min-max LP result, see _qopc_on_problem
 
     # -- plain evaluations ---------------------------------------------------
 
@@ -182,14 +175,17 @@ class ReducedProblem:
         return float(self.form.c0_w + self.alpha @ (rates / self.form.r_ref_bps)
                      + self.delta @ p)
 
-    def power_total_full(self, p_full: np.ndarray, rates_full: np.ndarray) -> float:
-        return self.form.total(p_full, rates_full)
-
     def interior_point(self) -> np.ndarray:
-        """Strictly feasible point, computed once and cached."""
-        if self._interior is None:
-            self._interior = _interior_start(self)
-        return self._interior
+        """Strictly feasible start: the QoPC LP point clipped eps inside the box, else
+        pmax/2 when no UE has a rate target; raises InfeasibleError otherwise."""
+        p, _, s = _qopc_on_problem(self)
+        eps = 1e-9 * self.pmax
+        p = np.clip(p, eps, self.pmax - eps)
+        if s < -1e-9 and self.margin(p) < 0:
+            return p
+        if len(self.qrows) == 0:
+            return np.full(len(self.idx), 0.5 * self.pmax)
+        raise InfeasibleError("QoS constraints leave no strictly feasible power")
 
     def ee(self, p: np.ndarray) -> float:
         r = self.rates(p)
@@ -197,6 +193,21 @@ class ReducedProblem:
 
     def residual(self, p: np.ndarray) -> np.ndarray:
         return self.W @ p + self.c
+
+    def margin(self, p: np.ndarray) -> float:
+        """Largest normalized QoS residual over rows with a rate target, or -inf."""
+        rows = self.qrows
+        if len(rows) == 0:
+            return -np.inf
+        return float(np.max((self.W[rows] @ p + self.c[rows]) / self.rscale[rows]))
+
+    def solution(self, p_full: np.ndarray, feasible: bool,
+                 diag: SolveDiagnostics) -> PowerSolution:
+        """Rates and EE at `p_full`, network power from the form over full vectors."""
+        rates = self.expand(self.rates(self.reduce(p_full)))
+        ee = float(np.sum(rates)) / self.form.total(p_full, rates)
+        return PowerSolution(p=p_full, ee=ee, rates=rates, feasible=feasible,
+                             diagnostics=diag)
 
     def box_feasible(self, p: np.ndarray, tol: float = 0.0) -> bool:
         return bool((p >= -tol).all() and (p <= self.pmax + tol).all())
@@ -236,16 +247,14 @@ class Surrogate:
         r_bar = prob.cr * (np.log2(af) - g_hat)
         return r_hat, r_bar
 
-    def numerator(self, p: np.ndarray) -> float:
-        _, r_bar = self.rate_bounds(p)
-        return float(np.sum(r_bar))
-
-    def denominator(self, p: np.ndarray) -> float:
-        r_hat, _ = self.rate_bounds(p)
-        return self.prob.power_total(p, r_hat)
+    def fraction(self, p: np.ndarray) -> tuple[float, float]:
+        """(sum Rbar, P_N at Rhat): numerator and denominator of the surrogate EE."""
+        r_hat, r_bar = self.rate_bounds(p)
+        return float(np.sum(r_bar)), self.prob.power_total(p, r_hat)
 
     def ratio(self, p: np.ndarray) -> float:
-        return self.numerator(p) / self.denominator(p)
+        num, den = self.fraction(p)
+        return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -275,43 +284,9 @@ class _Parametric:
                      + self.q @ p + self.u0)
 
 
-def _interior_start(prob: ReducedProblem) -> np.ndarray:
-    """Strictly feasible point via a max-margin LP; raises when there is none.
-
-    The margin applies to the normalized QoS rows only; strict box interiority
-    comes from hard eps-shrunk variable bounds, which LP solvers honor exactly.
-    """
-    k = len(prob.idx)
-    if k == 0:
-        return np.zeros(0)
-    eps = 1e-9 * prob.pmax
-    rows = prob.qrows
-    if len(rows) == 0:
-        return np.full(k, 0.5 * prob.pmax)
-    Wn = prob.W[rows] / prob.rscale[rows, None]
-    cn = prob.c[rows] / prob.rscale[rows]
-    # variables (P, t): maximize the uniform QoS margin t
-    A = np.hstack([Wn, np.ones((len(rows), 1))])
-    obj = np.zeros(k + 1)
-    obj[k] = -1.0
-    bounds = [(eps, prob.pmax - eps)] * k + [(None, 1.0)]
-    res = linprog(obj, A_ub=A, b_ub=-cn, bounds=bounds, method="highs")
-    if not res.success or res.x is None or res.x[k] <= 1e-9:
-        raise InfeasibleError("QoS constraints leave no strictly feasible power")
-    p = np.clip(res.x[:k], eps, prob.pmax - eps)
-    if ((prob.W[rows] @ p + prob.c[rows]) / prob.rscale[rows] >= 0).any():
-        raise InfeasibleError("QoS margin too thin for a strict interior point")
-    return p
-
-
 def _strictly_feasible(prob: ReducedProblem, p: np.ndarray, margin: float = 1e-9) -> bool:
-    if not ((p > margin * prob.pmax).all() and (p < (1 - margin) * prob.pmax).all()):
-        return False
-    rows = prob.qrows
-    if len(rows) == 0:
-        return True
-    r = prob.residual(p)[rows] / prob.rscale[rows]
-    return bool((r < -margin).all())
+    return bool((p > margin * prob.pmax).all() and (p < (1 - margin) * prob.pmax).all()
+                and prob.margin(p) < -margin)
 
 
 def _center(p: np.ndarray, B: np.ndarray, b: np.ndarray, pmax: float) -> np.ndarray:
@@ -345,7 +320,7 @@ def _solve_parametric(sur: Surrogate, pi: float, settings: SolverSettings,
             if _strictly_feasible(prob, blend, margin=1e-12):
                 p = blend
     if p is None:
-        p = prob.interior_point().copy()
+        p = prob.interior_point()
         warm = False
 
     # every log argument is affine in P: z = B P + b stacks af, ag, the box
@@ -432,8 +407,7 @@ def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, settings: SolverSettin
     for _ in range(settings.dinkelbach_max_iter):
         p = _solve_parametric(sur, pi, settings, p, diag, warm=is_warm)
         is_warm = True
-        num = sur.numerator(p)
-        den = sur.denominator(p)
+        num, den = sur.fraction(p)
         f_val = num - pi * den
         best_p = p
         if abs(f_val) <= settings.dinkelbach_tol * max(prob.cr, abs(num)):
@@ -472,9 +446,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
     if prob.structurally_infeasible:
         feasible = False
     if not feasible:
-        rates = _full_rates(prob, p_start)
-        return PowerSolution(p=p_start, ee=_safe_ee(prob, p_start), rates=rates,
-                             feasible=False, diagnostics=diag)
+        return prob.solution(p_start, False, diag)
 
     p_red = prob.reduce(p_start)
     ee_prev = prob.ee(p_red) if len(p_red) else 0.0
@@ -501,22 +473,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
         # the feasible start is already the solution
         diag.interior_infeasible = True
 
-    p_full = prob.expand(best_p)
-    rates = _full_rates(prob, p_full)
-    ee = float(np.sum(rates)) / prob.power_total_full(p_full, rates)
-    return PowerSolution(p=p_full, ee=ee, rates=rates, feasible=True, diagnostics=diag)
-
-
-def _full_rates(prob: ReducedProblem, p_full: np.ndarray) -> np.ndarray:
-    rates = np.zeros(prob.K)
-    if len(prob.idx):
-        rates[prob.idx] = prob.rates(prob.reduce(p_full))
-    return rates
-
-
-def _safe_ee(prob: ReducedProblem, p_full: np.ndarray) -> float:
-    rates = _full_rates(prob, p_full)
-    return float(np.sum(rates)) / prob.power_total_full(p_full, rates)
+    return prob.solution(prob.expand(best_p), True, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +486,11 @@ def fipc(K: int, qos: QosSpec) -> np.ndarray:
 
 
 def _qopc_on_problem(prob: ReducedProblem) -> tuple[np.ndarray, bool, float]:
-    """Min-max QoS residual LP on a built problem; returns (reduced P, feasible,
-    normalized optimal residual)."""
+    """Min-max QoS residual LP on a built problem, solved once and cached;
+    returns (reduced P, feasible, normalized optimal residual)."""
+    if prob._qopc is not None:
+        return prob._qopc
     k = len(prob.idx)
-    settings = prob.settings
     if k == 0:
         return np.zeros(0), not prob.structurally_infeasible, -np.inf
     Wn = prob.W / prob.rscale[:, None]
@@ -543,20 +501,12 @@ def _qopc_on_problem(prob: ReducedProblem) -> tuple[np.ndarray, bool, float]:
     bounds = [(0.0, prob.pmax)] * k + [(None, None)]
     res = linprog(obj, A_ub=A, b_ub=-cn, bounds=bounds, method="highs")
     if not res.success or res.x is None:
-        return np.zeros(k), False, np.inf
-    p = np.clip(res.x[:k], 0.0, prob.pmax)
-    s_norm = float(res.x[k])
-    feasible = s_norm <= settings.feas_tol and not prob.structurally_infeasible
-    # a clearly-interior min-max point doubles as the barrier start: clipping
-    # into the box moves the (normalized, affine) residuals only marginally
-    if feasible and s_norm < -1e-6:
-        eps = 1e-9 * prob.pmax
-        hint = np.clip(p, eps, prob.pmax - eps)
-        rows = prob.qrows
-        if len(rows) == 0 or ((prob.W[rows] @ hint + prob.c[rows])
-                              / prob.rscale[rows] < 0).all():
-            prob._interior = hint
-    return p, feasible, s_norm
+        prob._qopc = (np.zeros(k), False, np.inf)
+    else:
+        s_norm = float(res.x[k])
+        feasible = s_norm <= prob.settings.feas_tol and not prob.structurally_infeasible
+        prob._qopc = (np.clip(res.x[:k], 0.0, prob.pmax), feasible, s_norm)
+    return prob._qopc
 
 
 def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec,
@@ -566,7 +516,7 @@ def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec,
     Unserved UEs get zero power; a positive rate target on an unserved UE makes
     the verdict infeasible regardless of the LP outcome.
     """
-    prob = ReducedProblem(lc, frame, _unit_form(lc), qos, settings)
+    prob = ReducedProblem(lc, frame, None, qos, settings)
     p_red, feasible, _ = _qopc_on_problem(prob)
     return prob.expand(p_red), feasible
 
@@ -603,61 +553,50 @@ def qos_residual(P, assoc: Association, tensor: CoefficientTensor,
             - (1.0 + qos.gamma) * P * lc.ds2)
 
 
+def _problem(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
+             form: AffinePowerForm | None, qos: QosSpec,
+             settings: SolverSettings) -> ReducedProblem:
+    return ReducedProblem(link_coefficients(assoc, tensor), frame, form, qos, settings)
+
+
 def taylor_bounds(P, anchor, assoc: Association, tensor: CoefficientTensor,
                   frame: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """(Rhat, Rbar) rate bounds at P for the expansion point `anchor`.
 
     Entries for unserved UEs are zero.
     """
-    lc = link_coefficients(assoc, tensor)
-    qos = QosSpec(r_min_bps=np.zeros(len(lc.ns)), gamma=np.zeros(len(lc.ns)),
+    K = assoc.S.shape[1]
+    qos = QosSpec(r_min_bps=np.zeros(K), gamma=np.zeros(K),
                   p_max_w=max(np.max(np.asarray(P)), np.max(np.asarray(anchor)), 1.0))
-    prob = ReducedProblem(lc, frame, _unit_form(lc), qos, SolverSettings())
+    prob = _problem(assoc, tensor, frame, None, qos, SolverSettings())
     sur = prob.surrogate(prob.reduce(anchor))
-    r_hat = np.zeros(prob.K)
-    r_bar = np.zeros(prob.K)
-    hi, lo = sur.rate_bounds(prob.reduce(P))
-    r_hat[prob.idx] = hi
-    r_bar[prob.idx] = lo
-    return r_hat, r_bar
+    r_hat, r_bar = sur.rate_bounds(prob.reduce(P))
+    return prob.expand(r_hat), prob.expand(r_bar)
 
 
 def surrogate_ee(P, anchor, assoc: Association, tensor: CoefficientTensor,
                  frame: FrameConfig, form: AffinePowerForm, qos: QosSpec) -> float:
     """Lower-bound EE estimate: sum Rbar over P_N evaluated at Rhat."""
-    lc = link_coefficients(assoc, tensor)
-    prob = ReducedProblem(lc, frame, form, qos, SolverSettings())
+    prob = _problem(assoc, tensor, frame, form, qos, SolverSettings())
     sur = prob.surrogate(prob.reduce(anchor))
-    p_red = prob.reduce(P)
-    num = sur.numerator(p_red)
-    r_hat, _ = sur.rate_bounds(p_red)
-    den = prob.power_total_full(np.asarray(P, dtype=float), _expand_at(prob, r_hat))
-    return num / den
-
-
-def _expand_at(prob: ReducedProblem, vals: np.ndarray) -> np.ndarray:
-    out = np.zeros(prob.K)
-    out[prob.idx] = vals
-    return out
+    r_hat, r_bar = sur.rate_bounds(prob.reduce(P))
+    return float(np.sum(r_bar)) / form.total(np.asarray(P, dtype=float),
+                                             prob.expand(r_hat))
 
 
 def solve_parametric(pi: float, anchor, assoc: Association, tensor: CoefficientTensor,
                      frame: FrameConfig, form: AffinePowerForm, qos: QosSpec,
                      settings: SolverSettings) -> np.ndarray:
-    lc = link_coefficients(assoc, tensor)
-    prob = ReducedProblem(lc, frame, form, qos, settings)
-    diag = SolveDiagnostics()
+    prob = _problem(assoc, tensor, frame, form, qos, settings)
     sur = prob.surrogate(prob.reduce(anchor))
-    return prob.expand(_solve_parametric(sur, pi, settings, None, diag))
+    return prob.expand(_solve_parametric(sur, pi, settings, None, SolveDiagnostics()))
 
 
 def dinkelbach(anchor, assoc: Association, tensor: CoefficientTensor,
                frame: FrameConfig, form: AffinePowerForm, qos: QosSpec,
                settings: SolverSettings) -> tuple[np.ndarray, float]:
-    lc = link_coefficients(assoc, tensor)
-    prob = ReducedProblem(lc, frame, form, qos, settings)
-    diag = SolveDiagnostics()
-    p, pi, _ = _dinkelbach(prob, prob.reduce(anchor), settings, diag)
+    prob = _problem(assoc, tensor, frame, form, qos, settings)
+    p, pi, _ = _dinkelbach(prob, prob.reduce(anchor), settings, SolveDiagnostics())
     return prob.expand(p), pi
 
 

@@ -43,17 +43,17 @@ def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTens
     mu = np.zeros((M, K))
     omega = np.zeros((M, K, K))
     eye = np.eye(N)
+    # batched over one BS's K links; over M too would hold (M, K, N, N) temporaries
     for m in range(M):
-        for k in range(K):
-            psi = pp_taup * R[m, k] + sigma2 * eye
-            phi = pp_taup * R[m, k] @ np.linalg.solve(psi, R[m, k])
-            t = float(np.trace(phi).real)
-            if t <= 0.0:
-                continue  # vanishing estimate (e.g. zero pilot power): mu = omega = 0
-            mu[m, k] = np.sqrt(t)
-            cross = np.einsum("kij,ji->k", R[m], phi).real / t
-            omega[m, k, :] = cross
-            omega[m, k, k] += t
+        psi = pp_taup * R[m] + sigma2 * eye
+        phi = pp_taup * R[m] @ np.linalg.solve(psi, R[m])
+        t = np.trace(phi, axis1=1, axis2=2).real
+        live = np.flatnonzero(t > 0.0)   # vanishing estimate (zero pilot power): mu = omega = 0
+        mu[m, live] = np.sqrt(t[live])
+        for k in live:
+            # per link: one einsum over all links sums in another order (last bits)
+            omega[m, k] = np.einsum("kij,ji->k", R[m], phi[k]).real / t[k]
+            omega[m, k, k] += t[k]
     return CoefficientTensor(mu=mu, omega=omega, noise_coeff=np.ones((M, K)))
 
 
@@ -135,14 +135,9 @@ def monte_carlo_statistics(
     # variance, neglecting the covariance between numerator and normalizer.
     omega_se = np.sqrt(var_abs2 / samples / nrm_safe[:, :, None] ** 2
                        + omega**2 * rel_nrm2[:, :, None])
-    mu = np.zeros((M, K))
-    mu_se = np.zeros((M, K))
-    for m in range(M):
-        for k in range(K):
-            root = np.sqrt(nrm_safe[m, k])
-            mu[m, k] = mean_re[m, k, k] / root
-            mu_se[m, k] = np.sqrt(var_re[m, k, k] / samples / nrm_safe[m, k]
-                                  + 0.25 * mu[m, k] ** 2 * rel_nrm2[m, k])
+    mu = np.einsum("mkk->mk", mean_re) / np.sqrt(nrm_safe)
+    mu_se = np.sqrt(np.einsum("mkk->mk", var_re) / samples / nrm_safe
+                    + 0.25 * mu**2 * rel_nrm2)
     noise_coeff = np.where(nrm > 0, 1.0, 0.0)         # ||v||^2 == 1 by the empirical normalizer
     return CoefficientTensor(mu=mu, omega=omega, noise_coeff=noise_coeff,
                              mu_se=mu_se, omega_se=omega_se)

@@ -75,3 +75,10 @@ class TestCli:
     def test_oracle_check(self, capsys):
         assert main(["oracle-check", "--instances", "1"]) == 0
         assert "ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_oracle_check_needs_an_instance(self, capsys, instances):
+        assert main(["oracle-check", "--instances", instances]) == 1
+        captured = capsys.readouterr()
+        assert "instances must be >= 1" in captured.err
+        assert captured.out == ""

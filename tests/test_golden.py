@@ -1,0 +1,91 @@
+"""Golden regression: re-run the two checked-in configs and compare records.
+
+The files under tests/data were produced from the same configs with
+
+    greenran run --config configs/desk.json --out tests/data/desk.csv
+    greenran sweep --config configs/sweep.json --out tests/data/sweep.csv \
+        --aggregates-out tests/data/sweep_aggregates.csv
+
+Discrete cells (strings, booleans, integers) must match exactly. Floating
+cells, including each entry of the `ee_cdf` list, must match within 1e-6
+relative, so a solver change that moves only the last bits passes without
+regenerating the files.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from greenran.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
+RTOL = 1e-6
+
+
+def _parse(cell: str):
+    """Typed parts of one CSV cell: int, float or str, split on ';'."""
+    parts = []
+    for part in cell.split(";") if cell else [cell]:
+        try:
+            parts.append(int(part))
+        except ValueError:
+            try:
+                parts.append(float(part))
+            except ValueError:
+                parts.append(part)
+    return parts
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return math.isclose(a, b, rel_tol=RTOL, abs_tol=0.0)
+    return type(a) is type(b) and a == b
+
+
+def assert_records_match(golden: Path, produced: Path):
+    with open(golden) as fh:
+        want = list(csv.reader(fh))
+    with open(produced) as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == want[0], "column order changed"
+    assert len(got) == len(want), "row count changed"
+    header = want[0]
+    for row, (w, g) in enumerate(zip(want[1:], got[1:]), start=1):
+        for name, wc, gc in zip(header, w, g):
+            wp, gp = _parse(wc), _parse(gc)
+            assert len(wp) == len(gp) and all(map(_same, wp, gp)), \
+                f"{golden.name} row {row} column {name}: {gc!r} != {wc!r}"
+
+
+def test_desk_records_match_golden(tmp_path):
+    out = tmp_path / "desk.csv"
+    assert main(["run", "--config", str(ROOT / "configs" / "desk.json"),
+                 "--out", str(out)]) == 0
+    assert_records_match(DATA / "desk.csv", out)
+
+
+def test_sweep_records_and_aggregates_match_golden(tmp_path, capsys):
+    out, agg = tmp_path / "sweep.csv", tmp_path / "agg.csv"
+    assert main(["sweep", "--config", str(ROOT / "configs" / "sweep.json"),
+                 "--out", str(out), "--aggregates-out", str(agg)]) == 0
+    assert_records_match(DATA / "sweep.csv", out)
+    assert_records_match(DATA / "sweep_aggregates.csv", agg)
+
+
+@pytest.mark.parametrize("cells", [("0.1", "0.10000001"), ("1;2.5", "1;2.5000001"),
+                                   ("trimsm-eipc", "trimsm-eipc")])
+def test_comparison_accepts_last_bit_changes(cells):
+    a, b = map(_parse, cells)
+    assert all(map(_same, a, b))
+
+
+@pytest.mark.parametrize("cells", [("0.1", "0.1001"), ("3", "4"), ("true", "false"),
+                                   ("1.0;2.0", "1.0"), ("2", "2.0")])
+def test_comparison_rejects_real_changes(cells):
+    a, b = map(_parse, cells)
+    assert not (len(a) == len(b) and all(map(_same, a, b)))

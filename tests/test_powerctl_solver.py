@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from greenran import (InfeasibleError, SolverSettings, build_affine_form,
                       dinkelbach, link_coefficients, slmdb, solve_parametric)
@@ -110,6 +111,51 @@ class TestParametricSolver:
             b = rng.random(3) * 0.1
             mid = 0.5 * (a + b)
             assert obj.value(mid) >= 0.5 * (obj.value(a) + obj.value(b)) - 1e-9
+
+
+class TestInteriorPoint:
+    def test_strict_interior_before_any_qopc_call(self):
+        ctx = make_context(M=3, K=2, N=4, L=2, area=300.0, seed=7, r_min=15e6)
+        prob, _ = build_problem(ctx, strongest_assoc(ctx))
+        assert prob._qopc is None
+        p = prob.interior_point()
+        assert (p > 0).all() and (p < prob.pmax).all()
+        assert prob.margin(p) < 0
+        assert powerctl._strictly_feasible(prob, p, margin=1e-12)
+
+    def test_empty_polytope_raises(self):
+        ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
+        prob, _ = build_problem(ctx, strongest_assoc(ctx, per_ue=1))
+        with pytest.raises(InfeasibleError):
+            prob.interior_point()
+
+    def test_single_point_polytope_raises(self):
+        # p_max set to the single link's power threshold: the QoS polytope is
+        # the one point P = p_max, feasible but without an interior
+        ctx = make_context(M=1, K=1, N=4, L=1, area=300.0, seed=500, r_min=10e6)
+        assoc = strongest_assoc(ctx, per_ue=1)
+        lc = link_coefficients(assoc, ctx.tensor)
+        gam = ctx.qos.gamma[0]
+        denom = (1 + gam) * lc.ds2[0] - gam * lc.interf[0, 0]
+        assert denom > 0
+        threshold = gam * ctx.frame.noise_power_w * lc.ns[0] / denom
+        qos = powerctl.QosSpec(r_min_bps=ctx.qos.r_min_bps, gamma=ctx.qos.gamma,
+                               p_max_w=threshold)
+        prob = ReducedProblem(lc, ctx.frame, None, qos, ctx.settings)
+        with pytest.raises(InfeasibleError):
+            prob.interior_point()
+
+    def test_slmdb_solves_one_lp_per_problem(self, monkeypatch):
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(powerctl, "linprog", counting_linprog)
+        sol = pinned_slmdb()
+        assert sol.feasible and sol.diagnostics.newton_steps > 0
+        assert len(calls) == 1
 
 
 class TestDinkelbach:

@@ -181,24 +181,28 @@ def evaluate(matching: Association, power_mode: str, ctx: EvaluationContext) -> 
     form = ctx.form_for(matching)
     if power_mode == "slmdb":
         sol = slmdb_solve(lc, ctx.frame, form, ctx.qos, ctx.settings)
+        rates = sol.rates
     else:
+        verdict = None
         if power_mode == "fipc":
             p = fipc(ctx.scenario.K, ctx.qos)
         elif power_mode == "eipc":
             p = eipc(matching, ctx.corr, ctx.qos)
         else:
-            p, _ = qopc_solve(lc, ctx.frame, ctx.qos, ctx.settings)
+            p, verdict = qopc_solve(lc, ctx.frame, ctx.qos, ctx.settings)
         rates = rates_from_coeffs(p, lc, ctx.frame)
-        total = form.total(p, rates)
-        sol = PowerSolution(p=p, ee=float(np.sum(rates)) / total, rates=rates,
-                            feasible=True, diagnostics=SolveDiagnostics())
 
     slack = ctx.settings.qos_rate_rtol * ctx.qos.r_min_bps
-    deficit = np.maximum(0.0, ctx.qos.r_min_bps - sol.rates - slack)
+    deficit = np.maximum(0.0, ctx.qos.r_min_bps - rates - slack)
     shortfall = float(np.sum(deficit))
     qos_ok = shortfall == 0.0
     if power_mode == "slmdb":
         qos_ok = qos_ok and sol.feasible
+    else:
+        # feasible is the QoPC LP's own verdict, else the rate check
+        sol = PowerSolution(p=p, ee=float(np.sum(rates)) / form.total(p, rates),
+                            rates=rates, feasible=qos_ok if verdict is None else verdict,
+                            diagnostics=SolveDiagnostics())
     result = EvalResult(ee=sol.ee, qos_ok=qos_ok, shortfall_bps=shortfall, power=sol)
     mode_cache[key] = result
     return result

@@ -23,6 +23,14 @@ The true EE of the iterates is nondecreasing because the surrogate is a global
 lower bound with equality at the anchor. Low-complexity controllers: fixed max
 power, a QoS feasibility LP (min-max residual), and statistical channel
 inversion.
+
+The min-max LP has the uplink power-control structure of Foschini & Miljanic
+(IEEE TVT 1993) and Yates (IEEE JSAC 1995): a UE's QoS residual falls with its
+own power and rises with everyone else's. When -W is an M-matrix and the
+balanced point fits the box, that point is the LP's unique optimum and costs
+one k x k inverse (`_balanced_point`). Otherwise HiGHS solves the LP: when the
+rate targets are out of reach, or when the binding UE sees no interference
+from some other UE (as with no rate targets at all).
 """
 
 from dataclasses import dataclass, field
@@ -447,9 +455,12 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
         feasible = False
     if not feasible:
         return prob.solution(p_start, False, diag)
+    if len(prob.idx) == 0:
+        # no served UE: nothing to optimize and the EE stays 0
+        return prob.solution(np.zeros(prob.K), True, diag)
 
     p_red = prob.reduce(p_start)
-    ee_prev = prob.ee(p_red) if len(p_red) else 0.0
+    ee_prev = prob.ee(p_red)
     diag.ee_trace.append(ee_prev)
     best_p, best_ee = p_red, ee_prev
     warm = None
@@ -458,7 +469,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
             diag.slm_iterations = n
             p_red, _, _ = _dinkelbach(prob, p_red, settings, diag, start=warm)
             warm = p_red
-            ee = prob.ee(p_red) if len(p_red) else 0.0
+            ee = prob.ee(p_red)
             diag.ee_trace.append(ee)
             if ee > best_ee:
                 best_ee, best_p = ee, p_red
@@ -485,27 +496,69 @@ def fipc(K: int, qos: QosSpec) -> np.ndarray:
     return np.full(K, qos.p_max_w)
 
 
+def _balanced_point(prob: ReducedProblem) -> tuple[np.ndarray, float] | None:
+    """Closed-form optimum (P, s) of the min-max LP, or None without a certificate.
+
+    With the QoS rows tight, W P + c = s rscale gives P = a - s b for
+    a = (-W)^-1 c and b = (-W)^-1 rscale; the smallest s that fits the cap is
+    s* = max_j (a_j - pmax) / b_j. If -W is an M-matrix (off-diagonal W >= 0,
+    diag W < 0, (-W)^-1 >= 0 elementwise), every feasible (P, s) has
+    P >= a - s b, so s < s* would push P_j* above pmax: with P* = a - s* b >= 0
+    the point is optimal. It is the unique optimum when k = 1 or row j* couples
+    to every other UE (W[j*, i] > 0): any other optimal P >= P* with
+    P_j* = pmax would break row j*.
+    """
+    W = prob.W
+    dW = np.diag(W)
+    if (dW >= 0).any() or ((W - np.diag(dW)) < 0).any():
+        return None
+    try:
+        inv = np.linalg.inv(-W)
+    except np.linalg.LinAlgError:
+        return None
+    if (inv < 0).any():
+        return None
+    a = inv @ prob.c
+    b = inv @ prob.rscale
+    ratios = (a - prob.pmax) / b
+    j = int(np.argmax(ratios))
+    s = float(ratios[j])
+    p = a - s * b
+    if (p < 0).any() or (len(W) > 1 and (np.delete(W[j], j) <= 0).any()):
+        return None
+    return p, s
+
+
 def _qopc_on_problem(prob: ReducedProblem) -> tuple[np.ndarray, bool, float]:
     """Min-max QoS residual LP on a built problem, solved once and cached;
-    returns (reduced P, feasible, normalized optimal residual)."""
+    returns (reduced P, feasible, normalized optimal residual).
+
+    The LP is min s over 0 <= P <= pmax with (W P + c) / rscale <= s. When
+    `_balanced_point`'s certificate holds, its closed form is the LP's unique
+    optimum and the LP is not run; otherwise HiGHS solves it.
+    """
     if prob._qopc is not None:
         return prob._qopc
     k = len(prob.idx)
     if k == 0:
         return np.zeros(0), not prob.structurally_infeasible, -np.inf
-    Wn = prob.W / prob.rscale[:, None]
-    cn = prob.c / prob.rscale
-    A = np.hstack([Wn, -np.ones((k, 1))])
-    obj = np.zeros(k + 1)
-    obj[k] = 1.0
-    bounds = [(0.0, prob.pmax)] * k + [(None, None)]
-    res = linprog(obj, A_ub=A, b_ub=-cn, bounds=bounds, method="highs")
-    if not res.success or res.x is None:
-        prob._qopc = (np.zeros(k), False, np.inf)
+    closed = _balanced_point(prob)
+    if closed is not None:
+        p, s_norm = closed
     else:
-        s_norm = float(res.x[k])
-        feasible = s_norm <= prob.settings.feas_tol and not prob.structurally_infeasible
-        prob._qopc = (np.clip(res.x[:k], 0.0, prob.pmax), feasible, s_norm)
+        Wn = prob.W / prob.rscale[:, None]
+        cn = prob.c / prob.rscale
+        A = np.hstack([Wn, -np.ones((k, 1))])
+        obj = np.zeros(k + 1)
+        obj[k] = 1.0
+        bounds = [(0.0, prob.pmax)] * k + [(None, None)]
+        res = linprog(obj, A_ub=A, b_ub=-cn, bounds=bounds, method="highs")
+        if not res.success or res.x is None:
+            prob._qopc = (np.zeros(k), False, np.inf)
+            return prob._qopc
+        p, s_norm = res.x[:k], float(res.x[k])
+    feasible = s_norm <= prob.settings.feas_tol and not prob.structurally_infeasible
+    prob._qopc = (np.clip(p, 0.0, prob.pmax), feasible, s_norm)
     return prob._qopc
 
 

@@ -191,6 +191,23 @@ class TestPreferences:
         second = evaluate(matching, "eipc", ctx)
         assert first is second
 
+    def test_heuristic_verdicts_surface_infeasibility(self):
+        ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
+        matching = strongest_assoc(ctx, per_ue=1)
+        for mode in ("qopc", "fipc", "eipc"):
+            res = evaluate(matching, mode, ctx)
+            assert not res.qos_ok and res.shortfall_bps > 0
+            assert not res.power.feasible, mode
+
+    def test_heuristic_verdicts_pass_on_reachable_targets(self):
+        ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=0)
+        matching = strongest_assoc(ctx)
+        qopc_res = evaluate(matching, "qopc", ctx)
+        assert qopc_res.qos_ok and qopc_res.power.feasible
+        for mode in ("fipc", "eipc"):
+            res = evaluate(matching, mode, ctx)
+            assert res.power.feasible == res.qos_ok, mode
+
     def test_slmdb_never_below_fipc(self):
         wins = 0
         for seed in range(6):

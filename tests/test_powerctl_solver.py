@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
-from greenran import (InfeasibleError, SolverSettings, build_affine_form,
+from greenran import (Association, InfeasibleError, SolverSettings, build_affine_form,
                       dinkelbach, link_coefficients, slmdb, solve_parametric)
 from greenran import powerctl
 from greenran.powerctl import ReducedProblem, SolveDiagnostics, _solve_parametric
@@ -145,17 +144,38 @@ class TestInteriorPoint:
         with pytest.raises(InfeasibleError):
             prob.interior_point()
 
-    def test_slmdb_solves_one_lp_per_problem(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, name):
         calls = []
+        real = getattr(powerctl, name)
 
-        def counting_linprog(*args, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return linprog(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(powerctl, "linprog", counting_linprog)
+        monkeypatch.setattr(powerctl, name, counting)
+        return calls
+
+    def test_slmdb_solves_one_lp_per_problem(self, monkeypatch):
+        # the min-max LP is solved once per ReducedProblem; on this QoS-feasible
+        # instance its closed form is certified, so HiGHS never runs
+        solves = self.count_calls(monkeypatch, "_balanced_point")
+        lps = self.count_calls(monkeypatch, "linprog")
         sol = pinned_slmdb()
         assert sol.feasible and sol.diagnostics.newton_steps > 0
-        assert len(calls) == 1
+        assert len(solves) == 1
+        assert len(lps) == 0
+
+    def test_infeasible_targets_fall_back_to_one_lp(self, monkeypatch):
+        ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
+        assoc = strongest_assoc(ctx, per_ue=1)
+        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        solves = self.count_calls(monkeypatch, "_balanced_point")
+        lps = self.count_calls(monkeypatch, "linprog")
+        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+        assert not sol.feasible
+        assert len(solves) == 1
+        assert len(lps) == 1
 
 
 class TestDinkelbach:
@@ -276,9 +296,18 @@ class TestSlmdb:
         ctx = make_context(M=2, K=2, N=3, L=1, area=300.0, seed=2, r_min=10e6)
         S = np.zeros((2, 2), dtype=bool)
         S[0, 0] = True   # UE 1 left unserved
-        from greenran import Association
         assoc = Association(S=S)
         form = build_affine_form(assoc, ctx.bs_config, ctx.system)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
         assert not sol.feasible
         assert sol.p[1] == 0.0
+
+    def test_empty_association_returns_at_once(self):
+        ctx = make_context(M=2, K=2, N=3, L=1, area=300.0, seed=2, r_min=0.0)
+        assoc = Association(S=np.zeros((2, 2), dtype=bool))
+        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+        assert sol.feasible and sol.ee == 0.0
+        assert np.array_equal(sol.p, np.zeros(2))
+        assert sol.diagnostics.slm_iterations == 0
+        assert not sol.diagnostics.hit_iteration_cap

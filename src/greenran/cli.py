@@ -52,11 +52,9 @@ def _common_args(p):
 
 def _load(args) -> harness.RunConfig:
     config = harness.load_config(args.config if args.config else {})
-    if getattr(args, "algorithm", None):
+    if getattr(args, "algorithm", None) is not None:
         algorithms = tuple(a.strip() for a in args.algorithm.split(",") if a.strip())
-        for alg in algorithms:
-            if alg not in harness.ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {alg!r}")
+        harness._check_algorithms(algorithms)
         config = replace(config, algorithms=algorithms)
     if getattr(args, "drops", None) is not None:
         if args.drops < 1:

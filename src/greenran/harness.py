@@ -133,9 +133,7 @@ def load_config(source) -> RunConfig:
     algorithms = merged["algorithm"]
     if isinstance(algorithms, str):
         algorithms = [algorithms]
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+    _check_algorithms(algorithms)
 
     qos_raw = merged["qos"]
     drops = int(merged["drops"])
@@ -171,6 +169,14 @@ def _apply_sweep(config: RunConfig, value) -> RunConfig:
     if param == "M" and scen.L > value:
         kwargs["L"] = int(value)
     return replace(config, scenario=replace(scen, **kwargs))
+
+
+def _check_algorithms(algorithms) -> None:
+    if not algorithms:
+        raise ConfigError("algorithm must name at least one selector")
+    for alg in algorithms:
+        if alg not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
 
 
 def _check_pilots(scenario: ScenarioParams, frame: FrameConfig) -> None:

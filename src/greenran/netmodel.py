@@ -76,9 +76,11 @@ class Topology:
 class CorrelationSet:
     """Per-link spatial correlation matrices and their large-scale gains.
 
-    R[m, k] is Hermitian PSD (linear power gain); beta[m, k] = trace(R)/N.
+    R[m, k] is Hermitian PSD (linear power gain), stored real or complex;
+    beta[m, k] = trace(R)/N. The statistics follow R's dtype, so a real set
+    runs in real arithmetic.
     """
-    R: np.ndarray                # (M, K, N, N) complex
+    R: np.ndarray                # (M, K, N, N) real or complex
     beta: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -109,8 +111,10 @@ def generate_topology(params: ScenarioParams) -> Topology:
 
 
 def build_correlation(topology: Topology, frame: FrameConfig) -> CorrelationSet:
-    """Correlation matrices beta * I_N from log-distance path loss.
+    """Real correlation matrices beta * I_N from log-distance path loss.
 
+    beta * I_N is real symmetric PSD, hence Hermitian PSD, and is stored as
+    float64 at half the bytes of a complex set.
     beta_dB = -intercept - 10 * exponent * log10(d) + shadowing, with the wrap
     distance floored at 1 m. Shadowing draws are seeded from the scenario seed,
     so an identical scenario reproduces the identical set.
@@ -123,6 +127,5 @@ def build_correlation(topology: Topology, frame: FrameConfig) -> CorrelationSet:
         rng = np.random.default_rng([p.seed, 1])
         beta_db = beta_db + rng.normal(0.0, p.shadowing_std_db, size=beta_db.shape)
     beta = 10.0 ** (beta_db / 10.0)
-    eye = np.eye(p.N, dtype=complex)
-    R = beta[:, :, None, None] * eye[None, None, :, :]
+    R = beta[:, :, None, None] * np.eye(p.N)[None, None, :, :]
     return CorrelationSet(R=R)

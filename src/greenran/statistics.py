@@ -34,7 +34,13 @@ class CoefficientTensor:
 
 
 def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTensor:
-    """Closed-form coefficient tensor for all M x K links."""
+    """Closed-form coefficient tensor for all M x K links.
+
+    Runs in R's dtype: a real set takes real LAPACK/BLAS calls, a complex one
+    complex calls, on the same lines. Per BS, one batched solve gives every
+    Phi_k and one matrix product every cross trace tr(R_k' Phi_k), using
+    tr(A B) = sum_ij A_ij (B^T)_ij.
+    """
     R = corr.R
     M, K, N, _ = R.shape
     pp_taup = frame.pilot_power_w * frame.tau_p
@@ -50,10 +56,10 @@ def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTens
         t = np.trace(phi, axis1=1, axis2=2).real
         live = np.flatnonzero(t > 0.0)   # vanishing estimate (zero pilot power): mu = omega = 0
         mu[m, live] = np.sqrt(t[live])
-        for k in live:
-            # per link: one einsum over all links sums in another order (last bits)
-            omega[m, k] = np.einsum("kij,ji->k", R[m], phi[k]).real / t[k]
-            omega[m, k, k] += t[k]
+        phi_t = phi[live].transpose(0, 2, 1).reshape(len(live), N * N)
+        cross = (phi_t @ R[m].reshape(K, N * N).T).real     # cross[i, k'] = tr(R_k' Phi_live[i])
+        omega[m, live] = cross / t[live, None]
+        omega[m, live, live] += t[live]
     return CoefficientTensor(mu=mu, omega=omega, noise_coeff=np.ones((M, K)))
 
 
@@ -78,9 +84,10 @@ def monte_carlo_statistics(
     sigma2 = frame.noise_power_w
 
     # Per-link Cholesky factors of R and the estimator map
-    # h_est = sqrt(pp) * R Psi^{-1} y_despread.
-    chol = np.zeros((M, K, N, N), dtype=complex)
-    est = np.zeros((M, K, N, N), dtype=complex)
+    # h_est = sqrt(pp) * R Psi^{-1} y_despread, in R's dtype (the channel and
+    # noise draws are complex either way).
+    chol = np.zeros((M, K, N, N), dtype=np.result_type(R, 1.0))
+    est = np.zeros_like(chol)
     eye = np.eye(N)
     for m in range(M):
         for k in range(K):

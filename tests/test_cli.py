@@ -53,6 +53,22 @@ class TestCli:
         assert "drops must be >= 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("algorithm", [",", " , ", ""])
+    def test_empty_algorithm_override_rejected(self, cfg_path, capsys, algorithm):
+        assert main(["run", "--config", cfg_path, "--algorithm", algorithm]) == 1
+        captured = capsys.readouterr()
+        assert "at least one selector" in captured.err
+        assert captured.out == ""
+
+    def test_empty_algorithm_list_in_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(dict(BASE, algorithm=[])))
+        for command in ("run", "validate-config"):
+            assert main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert "at least one selector" in captured.err
+            assert captured.out == ""
+
     def test_bad_algorithm_override(self, cfg_path):
         assert main(["run", "--config", cfg_path, "--algorithm", "nope"]) == 1
 

@@ -30,6 +30,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(dict(BASE, algorithm="magic"))
 
+    def test_empty_algorithm_list_rejected(self):
+        # at load time, so no drop is built for a run that emits no record
+        with pytest.raises(ConfigError, match="at least one selector"):
+            load_config(dict(BASE, algorithm=[]))
+
     def test_pilot_capacity_enforced(self):
         bad = {"scenario": {"M": 4, "K": 12, "N": 3, "L": 2},
                "frame": {"tau_p": 10}}

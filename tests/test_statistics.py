@@ -50,6 +50,17 @@ class TestClosedForm:
         t = mmse_statistics(corr, FrameConfig())
         assert (t.omega[:, np.arange(3), np.arange(3)] >= t.mu**2 - 1e-25).all()
 
+    def test_drop_correlation_is_stored_real(self):
+        p = ScenarioParams(M=3, K=2, N=4, L=2, seed=12, shadowing_std_db=8.0)
+        frame = FrameConfig()
+        corr = build_correlation(generate_topology(p), frame)
+        assert corr.R.dtype == np.float64
+        assert corr.R.nbytes == 3 * 2 * 4 * 4 * 8
+        real = mmse_statistics(corr, frame)
+        cplx = mmse_statistics(CorrelationSet(R=corr.R + 0j), frame)
+        np.testing.assert_allclose(real.mu, cplx.mu, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(real.omega, cplx.omega, rtol=1e-12, atol=0.0)
+
     def test_cross_terms_nonnegative(self):
         rng = np.random.default_rng(1)
         t = mmse_statistics(random_psd_set(rng, 2, 3, 4), FrameConfig())
@@ -65,6 +76,16 @@ class TestMonteCarlo:
         b = monte_carlo_statistics(corr, FrameConfig(), samples=2000, seed=5)
         assert np.array_equal(a.mu, b.mu)
         assert np.array_equal(a.omega, b.omega)
+
+    def test_real_and_complex_storage_give_identical_estimates(self):
+        p = ScenarioParams(M=3, K=2, N=4, L=2, seed=12, shadowing_std_db=8.0)
+        frame = FrameConfig()
+        corr = build_correlation(generate_topology(p), frame)
+        real = monte_carlo_statistics(corr, frame, samples=20000, seed=12)
+        cplx = monte_carlo_statistics(CorrelationSet(R=corr.R + 0j), frame,
+                                      samples=20000, seed=12)
+        for name in ("mu", "omega", "noise_coeff", "mu_se", "omega_se"):
+            assert np.array_equal(getattr(real, name), getattr(cplx, name)), name
 
     def test_chunk_boundary_consistency(self):
         # crossing the internal chunk size must not depend on call pattern

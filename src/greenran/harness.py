@@ -12,6 +12,7 @@ timing is recorded only when `record_timing` is set, and is zero otherwise).
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -88,16 +89,26 @@ class RunConfig:
 
 
 def _merge(base: dict, overrides: dict, path: str = "") -> dict:
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{path or 'config'} must be an object")
     out = dict(base)
     for key, val in overrides.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
+        if isinstance(base[key], dict):
             out[key] = _merge(base[key], val, where)
         else:
             out[key] = val
     return out
+
+
+def _number(value, where: str, kind=float):
+    """`value` if it is a finite JSON number (an integer for kind int), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, kind if kind is int else (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite {kind.__name__}, not {value!r}")
+    return value
 
 
 def _build_dataclass(cls, section: dict, name: str):
@@ -105,6 +116,9 @@ def _build_dataclass(cls, section: dict, name: str):
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.type in (int, float) and f.name in section:
+            _number(section[f.name], f"{name}.{f.name}", f.type)
     return cls(**section)
 
 
@@ -115,9 +129,8 @@ def load_config(source) -> RunConfig:
             raw = json.load(fh)
     else:
         raw = source
-    raw = dict(raw or {})
-    sweep_section = raw.pop("sweep", None)
-    merged = _merge(table3_defaults(), raw)
+    merged = _merge(dict(table3_defaults(), sweep=None), raw or {})
+    sweep_section = merged.pop("sweep")
 
     scenario = _build_dataclass(ScenarioParams, merged["scenario"], "scenario")
     frame = _build_dataclass(FrameConfig, merged["frame"], "frame")
@@ -136,7 +149,7 @@ def load_config(source) -> RunConfig:
     _check_algorithms(algorithms)
 
     qos_raw = merged["qos"]
-    drops = int(merged["drops"])
+    drops = _number(merged["drops"], "drops", int)
     if drops < 1:
         raise ConfigError("drops must be >= 1")
     _check_pilots(scenario, frame)
@@ -144,18 +157,23 @@ def load_config(source) -> RunConfig:
     sweep_parameter = None
     sweep_values = ()
     if sweep_section:
+        if not isinstance(sweep_section, dict):
+            raise ConfigError("sweep must be an object")
         sweep_parameter = sweep_section.get("parameter")
         if sweep_parameter not in SWEEPABLE:
             raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}")
-        sweep_values = tuple(sweep_section.get("values", ()))
-        if not sweep_values:
-            raise ConfigError("sweep.values must be nonempty")
+        sweep_values = sweep_section.get("values")
+        if not isinstance(sweep_values, list) or not sweep_values:
+            raise ConfigError("sweep.values must be a nonempty list")
+        kind = float if sweep_parameter in ("area_side", "r_min_bps") else int
+        sweep_values = tuple(_number(v, "sweep.values", kind) for v in sweep_values)
 
     return RunConfig(
         scenario=scenario, frame=frame, bs_config=bs_config, system=system,
-        r_min_bps=float(qos_raw["r_min_bps"]), p_max_w=float(qos_raw["p_max_w"]),
+        r_min_bps=float(_number(qos_raw["r_min_bps"], "qos.r_min_bps")),
+        p_max_w=float(_number(qos_raw["p_max_w"], "qos.p_max_w")),
         settings=settings, algorithms=tuple(algorithms), drops=drops,
-        base_seed=int(merged["base_seed"]),
+        base_seed=_number(merged["base_seed"], "base_seed", int),
         record_timing=bool(merged["record_timing"]),
         sweep_parameter=sweep_parameter, sweep_values=sweep_values)
 
@@ -172,7 +190,7 @@ def _apply_sweep(config: RunConfig, value) -> RunConfig:
 
 
 def _check_algorithms(algorithms) -> None:
-    if not algorithms:
+    if not algorithms or not isinstance(algorithms, (list, tuple)):
         raise ConfigError("algorithm must name at least one selector")
     for alg in algorithms:
         if alg not in ALGORITHMS:

@@ -28,15 +28,14 @@ The min-max LP has the uplink power-control structure of Foschini & Miljanic
 (IEEE TVT 1993) and Yates (IEEE JSAC 1995): a UE's QoS residual falls with its
 own power and rises with everyone else's. When -W is an M-matrix and the
 balanced point fits the box, that point is the LP's unique optimum and costs
-one k x k inverse (`_balanced_point`). Otherwise HiGHS solves the LP: when the
-rate targets are out of reach, or when the binding UE sees no interference
-from some other UE (as with no rate targets at all).
+one k x k inverse (`_balanced_point`). Otherwise (targets out of reach, or a
+binding UE that sees no interference from some other UE) a homotopy in s finds
+the optimal face's least element in at most k + 1 small solves.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .netmodel import ConfigError, FrameConfig
 from .powermodel import AffinePowerForm
@@ -57,10 +56,10 @@ class QosSpec:
     p_max_w: float
 
     def __post_init__(self):
-        if self.p_max_w <= 0:
-            raise ConfigError("p_max_w must be positive")
-        if (np.asarray(self.gamma) < 0).any():
-            raise ConfigError("SINR thresholds must be nonnegative")
+        if not 0 < self.p_max_w < np.inf:
+            raise ConfigError("p_max_w must be positive and finite")
+        if not (np.asarray(self.gamma) >= 0).all() or not np.isfinite(self.gamma).all():
+            raise ConfigError("SINR thresholds must be finite and nonnegative")
 
 
 def gamma_thresholds(r_min_bps: np.ndarray, frame: FrameConfig) -> np.ndarray:
@@ -529,34 +528,57 @@ def _balanced_point(prob: ReducedProblem) -> tuple[np.ndarray, float] | None:
     return p, s
 
 
+def _least_power_point(prob: ReducedProblem) -> tuple[np.ndarray, float]:
+    """Least element (P, s) of the min-max LP's optimal face, by a homotopy in s.
+
+    Off-diagonal W >= 0 makes {0 <= P <= pmax : W P + c <= s rscale} closed under
+    componentwise min; its least element L(s), the Yates least-power point, is
+    piecewise affine and nonincreasing in s. From L = 0 at s = max_j c_j / rscale_j,
+    s falls with the free set A's rows tight: L_A = a - s b, a = (-W_AA)^-1 c_A,
+    b = (-W_AA)^-1 rscale_A; rows turning tight at P_j = 0 join A. s* is where a
+    free UE reaches pmax, or where no P >= 0 fits below s: the grown -W_AA is not
+    a nonsingular M-matrix (b not > 0), which covers a tight row with W_jj >= 0.
+    """
+    W, c, r, pmax = prob.W, prob.c, prob.rscale, prob.pmax
+    free = np.zeros(len(c), dtype=bool)
+    a = b = np.zeros(0)
+    s = np.inf
+    for _ in range(len(c) + 1):    # each pass adds a row or stops; full A stops
+        Wo = W[np.ix_(~free, free)]
+        rows = np.minimum((Wo @ a + c[~free]) / (Wo @ b + r[~free]), s)
+        s_row = rows.max(initial=-np.inf)
+        s_cap = ((a - pmax) / b).max(initial=-np.inf)
+        if s_cap >= s_row:
+            s = min(s, float(s_cap))
+            break
+        s = float(s_row)
+        grown = free.copy()
+        grown[~free] = rows == s_row
+        try:
+            ab = np.linalg.solve(-W[np.ix_(grown, grown)], np.stack([c[grown], r[grown]], 1))
+        except np.linalg.LinAlgError:
+            break
+        if (ab[:, 1] <= 0).any():
+            break
+        free, a, b = grown, ab[:, 0], ab[:, 1]
+    p = np.zeros(len(c))
+    p[free] = a - s * b
+    return p, s
+
+
 def _qopc_on_problem(prob: ReducedProblem) -> tuple[np.ndarray, bool, float]:
     """Min-max QoS residual LP on a built problem, solved once and cached;
     returns (reduced P, feasible, normalized optimal residual).
 
     The LP is min s over 0 <= P <= pmax with (W P + c) / rscale <= s. When
     `_balanced_point`'s certificate holds, its closed form is the LP's unique
-    optimum and the LP is not run; otherwise HiGHS solves it.
+    optimum; otherwise `_least_power_point` gives the optimal face's least element.
     """
     if prob._qopc is not None:
         return prob._qopc
-    k = len(prob.idx)
-    if k == 0:
+    if len(prob.idx) == 0:
         return np.zeros(0), not prob.structurally_infeasible, -np.inf
-    closed = _balanced_point(prob)
-    if closed is not None:
-        p, s_norm = closed
-    else:
-        Wn = prob.W / prob.rscale[:, None]
-        cn = prob.c / prob.rscale
-        A = np.hstack([Wn, -np.ones((k, 1))])
-        obj = np.zeros(k + 1)
-        obj[k] = 1.0
-        bounds = [(0.0, prob.pmax)] * k + [(None, None)]
-        res = linprog(obj, A_ub=A, b_ub=-cn, bounds=bounds, method="highs")
-        if not res.success or res.x is None:
-            prob._qopc = (np.zeros(k), False, np.inf)
-            return prob._qopc
-        p, s_norm = res.x[:k], float(res.x[k])
+    p, s_norm = _balanced_point(prob) or _least_power_point(prob)
     feasible = s_norm <= prob.settings.feas_tol and not prob.structurally_infeasible
     prob._qopc = (np.clip(p, 0.0, prob.pmax), feasible, s_norm)
     return prob._qopc

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +72,19 @@ class TestCli:
             assert "at least one selector" in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("text", [
+        '{"scenario": 5}', '{"algorithm": 5}', '{"sweep": {"parameter": "K", "values": 3}}',
+        '{"drops": "x"}', '{"drops": 2.7}', '{"qos": {"r_min_bps": "fast"}}',
+        '{"scenario": {"M": 4.5, "L": 2}}', '{"qos": {"p_max_w": NaN}}'])
+    def test_wrong_typed_config_is_an_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        for command in ("run", "validate-config"):
+            assert main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+            assert captured.out == ""
+
     def test_bad_algorithm_override(self, cfg_path):
         assert main(["run", "--config", cfg_path, "--algorithm", "nope"]) == 1
 
@@ -98,3 +114,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert "instances must be >= 1" in captured.err
         assert captured.out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy would cost more than the rest of the package's start-up
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import greenran.cli, greenran.harness; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

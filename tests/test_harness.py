@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,28 @@ class TestConfig:
             load_config(dict(BASE, sweep={"parameter": "bogus", "values": [1]}))
         with pytest.raises(ConfigError):
             load_config(dict(BASE, sweep={"parameter": "K", "values": []}))
+
+    @pytest.mark.parametrize("bad, key", [
+        ({"scenario": 5}, "scenario"),
+        ({"algorithm": 5}, "algorithm"),
+        ({"sweep": 5}, "sweep"),
+        ({"sweep": {"parameter": "K", "values": 3}}, "sweep.values"),
+        ({"sweep": {"parameter": "M", "values": [4.5]}}, "sweep.values"),
+        ({"drops": "x"}, "drops"),
+        ({"drops": 2.7}, "drops"),
+        ({"base_seed": "7"}, "base_seed"),
+        ({"qos": {"r_min_bps": "fast"}}, "qos.r_min_bps"),
+        ({"qos": {"p_max_w": float("nan")}}, "qos.p_max_w"),
+        ({"scenario": {"M": 4.5, "L": 2}}, "scenario.M"),
+        ({"frame": {"noise_power_w": float("inf")}}, "frame.noise_power_w"),
+    ])
+    def test_wrong_typed_values_rejected(self, bad, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(dict(BASE, **bad))
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ConfigError, match="config must be an object"):
+            load_config([1])
 
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from greenran import (Association, FrameConfig, eipc, fipc,
+from greenran import (Association, ConfigError, FrameConfig, eipc, fipc,
                       link_coefficients, make_qos, qopc)
 from greenran.powerctl import ReducedProblem, qopc_solve
 from conftest import make_context, strongest_assoc
@@ -18,6 +18,12 @@ class TestFipc:
     def test_independent_of_channel(self):
         qos = make_qos(20e6, 5, FrameConfig(), 0.2)
         assert (fipc(5, qos) == 0.2).all()
+
+
+@pytest.mark.parametrize("p_max", [float("nan"), float("inf"), 0.0])
+def test_qos_spec_rejects_a_nonfinite_cap(p_max):
+    with pytest.raises(ConfigError, match="p_max_w"):
+        make_qos(20e6, 2, FrameConfig(), p_max)
 
 
 class TestEipc:

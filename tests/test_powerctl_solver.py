@@ -158,9 +158,9 @@ class TestInteriorPoint:
 
     def test_slmdb_solves_one_lp_per_problem(self, monkeypatch):
         # the min-max LP is solved once per ReducedProblem; on this QoS-feasible
-        # instance its closed form is certified, so HiGHS never runs
+        # instance its closed form is certified, so the homotopy never runs
         solves = self.count_calls(monkeypatch, "_balanced_point")
-        lps = self.count_calls(monkeypatch, "linprog")
+        lps = self.count_calls(monkeypatch, "_least_power_point")
         sol = pinned_slmdb()
         assert sol.feasible and sol.diagnostics.newton_steps > 0
         assert len(solves) == 1
@@ -171,7 +171,7 @@ class TestInteriorPoint:
         assoc = strongest_assoc(ctx, per_ue=1)
         form = build_affine_form(assoc, ctx.bs_config, ctx.system)
         solves = self.count_calls(monkeypatch, "_balanced_point")
-        lps = self.count_calls(monkeypatch, "linprog")
+        lps = self.count_calls(monkeypatch, "_least_power_point")
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
         assert not sol.feasible
         assert len(solves) == 1

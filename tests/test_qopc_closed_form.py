@@ -1,36 +1,63 @@
-"""The QoPC min-max LP's closed form agrees with a plain LP solve.
+"""The QoPC min-max LP's closed form and homotopy agree with a plain LP solve.
 
 `_qopc_on_problem` answers from `_balanced_point` when its M-matrix
-certificate holds and from HiGHS otherwise. The reference below is the
-min-max LP solved with `linprog` on every problem: the feasibility verdict
-must always agree, a certified closed form must land on the LP's point, and
-an uncertified problem must give exactly the LP's answer.
+certificate holds and from `_least_power_point` otherwise. The reference below
+is the min-max LP solved with `linprog` on every problem: the feasibility
+verdict must always agree and a certified closed form must land on the LP's
+point. An uncertified answer is checked against its own optimality
+certificate (a primal point, dual multipliers closing the gap, least-element
+structure), which does not depend on HiGHS's tolerances.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from greenran import Association, link_coefficients, make_qos
-from greenran.powerctl import ReducedProblem, _balanced_point, _qopc_on_problem
+from greenran.powerctl import (ReducedProblem, _balanced_point, _least_power_point,
+                               _qopc_on_problem)
 from conftest import make_context
 
 R_MIN = (0.0, 1e6, 5e6, 15e6, 40e6, 100e6, 300e6)
 
 
 def ref_minmax(prob):
-    """(P, s) of min s s.t. (W P + c) / rscale <= s, 0 <= P <= pmax; None on failure."""
+    """(P, s) of min s s.t. (W P + c) / rscale <= s, 0 <= P <= pmax."""
     k = len(prob.idx)
     A = np.hstack([prob.W / prob.rscale[:, None], -np.ones((k, 1))])
     obj = np.zeros(k + 1)
     obj[k] = 1.0
     bounds = [(0.0, prob.pmax)] * k + [(None, None)]
     res = linprog(obj, A_ub=A, b_ub=-prob.c / prob.rscale, bounds=bounds, method="highs")
-    if not res.success or res.x is None:
-        return None
+    assert res.success
     return np.clip(res.x[:k], 0.0, prob.pmax), float(res.x[k])
+
+
+def dual_value(prob, p):
+    """Weak-duality bound g(y) = y.c - pmax sum_i max(0, -(W^T y)_i) <= s*.
+
+    The multipliers y >= 0 (y . rscale = 1) come from P's support A: at a cap
+    stop on UE i, y_A = (-W_AA)^-T e_i; otherwise y_j = 1 on the tightest zero
+    row j and y_A = (-W_AA)^-T W_jA^T, so (W^T y)_A = 0 in both cases.
+    """
+    W, k = prob.W, len(prob.c)
+    A = np.flatnonzero(p > 0)
+    y = np.zeros(k)
+    if len(A) and p.max() >= prob.pmax * (1 - 1e-12):
+        rhs = (A == np.argmax(p)).astype(float)
+    else:
+        zero = np.setdiff1d(np.arange(k), A)
+        j = zero[np.argmax((W[zero] @ p + prob.c[zero]) / prob.rscale[zero])]
+        y[j] = 1.0
+        rhs = W[j, A]
+    if len(A):
+        y[A] = np.linalg.solve(-W[np.ix_(A, A)].T, rhs)
+    assert (y >= 0).all()
+    y /= y @ prob.rscale
+    return float(y @ prob.c - prob.pmax * np.maximum(0.0, -(W.T @ y)).sum())
 
 
 @st.composite
@@ -57,19 +84,25 @@ def test_closed_form_matches_lp(prob):
     if len(prob.idx) == 0:
         assert feasible == (not prob.structurally_infeasible)
         return
-    ref = ref_minmax(prob)
-    closed = _balanced_point(prob)
-    if ref is None:
-        assert closed is None
-        assert not feasible and s == np.inf and np.array_equal(p, np.zeros(len(prob.idx)))
-        return
-    p_ref, s_ref = ref
+    p_ref, s_ref = ref_minmax(prob)
     assert feasible == (s_ref <= prob.settings.feas_tol and not prob.structurally_infeasible)
-    if closed is not None:
+    if _balanced_point(prob) is not None:
         assert np.abs(p - p_ref).max() <= 1e-9 * prob.pmax
         assert abs(s - s_ref) <= 1e-9
-    else:
-        assert np.array_equal(p, p_ref) and s == s_ref
+        return
+    res = (prob.W @ p + prob.c) / prob.rscale
+    assert res.max() <= s + 1e-12
+    assert s <= ((prob.W @ p_ref + prob.c) / prob.rscale).max() + 1e-12
+    assert s - dual_value(prob, p) <= 1e-12
+    assert (p <= p_ref + 1e-9 * prob.pmax).all()
+    # least element: the support's rows are tight and -W_AA is a nonsingular
+    # M-matrix, so (-W_AA)^-1 >= 0; certified without rounding in an inverse
+    # by a Z-matrix Z with Z x > 0 for some x > 0
+    A = np.flatnonzero(p > 0)
+    assert (np.abs(res[A] - s) <= 1e-12).all()
+    Z = -prob.W[np.ix_(A, A)]
+    x = np.linalg.solve(Z, prob.rscale[A]) if len(A) else np.zeros(0)
+    assert (Z - np.diag(np.diag(Z)) <= 0).all() and (x > 0).all() and (Z @ x > 0).all()
 
 
 def test_certificate_holds_on_reachable_targets():
@@ -94,3 +127,35 @@ def test_uncoupled_tight_row_is_not_certified():
     lp.W[0, 1] = 0.01
     p, s = _balanced_point(lp)
     assert np.allclose(p, [1.0, 0.6], rtol=0, atol=1e-2) and s < 0
+
+
+def test_uncoupled_rows_give_the_least_point():
+    # s falls from 0.5: row 0 turns tight first, row 1 at s = 0.1, and UE 0
+    # reaches the cap at s* = -0.5, where P_1 = 0.6 is the least optimal power
+    lp = SimpleNamespace(W=-np.eye(2), c=np.array([0.5, 0.1]), rscale=np.ones(2), pmax=1.0)
+    p, s = _least_power_point(lp)
+    assert np.array_equal(p, [1.0, 0.6]) and s == -0.5
+
+
+def test_non_m_matrix_stops_the_homotopy():
+    # row 1 turns tight at s = 1.4 / 3, but with both UEs free -W is not an
+    # M-matrix (det < 0): raising P_1 would raise row 0 faster than it lowers
+    # row 1, so s* = 1.4 / 3 with P_1 = 0
+    lp = SimpleNamespace(W=np.array([[-1.0, 2.0], [2.0, -1.0]]), c=np.array([0.5, 0.4]),
+                         rscale=np.ones(2), pmax=1.0, idx=np.arange(2))
+    assert _balanced_point(lp) is None
+    p, s = _least_power_point(lp)
+    assert s == pytest.approx(1.4 / 3, rel=1e-15)
+    assert np.allclose(p, [0.5 - 1.4 / 3, 0.0], rtol=0, atol=1e-15)
+    assert s - dual_value(lp, p) <= 1e-15
+    p_ref, s_ref = ref_minmax(lp)
+    assert abs(s - s_ref) <= 1e-9
+
+
+def test_zero_row_stops_at_its_level():
+    # a served UE with no rate target and no desired signal (zero pilot power)
+    # has an all-zero row: it turns tight at s = 0, where -W_AA is singular
+    lp = SimpleNamespace(W=np.array([[-1.0, 0.0], [0.0, 0.0]]), c=np.array([0.5, 0.0]),
+                         rscale=np.array([1.0, 1e-300]), pmax=1.0)
+    p, s = _least_power_point(lp)
+    assert s == 0.0 and np.array_equal(p, [0.5, 0.0])

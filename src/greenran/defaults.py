@@ -84,16 +84,7 @@ _DEFAULTS = {
     "solver": {
         "slm_tol": 1e-3,
         "slm_max_iter": 100,
-        "dinkelbach_tol": 1e-6,
-        "dinkelbach_max_iter": 50,
-        "newton_max_iter": 200,
-        "inner_tol": 1e-8,
-        "barrier_t0": 1.0,
-        "barrier_mu": 30.0,
-        "feas_tol": 1e-9,
-        "qos_rate_rtol": 1e-6,
         "recp_delta_percent": 95.0,
-        "max_sweeps": 200,
     },
     "algorithm": "trimsm-eipc",
     "drops": 1,

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .matching import (EvaluationContext, SolutionReport, evaluate, exhaustive_s
                        llsf_assoc, nos_assoc, recp_init, trimsm, tsap_assoc)
 from .netmodel import (ConfigError, FrameConfig, ScenarioParams, build_correlation,
                        generate_topology)
-from .powerctl import SolverSettings, make_qos
+from .powerctl import QOS_RATE_RTOL, SolverSettings, make_qos
 from .powermodel import (BsPowerConfig, SubComponentSpec, SystemPowerParams,
                          network_power)
 
@@ -111,14 +111,26 @@ def _number(value, where: str, kind=float):
     return value
 
 
-def _build_dataclass(cls, section: dict, name: str):
+def _build_dataclass(cls, section, name: str):
+    """`cls(**section)` once its keys, required fields and numbers check out."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
     allowed = {f.name for f in fields(cls)}
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
     for f in fields(cls):
-        if f.type in (int, float) and f.name in section:
-            _number(section[f.name], f"{name}.{f.name}", f.type)
+        where = f"{name}.{f.name}"
+        if f.name not in section:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where} is missing")
+        elif f.type in (int, float):
+            _number(section[f.name], where, f.type)
+        elif f.type is dict:
+            if not isinstance(section[f.name], dict):
+                raise ConfigError(f"{where} must be an object")
+            for key, value in section[f.name].items():
+                _number(value, f"{where}.{key}")
     return cls(**section)
 
 
@@ -135,10 +147,12 @@ def load_config(source) -> RunConfig:
     scenario = _build_dataclass(ScenarioParams, merged["scenario"], "scenario")
     frame = _build_dataclass(FrameConfig, merged["frame"], "frame")
     bs_raw = dict(merged["power"]["bs"])
-    bs_raw["rf_components"] = tuple(
-        SubComponentSpec(**c) for c in bs_raw["rf_components"])
-    bs_raw["bbu_components"] = tuple(
-        SubComponentSpec(**c) for c in bs_raw["bbu_components"])
+    for key in ("rf_components", "bbu_components"):
+        where = f"power.bs.{key}"
+        if not isinstance(bs_raw[key], list):
+            raise ConfigError(f"{where} must be a list")
+        bs_raw[key] = tuple(_build_dataclass(SubComponentSpec, c, f"{where}[{i}]")
+                            for i, c in enumerate(bs_raw[key]))
     bs_config = _build_dataclass(BsPowerConfig, bs_raw, "power.bs")
     system = _build_dataclass(SystemPowerParams, merged["power"]["system"], "power.system")
     settings = _build_dataclass(SolverSettings, merged["solver"], "solver")
@@ -148,7 +162,12 @@ def load_config(source) -> RunConfig:
         algorithms = [algorithms]
     _check_algorithms(algorithms)
 
-    qos_raw = merged["qos"]
+    r_min_bps = float(_number(merged["qos"]["r_min_bps"], "qos.r_min_bps"))
+    p_max_w = float(_number(merged["qos"]["p_max_w"], "qos.p_max_w"))
+    make_qos(r_min_bps, scenario.K, frame, p_max_w)    # QosSpec checks the values
+    timing = merged["record_timing"]
+    if not isinstance(timing, bool):
+        raise ConfigError(f"record_timing must be true or false, not {timing!r}")
     drops = _number(merged["drops"], "drops", int)
     if drops < 1:
         raise ConfigError("drops must be >= 1")
@@ -170,11 +189,10 @@ def load_config(source) -> RunConfig:
 
     return RunConfig(
         scenario=scenario, frame=frame, bs_config=bs_config, system=system,
-        r_min_bps=float(_number(qos_raw["r_min_bps"], "qos.r_min_bps")),
-        p_max_w=float(_number(qos_raw["p_max_w"], "qos.p_max_w")),
+        r_min_bps=r_min_bps, p_max_w=p_max_w,
         settings=settings, algorithms=tuple(algorithms), drops=drops,
         base_seed=_number(merged["base_seed"], "base_seed", int),
-        record_timing=bool(merged["record_timing"]),
+        record_timing=timing,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values)
 
 
@@ -247,7 +265,7 @@ def _record(config: RunConfig, report: SolutionReport, ctx: EvaluationContext,
                               report.matching, form)
     sum_rate = float(np.sum(report.power.rates))
     qos = ctx.qos
-    slack = ctx.settings.qos_rate_rtol * qos.r_min_bps
+    slack = QOS_RATE_RTOL * qos.r_min_bps
     violations = int(np.sum(report.power.rates < qos.r_min_bps - slack))
     active = ctx.scenario.M if ctx.no_sleep else report.matching.active_count
     return ResultRecord(

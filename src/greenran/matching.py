@@ -17,19 +17,20 @@ converged.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from .netmodel import ConfigError, CorrelationSet, FrameConfig, ScenarioParams
-from .powerctl import (PowerSolution, QosSpec, SolveDiagnostics, SolverSettings,
-                       eipc, fipc, qopc_solve, slmdb_solve)
+from .powerctl import (QOS_RATE_RTOL, PowerSolution, QosSpec, SolveDiagnostics,
+                       SolverSettings, eipc, fipc, qopc_solve, slmdb_solve)
 from .powermodel import (AffinePowerForm, BsPowerConfig, SystemPowerParams,
                          build_affine_form)
 from .rates import Association, link_coefficients, rates_from_coeffs
 from .statistics import CoefficientTensor
 
 POWER_MODES = ("slmdb", "fipc", "qopc", "eipc")
+_MAX_SWEEPS = 200        # swap sweeps before the scan gives up unconverged
 
 
 @dataclass
@@ -189,10 +190,10 @@ def evaluate(matching: Association, power_mode: str, ctx: EvaluationContext) -> 
         elif power_mode == "eipc":
             p = eipc(matching, ctx.corr, ctx.qos)
         else:
-            p, verdict = qopc_solve(lc, ctx.frame, ctx.qos, ctx.settings)
+            p, verdict = qopc_solve(lc, ctx.frame, ctx.qos)
         rates = rates_from_coeffs(p, lc, ctx.frame)
 
-    slack = ctx.settings.qos_rate_rtol * ctx.qos.r_min_bps
+    slack = QOS_RATE_RTOL * ctx.qos.r_min_bps
     deficit = np.maximum(0.0, ctx.qos.r_min_bps - rates - slack)
     shortfall = float(np.sum(deficit))
     qos_ok = shortfall == 0.0
@@ -344,9 +345,8 @@ def verify_stability(matching: Association, power_mode: str,
 def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb",
            initial: Association | None = None) -> SolutionReport:
     """Initialization + swap phase + (for heuristic modes) final slmdb pass."""
-    settings = ctx.settings
     if initial is None:
-        matching = recp_init(ctx.corr, ctx.scenario, settings.recp_delta_percent)
+        matching = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
     else:
         matching = initial
     structural_gap = False
@@ -355,7 +355,7 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb",
 
     swap_count = 0
     converged = False
-    for _ in range(settings.max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         approved_any = False
         for i, j in _pair_order(ctx.scenario.K):
             for move in _pair_moves(matching.S, i, j):
@@ -368,14 +368,14 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb",
             converged = True
             break
 
+    # a sweep that approves nothing has scanned every move from this matching
     final = evaluate(matching, "slmdb", ctx)
-    stable = converged and verify_stability(matching, power_mode, ctx)
     return SolutionReport(
         matching=matching, power=final.power, ee=final.ee,
         swap_count=swap_count,
         evaluation_count=_eval_count(ctx, power_mode) + (_eval_count(ctx, "slmdb")
                                                          if power_mode != "slmdb" else 0),
-        stable=stable, infeasible=(not final.qos_ok) or structural_gap)
+        stable=converged, infeasible=(not final.qos_ok) or structural_gap)
 
 
 def nos_assoc(ctx: EvaluationContext, power_mode: str = "eipc") -> SolutionReport:
@@ -424,44 +424,23 @@ def exhaustive_search(ctx: EvaluationContext) -> SolutionReport:
     if M * K > 16:
         raise ConfigError(f"exhaustive search guard: M*K = {M * K} exceeds 16")
     L, Ncap = ctx.scenario.L, ctx.scenario.N
-    choices = []
-    for size in range(0, L + 1):
-        choices.extend(combinations(range(M), size))
+    choices = [c for size in range(L + 1) for c in combinations(range(M), size)]
 
-    best = None          # (ee, n_active, key, matching, result)
-    best_bad = None      # least-infeasible fallback
-    counts = np.zeros(M, dtype=int)
-    S = np.zeros((M, K), dtype=bool)
+    best = None          # (rank, matching, result); feasible matchings rank first
+    for subsets in product(choices, repeat=K):
+        S = np.zeros((M, K), dtype=bool)
+        for k, subset in enumerate(subsets):
+            S[list(subset), k] = True
+        if (S.sum(axis=1) > Ncap).any():
+            continue
+        matching = Association(S=S, max_per_ue=L, max_per_bs=Ncap)
+        res = evaluate(matching, "slmdb", ctx)
+        rank = ((0, -res.ee, matching.active_count, S.tobytes()) if res.qos_ok
+                else (1, res.shortfall_bps, -res.ee, S.tobytes()))
+        if best is None or rank < best[0]:
+            best = (rank, matching, res)
 
-    def recurse(k: int):
-        nonlocal best, best_bad
-        if k == K:
-            matching = Association(S=S.copy(), max_per_ue=L, max_per_bs=Ncap)
-            res = evaluate(matching, "slmdb", ctx)
-            key = matching.S.tobytes()
-            if res.qos_ok:
-                cand = (-res.ee, matching.active_count, key)
-                if best is None or cand < best[0]:
-                    best = (cand, matching, res)
-            else:
-                cand = (res.shortfall_bps, -res.ee, key)
-                if best_bad is None or cand < best_bad[0]:
-                    best_bad = (cand, matching, res)
-            return
-        for subset in choices:
-            ok = all(counts[m] < Ncap for m in subset)
-            if not ok:
-                continue
-            for m in subset:
-                counts[m] += 1
-                S[m, k] = True
-            recurse(k + 1)
-            for m in subset:
-                counts[m] -= 1
-                S[m, k] = False
-
-    recurse(0)
-    chosen, res = (best[1], best[2]) if best is not None else (best_bad[1], best_bad[2])
+    rank, chosen, res = best
     return SolutionReport(matching=chosen, power=res.power, ee=res.ee,
                           swap_count=0, evaluation_count=_eval_count(ctx, "slmdb"),
-                          stable=True, infeasible=best is None)
+                          stable=True, infeasible=rank[0] == 1)

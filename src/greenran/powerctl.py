@@ -44,6 +44,9 @@ from .statistics import CoefficientTensor
 
 _LN2 = np.log(2.0)
 
+QOS_RATE_RTOL = 1e-6     # rate slack when flagging QoS violations
+_FEAS_TOL = 1e-9         # normalized QoS residual accepted as feasible
+
 
 class InfeasibleError(RuntimeError):
     """The QoS polytope is empty (or has no usable interior)."""
@@ -77,22 +80,15 @@ def make_qos(r_min_bps, K: int, frame: FrameConfig, p_max_w: float) -> QosSpec:
 class SolverSettings:
     slm_tol: float = 1e-3            # relative EE improvement threshold
     slm_max_iter: int = 100
-    dinkelbach_tol: float = 1e-6     # |F(pi)| threshold, relative to the sum rate
-    dinkelbach_max_iter: int = 50
-    newton_max_iter: int = 200
-    inner_tol: float = 1e-8          # duality-gap proxy, in rate-scale units
-    barrier_t0: float = 1.0
-    barrier_mu: float = 30.0
-    feas_tol: float = 1e-9           # normalized QoS residual accepted as feasible
-    qos_rate_rtol: float = 1e-6      # rate slack when flagging QoS violations
-    recp_delta_percent: float = 95.0
-    max_sweeps: int = 200
-    stall_rounds: int = 3
+    recp_delta_percent: float = 95.0     # RECP init: share of each UE's total gain
 
     def __post_init__(self):
-        for name in ("slm_tol", "dinkelbach_tol", "inner_tol", "feas_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.slm_tol <= 0:
+            raise ConfigError("slm_tol must be positive")
+        if self.slm_max_iter < 1:
+            raise ConfigError("slm_max_iter must be >= 1")
+        if not 0 < self.recp_delta_percent <= 100:
+            raise ConfigError("recp_delta_percent must lie in (0, 100]")
 
 
 @dataclass
@@ -105,7 +101,7 @@ class SolveDiagnostics:
     hit_iteration_cap: bool = False
     lstsq_fallbacks: int = 0         # singular Newton systems solved by least squares
     line_search_exhausted: int = 0   # Newton stages ended with no admissible step
-    newton_cap_hits: int = 0         # barrier stages ended at newton_max_iter
+    newton_cap_hits: int = 0         # barrier stages ended at the Newton step cap
     interior_infeasible: bool = False    # no strict interior ended the SLM loop early
 
 
@@ -130,12 +126,10 @@ class ReducedProblem:
     """
 
     def __init__(self, lc: LinkCoefficients, frame: FrameConfig,
-                 form: AffinePowerForm | None, qos: QosSpec,
-                 settings: SolverSettings):
+                 form: AffinePowerForm | None, qos: QosSpec):
         self.frame = frame
         self.form = form
         self.qos = qos
-        self.settings = settings
         self.K = len(lc.ns)
         self.served = lc.served.copy()
         s = np.flatnonzero(self.served)
@@ -268,6 +262,12 @@ class Surrogate:
 # Inner parametric solver: log-barrier Newton
 # ---------------------------------------------------------------------------
 
+_NEWTON_MAX_ITER = 200
+_INNER_TOL = 1e-8        # duality-gap proxy, in rate-scale units
+_BARRIER_T0 = 1.0
+_BARRIER_MU = 30.0
+
+
 class _Parametric:
     """u(P) = [sum Rbar - pi * P_N(P, Rhat)] / rate_scale, a concave function:
 
@@ -308,9 +308,8 @@ def _center(p: np.ndarray, B: np.ndarray, b: np.ndarray, pmax: float) -> np.ndar
     return p + s * d
 
 
-def _solve_parametric(sur: Surrogate, pi: float, settings: SolverSettings,
-                      start: np.ndarray | None, diag: SolveDiagnostics,
-                      warm: bool = False) -> np.ndarray:
+def _solve_parametric(sur: Surrogate, pi: float, start: np.ndarray | None,
+                      diag: SolveDiagnostics, warm: bool = False) -> np.ndarray:
     prob = sur.prob
     k = len(prob.idx)
     if k == 0:
@@ -345,10 +344,10 @@ def _solve_parametric(sur: Surrogate, pi: float, settings: SolverSettings,
 
     # final barrier weight: duality-gap proxy m/t well below the target; warm
     # rounds start next to the previous center and go straight to it
-    t_final = m / (0.1 * settings.inner_tol)
+    t_final = m / (0.1 * _INNER_TOL)
     if not warm:
         p = _center(p, B, b, prob.pmax)
-    t = t_final if warm else min(settings.barrier_t0, t_final)
+    t = t_final if warm else min(_BARRIER_T0, t_final)
 
     while True:
         last_stage = t >= t_final * 0.999
@@ -356,7 +355,7 @@ def _solve_parametric(sur: Surrogate, pi: float, settings: SolverSettings,
         w = t * w_obj + w_box
         tq = t * obj.q
         z = B @ p + b
-        for _ in range(settings.newton_max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             wz = w / z
             grad = B.T @ wz + tq
             neg_hess = (B.T * (wz / z)) @ B
@@ -389,7 +388,7 @@ def _solve_parametric(sur: Surrogate, pi: float, settings: SolverSettings,
             diag.newton_cap_hits += 1
         if last_stage:
             break
-        t = min(t * settings.barrier_mu, t_final)
+        t = min(t * _BARRIER_MU, t_final)
     return np.clip(p, 0.0, prob.pmax)
 
 
@@ -397,8 +396,13 @@ def _solve_parametric(sur: Surrogate, pi: float, settings: SolverSettings,
 # Dinkelbach + successive lower-bound maximization
 # ---------------------------------------------------------------------------
 
-def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, settings: SolverSettings,
-                diag: SolveDiagnostics, start: np.ndarray | None = None):
+_DINKELBACH_TOL = 1e-6   # |F(pi)| threshold, relative to the sum rate
+_DINKELBACH_MAX_ITER = 50
+_STALL_ROUNDS = 3        # non-increasing ratio updates that end the rounds
+
+
+def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, diag: SolveDiagnostics,
+                start: np.ndarray | None = None):
     """Maximize the fractional surrogate anchored at `anchor`.
 
     Returns (p, pi_star, pi_trace); pi is the surrogate ratio and is
@@ -411,19 +415,19 @@ def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, settings: SolverSettin
     is_warm = start is not None
     best_p = anchor
     stall = 0
-    for _ in range(settings.dinkelbach_max_iter):
-        p = _solve_parametric(sur, pi, settings, p, diag, warm=is_warm)
+    for _ in range(_DINKELBACH_MAX_ITER):
+        p = _solve_parametric(sur, pi, p, diag, warm=is_warm)
         is_warm = True
         num, den = sur.fraction(p)
         f_val = num - pi * den
         best_p = p
-        if abs(f_val) <= settings.dinkelbach_tol * max(prob.cr, abs(num)):
+        if abs(f_val) <= _DINKELBACH_TOL * max(prob.cr, abs(num)):
             break
         pi_new = num / den
         pi_trace.append(pi_new)    # raw ratio updates; nondecreasing up to solver noise
         if pi_new <= pi * (1 + 1e-15):
             stall += 1
-            if stall >= settings.stall_rounds:
+            if stall >= _STALL_ROUNDS:
                 break
         else:
             stall = 0
@@ -439,7 +443,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
                 qos: QosSpec, settings: SolverSettings,
                 p0: np.ndarray | None = None) -> PowerSolution:
     """Full successive lower-bound maximization on precomputed link coefficients."""
-    prob = ReducedProblem(lc, frame, form, qos, settings)
+    prob = ReducedProblem(lc, frame, form, qos)
     diag = SolveDiagnostics()
 
     if p0 is None:
@@ -448,7 +452,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
     else:
         p_start = np.asarray(p0, dtype=float)
         res = prob.residual(prob.reduce(p_start))
-        feasible = (bool((res / prob.rscale <= settings.feas_tol).all())
+        feasible = (bool((res / prob.rscale <= _FEAS_TOL).all())
                     and prob.box_feasible(p_start, tol=1e-12))
     if prob.structurally_infeasible:
         feasible = False
@@ -466,7 +470,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
     try:
         for n in range(1, settings.slm_max_iter + 1):
             diag.slm_iterations = n
-            p_red, _, _ = _dinkelbach(prob, p_red, settings, diag, start=warm)
+            p_red, _, _ = _dinkelbach(prob, p_red, diag, start=warm)
             warm = p_red
             ee = prob.ee(p_red)
             diag.ee_trace.append(ee)
@@ -579,19 +583,19 @@ def _qopc_on_problem(prob: ReducedProblem) -> tuple[np.ndarray, bool, float]:
     if len(prob.idx) == 0:
         return np.zeros(0), not prob.structurally_infeasible, -np.inf
     p, s_norm = _balanced_point(prob) or _least_power_point(prob)
-    feasible = s_norm <= prob.settings.feas_tol and not prob.structurally_infeasible
+    feasible = s_norm <= _FEAS_TOL and not prob.structurally_infeasible
     prob._qopc = (np.clip(p, 0.0, prob.pmax), feasible, s_norm)
     return prob._qopc
 
 
-def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec,
-               settings: SolverSettings) -> tuple[np.ndarray, bool]:
+def qopc_solve(lc: LinkCoefficients, frame: FrameConfig,
+               qos: QosSpec) -> tuple[np.ndarray, bool]:
     """Min-max QoS residual LP; feasible iff the optimum is (numerically) <= 0.
 
     Unserved UEs get zero power; a positive rate target on an unserved UE makes
     the verdict infeasible regardless of the LP outcome.
     """
-    prob = ReducedProblem(lc, frame, None, qos, settings)
+    prob = ReducedProblem(lc, frame, None, qos)
     p_red, feasible, _ = _qopc_on_problem(prob)
     return prob.expand(p_red), feasible
 
@@ -629,9 +633,8 @@ def qos_residual(P, assoc: Association, tensor: CoefficientTensor,
 
 
 def _problem(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
-             form: AffinePowerForm | None, qos: QosSpec,
-             settings: SolverSettings) -> ReducedProblem:
-    return ReducedProblem(link_coefficients(assoc, tensor), frame, form, qos, settings)
+             form: AffinePowerForm | None, qos: QosSpec) -> ReducedProblem:
+    return ReducedProblem(link_coefficients(assoc, tensor), frame, form, qos)
 
 
 def taylor_bounds(P, anchor, assoc: Association, tensor: CoefficientTensor,
@@ -643,7 +646,7 @@ def taylor_bounds(P, anchor, assoc: Association, tensor: CoefficientTensor,
     K = assoc.S.shape[1]
     qos = QosSpec(r_min_bps=np.zeros(K), gamma=np.zeros(K),
                   p_max_w=max(np.max(np.asarray(P)), np.max(np.asarray(anchor)), 1.0))
-    prob = _problem(assoc, tensor, frame, None, qos, SolverSettings())
+    prob = _problem(assoc, tensor, frame, None, qos)
     sur = prob.surrogate(prob.reduce(anchor))
     r_hat, r_bar = sur.rate_bounds(prob.reduce(P))
     return prob.expand(r_hat), prob.expand(r_bar)
@@ -652,7 +655,7 @@ def taylor_bounds(P, anchor, assoc: Association, tensor: CoefficientTensor,
 def surrogate_ee(P, anchor, assoc: Association, tensor: CoefficientTensor,
                  frame: FrameConfig, form: AffinePowerForm, qos: QosSpec) -> float:
     """Lower-bound EE estimate: sum Rbar over P_N evaluated at Rhat."""
-    prob = _problem(assoc, tensor, frame, form, qos, SolverSettings())
+    prob = _problem(assoc, tensor, frame, form, qos)
     sur = prob.surrogate(prob.reduce(anchor))
     r_hat, r_bar = sur.rate_bounds(prob.reduce(P))
     return float(np.sum(r_bar)) / form.total(np.asarray(P, dtype=float),
@@ -660,18 +663,17 @@ def surrogate_ee(P, anchor, assoc: Association, tensor: CoefficientTensor,
 
 
 def solve_parametric(pi: float, anchor, assoc: Association, tensor: CoefficientTensor,
-                     frame: FrameConfig, form: AffinePowerForm, qos: QosSpec,
-                     settings: SolverSettings) -> np.ndarray:
-    prob = _problem(assoc, tensor, frame, form, qos, settings)
+                     frame: FrameConfig, form: AffinePowerForm, qos: QosSpec) -> np.ndarray:
+    prob = _problem(assoc, tensor, frame, form, qos)
     sur = prob.surrogate(prob.reduce(anchor))
-    return prob.expand(_solve_parametric(sur, pi, settings, None, SolveDiagnostics()))
+    return prob.expand(_solve_parametric(sur, pi, None, SolveDiagnostics()))
 
 
 def dinkelbach(anchor, assoc: Association, tensor: CoefficientTensor,
-               frame: FrameConfig, form: AffinePowerForm, qos: QosSpec,
-               settings: SolverSettings) -> tuple[np.ndarray, float]:
-    prob = _problem(assoc, tensor, frame, form, qos, settings)
-    p, pi, _ = _dinkelbach(prob, prob.reduce(anchor), settings, SolveDiagnostics())
+               frame: FrameConfig, form: AffinePowerForm,
+               qos: QosSpec) -> tuple[np.ndarray, float]:
+    prob = _problem(assoc, tensor, frame, form, qos)
+    p, pi, _ = _dinkelbach(prob, prob.reduce(anchor), SolveDiagnostics())
     return prob.expand(p), pi
 
 
@@ -683,6 +685,5 @@ def slmdb(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
 
 
 def qopc(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
-         qos: QosSpec, settings: SolverSettings) -> tuple[np.ndarray, bool]:
-    lc = link_coefficients(assoc, tensor)
-    return qopc_solve(lc, frame, qos, settings)
+         qos: QosSpec) -> tuple[np.ndarray, bool]:
+    return qopc_solve(link_coefficients(assoc, tensor), frame, qos)

@@ -13,7 +13,8 @@ from greenran import (Association, FrameConfig, ScenarioParams, SolverSettings,
                       link_coefficients, mmse_statistics, monte_carlo_statistics,
                       qos_residual, slmdb, surrogate_ee, ubs_power, uplink_rate)
 from greenran.harness import emit, load_config, run
-from greenran.matching import evaluate, exhaustive_search, recp_init, trimsm
+from greenran.matching import (evaluate, exhaustive_search, recp_init, trimsm,
+                               verify_stability)
 from greenran.powerctl import ReducedProblem
 from greenran.powermodel import traffic_power_coefficient
 from conftest import default_bs_config, make_context, strongest_assoc
@@ -162,7 +163,7 @@ def test_single_ue_solver_matches_grid_search():
         form = build_affine_form(assoc, ctx.bs_config, ctx.system)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
         prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame,
-                              form, ctx.qos, st)
+                              form, ctx.qos)
         g = np.linspace(0.0, 0.1, 100001)[1:]
         af = prob.Af[0, 0] * g + prob.n[0]
         ag = prob.Ag[0, 0] * g + prob.n[0]
@@ -213,7 +214,8 @@ def test_monotone_solver_traces():
 
 
 def test_swap_matching_reaches_stability():
-    """Converged matchings pass the exhaustive stability scan; swap budget holds."""
+    """Converged matchings are flagged stable and pass the exhaustive stability
+    scan; swap budget holds."""
     swaps = []
     stable_count = 0
     for seed in range(50):
@@ -221,7 +223,7 @@ def test_swap_matching_reaches_stability():
                            r_min=20e6)
         rep = trimsm(ctx, "eipc")
         swaps.append(rep.swap_count)
-        stable_count += rep.stable
+        stable_count += rep.stable and verify_stability(rep.matching, "eipc", ctx)
     mean_swaps = float(np.mean(swaps))
     ok = stable_count == 50 and mean_swaps <= 60.0
     report("swap matching stability", ok,

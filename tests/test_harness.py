@@ -1,11 +1,14 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from greenran import ConfigError
+from greenran import (BsPowerConfig, ConfigError, FrameConfig, ScenarioParams,
+                      SolverSettings, SystemPowerParams)
 from greenran import harness
+from greenran.defaults import table3_defaults
 from greenran.harness import (aggregate, emit, emit_aggregates, load_config,
                               read_records, run, sweep)
 
@@ -26,6 +29,21 @@ class TestConfig:
             load_config({"scenari": {"M": 4}})
         with pytest.raises(ConfigError):
             load_config({"scenario": {"M": 4, "bogus": 1}})
+        # inner-solver constants are not config keys
+        for key in ("inner_tol", "barrier_mu"):
+            with pytest.raises(ConfigError, match=f"unknown config key 'solver.{key}'"):
+                load_config({"solver": {key: 1.0}})
+
+    @pytest.mark.parametrize("path, cls", [
+        (("scenario",), ScenarioParams), (("frame",), FrameConfig),
+        (("power", "bs"), BsPowerConfig), (("power", "system"), SystemPowerParams),
+        (("solver",), SolverSettings)])
+    def test_schema_matches_dataclass(self, path, cls):
+        # a field with no default key cannot be set from a config
+        section = table3_defaults()
+        for key in path:
+            section = section[key]
+        assert set(section) == {f.name for f in fields(cls)}
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
@@ -61,6 +79,22 @@ class TestConfig:
         ({"qos": {"p_max_w": float("nan")}}, "qos.p_max_w"),
         ({"scenario": {"M": 4.5, "L": 2}}, "scenario.M"),
         ({"frame": {"noise_power_w": float("inf")}}, "frame.noise_power_w"),
+        ({"power": {"bs": {"rf_components": [5]}}}, "power.bs.rf_components[0]"),
+        ({"power": {"bs": {"bbu_components": ["detection"]}}}, "power.bs.bbu_components[0]"),
+        ({"power": {"bs": {"rf_components": [{"name": "adc", "p_ref_w": "0.2"}]}}},
+         "power.bs.rf_components[0].p_ref_w"),
+        ({"power": {"bs": {"bbu_components": [
+            {"name": "adc", "p_ref_w": 0.2, "scaling_exponents": {"N": "1"}}]}}},
+         "power.bs.bbu_components[0].scaling_exponents.N"),
+        ({"power": {"bs": {"ref_values": {"N": "x"}}}}, "power.bs.ref_values.N"),
+        ({"power": {"bs": {"act_values": {"B": "x"}}}}, "power.bs.act_values.B"),
+        ({"record_timing": "false"}, "record_timing"),
+        ({"qos": {"p_max_w": -1.0}}, "p_max_w"),
+        ({"solver": {"recp_delta_percent": 0.0}}, "recp_delta_percent"),
+        ({"solver": {"recp_delta_percent": 120.0}}, "recp_delta_percent"),
+        ({"solver": {"slm_max_iter": 0}}, "slm_max_iter"),
+        ({"power": {"bs": {"rf_components": [{"name": "adc"}]}}},
+         "power.bs.rf_components[0].p_ref_w"),
     ])
     def test_wrong_typed_values_rejected(self, bad, key):
         with pytest.raises(ConfigError, match=re.escape(key)):

@@ -94,10 +94,10 @@ class TestQopc:
     def test_zero_gamma_feasible(self):
         ctx = make_context(M=3, K=2, N=3, L=2, seed=4, r_min=0.0)
         assoc = strongest_assoc(ctx)
-        p, ok = qopc(assoc, ctx.tensor, ctx.frame, ctx.qos, ctx.settings)
+        p, ok = qopc(assoc, ctx.tensor, ctx.frame, ctx.qos)
         assert ok
         lc = link_coefficients(assoc, ctx.tensor)
-        prob = ReducedProblem(lc, ctx.frame, None, ctx.qos, ctx.settings)
+        prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
         assert (prob.residual(prob.reduce(p)) <= 0).all()
         # P = 0 itself satisfies the constraints when gamma = 0
         assert (prob.residual(np.zeros(2)) <= 0).all()
@@ -118,7 +118,7 @@ class TestQopc:
                 analytic = threshold <= ctx.qos.p_max_w
             else:
                 analytic = False
-            _, ok = qopc(assoc, ctx.tensor, ctx.frame, ctx.qos, ctx.settings)
+            _, ok = qopc(assoc, ctx.tensor, ctx.frame, ctx.qos)
             assert ok == analytic, trial
             hits += analytic
         assert 0 < hits < 40   # the sample contains both verdicts
@@ -132,8 +132,8 @@ class TestQopc:
                                seed=900 + trial, r_min=30e6)
             assoc = strongest_assoc(ctx)
             lc = link_coefficients(assoc, ctx.tensor)
-            p, ok = qopc_solve(lc, ctx.frame, ctx.qos, ctx.settings)
-            prob = ReducedProblem(lc, ctx.frame, None, ctx.qos, ctx.settings)
+            p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
+            prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
             oracle = feasibility_by_vertex_enumeration(prob)
             assert ok == oracle, trial
             agree_feasible += ok
@@ -144,8 +144,8 @@ class TestQopc:
         ctx = make_context(M=3, K=2, N=3, L=2, seed=14, r_min=20e6)
         assoc = strongest_assoc(ctx)
         lc = link_coefficients(assoc, ctx.tensor)
-        p, ok = qopc_solve(lc, ctx.frame, ctx.qos, ctx.settings)
-        prob = ReducedProblem(lc, ctx.frame, None, ctx.qos, ctx.settings)
+        p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
+        prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
         attained = np.max(prob.residual(prob.reduce(p)) / prob.rscale)
         # no random candidate does better than the LP optimum
         rng = np.random.default_rng(0)

@@ -8,10 +8,10 @@ from greenran.powerctl import ReducedProblem, SolveDiagnostics, _solve_parametri
 from conftest import make_context, strongest_assoc
 
 
-def build_problem(ctx, assoc, settings=None):
+def build_problem(ctx, assoc):
     form = build_affine_form(assoc, ctx.bs_config, ctx.system)
     lc = link_coefficients(assoc, ctx.tensor)
-    prob = ReducedProblem(lc, ctx.frame, form, ctx.qos, settings or ctx.settings)
+    prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)
     return prob, form
 
 
@@ -45,7 +45,7 @@ class TestParametricSolver:
         sur = prob.surrogate(anchor)
         for pi in (0.0, 2e5, 1e6, 5e6):
             diag = SolveDiagnostics()
-            p = _solve_parametric(sur, pi, ctx.settings, None, diag)
+            p = _solve_parametric(sur, pi, None, diag)
             # vectorized surrogate objective over the grid
             g = np.linspace(0.0, 0.1, 200001)[1:]
             af = prob.Af[0, 0] * g + prob.n[0]
@@ -66,12 +66,11 @@ class TestParametricSolver:
         assoc = strongest_assoc(ctx)
         form = build_affine_form(assoc, ctx.bs_config, ctx.system)
         anchor = np.full(2, 0.05)
-        p = solve_parametric(1e5, anchor, assoc, ctx.tensor, ctx.frame, form,
-                             ctx.qos, ctx.settings)
+        p = solve_parametric(1e5, anchor, assoc, ctx.tensor, ctx.frame, form, ctx.qos)
         assert (p >= 0).all() and (p <= 0.1).all()
         lc = link_coefficients(assoc, ctx.tensor)
-        prob = ReducedProblem(lc, ctx.frame, form, ctx.qos, ctx.settings)
-        assert (prob.residual(prob.reduce(p)) <= ctx.settings.inner_tol).all()
+        prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)
+        assert (prob.residual(prob.reduce(p)) <= 1e-8).all()
 
     def test_infeasible_region_raises(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
@@ -79,7 +78,7 @@ class TestParametricSolver:
         form = build_affine_form(assoc, ctx.bs_config, ctx.system)
         with pytest.raises(InfeasibleError):
             solve_parametric(0.0, np.zeros(2), assoc, ctx.tensor, ctx.frame,
-                             form, ctx.qos, ctx.settings)
+                             form, ctx.qos)
 
     def test_warm_round_lands_on_cold_solution(self):
         # a warm Dinkelbach round starts at the final barrier weight from the
@@ -89,12 +88,10 @@ class TestParametricSolver:
             prob, _ = build_problem(ctx, strongest_assoc(ctx))
             anchor = np.full(len(prob.idx), 0.05)
             sur = prob.surrogate(anchor)
-            prev = _solve_parametric(sur, sur.ratio(anchor), ctx.settings, None,
-                                     SolveDiagnostics())
+            prev = _solve_parametric(sur, sur.ratio(anchor), None, SolveDiagnostics())
             pi = sur.ratio(prev)
-            warm = _solve_parametric(sur, pi, ctx.settings, prev, SolveDiagnostics(),
-                                     warm=True)
-            cold = _solve_parametric(sur, pi, ctx.settings, None, SolveDiagnostics())
+            warm = _solve_parametric(sur, pi, prev, SolveDiagnostics(), warm=True)
+            cold = _solve_parametric(sur, pi, None, SolveDiagnostics())
             assert np.abs(warm - cold).max() <= 1e-6 * prob.pmax
 
     def test_objective_concavity_along_segments(self):
@@ -140,7 +137,7 @@ class TestInteriorPoint:
         threshold = gam * ctx.frame.noise_power_w * lc.ns[0] / denom
         qos = powerctl.QosSpec(r_min_bps=ctx.qos.r_min_bps, gamma=ctx.qos.gamma,
                                p_max_w=threshold)
-        prob = ReducedProblem(lc, ctx.frame, None, qos, ctx.settings)
+        prob = ReducedProblem(lc, ctx.frame, None, qos)
         with pytest.raises(InfeasibleError):
             prob.interior_point()
 
@@ -186,8 +183,7 @@ class TestDinkelbach:
         form = build_affine_form(assoc, ctx.bs_config, ctx.system)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
         # re-anchor at the converged point: the ratio update is a fixed point
-        p_star, pi_star = dinkelbach(sol.p, assoc, ctx.tensor, ctx.frame, form,
-                                     ctx.qos, ctx.settings)
+        p_star, pi_star = dinkelbach(sol.p, assoc, ctx.tensor, ctx.frame, form, ctx.qos)
         assert pi_star == pytest.approx(sol.ee, rel=1e-4)
 
     def test_scalar_ratio_matches_grid(self):
@@ -195,8 +191,7 @@ class TestDinkelbach:
         assoc = strongest_assoc(ctx)
         prob, form = build_problem(ctx, assoc)
         anchor = np.array([0.05])
-        p, pi = dinkelbach(anchor, assoc, ctx.tensor, ctx.frame, form,
-                           ctx.qos, ctx.settings)
+        p, pi = dinkelbach(anchor, assoc, ctx.tensor, ctx.frame, form, ctx.qos)
         sur = prob.surrogate(anchor)
         g = np.linspace(1e-7, 0.1, 100001)
         ratios = np.array([sur.ratio(np.array([x])) for x in g[::100]])
@@ -242,7 +237,7 @@ class TestSlmdb:
         ctx = make_context(M=1, K=1, N=4, L=1, area=200.0, seed=17)
         assoc = strongest_assoc(ctx, per_ue=1)
         st = SolverSettings(slm_tol=1e-8, slm_max_iter=3000)
-        prob, form = build_problem(ctx, assoc, st)
+        prob, form = build_problem(ctx, assoc)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
         best, arg = grid_best_scalar(prob, form)
         assert sol.ee == pytest.approx(best, rel=1e-3)

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from greenran import Association, link_coefficients, make_qos
-from greenran.powerctl import (ReducedProblem, _balanced_point, _least_power_point,
-                               _qopc_on_problem)
+from greenran.powerctl import (_FEAS_TOL, ReducedProblem, _balanced_point,
+                               _least_power_point, _qopc_on_problem)
 from conftest import make_context
 
 R_MIN = (0.0, 1e6, 5e6, 15e6, 40e6, 100e6, 300e6)
@@ -74,7 +74,7 @@ def problems(draw):
     p_max = 10.0 ** draw(st.floats(-3.0, 0.5))
     qos = make_qos(r_min, K, ctx.frame, p_max)
     lc = link_coefficients(Association(S=S), ctx.tensor)
-    return ReducedProblem(lc, ctx.frame, None, qos, ctx.settings)
+    return ReducedProblem(lc, ctx.frame, None, qos)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -85,7 +85,7 @@ def test_closed_form_matches_lp(prob):
         assert feasible == (not prob.structurally_infeasible)
         return
     p_ref, s_ref = ref_minmax(prob)
-    assert feasible == (s_ref <= prob.settings.feas_tol and not prob.structurally_infeasible)
+    assert feasible == (s_ref <= _FEAS_TOL and not prob.structurally_infeasible)
     if _balanced_point(prob) is not None:
         assert np.abs(p - p_ref).max() <= 1e-9 * prob.pmax
         assert abs(s - s_ref) <= 1e-9
@@ -111,7 +111,7 @@ def test_certificate_holds_on_reachable_targets():
     ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=0)
     S = np.ones((4, 2), dtype=bool)
     lc = link_coefficients(Association(S=S), ctx.tensor)
-    prob = ReducedProblem(lc, ctx.frame, None, ctx.qos, ctx.settings)
+    prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
     p, s = _balanced_point(prob)
     assert s < 0 and np.isclose(p.max(), prob.pmax, rtol=1e-12, atol=0.0)
     p_ref, s_ref = ref_minmax(prob)

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -111,6 +112,18 @@ def _number(value, where: str, kind=float):
     return value
 
 
+@contextmanager
+def _section(name: str, keys=()):
+    """Prefix a ConfigError raised inside with its config path: `name.` when
+    the message starts with one of `keys`, else `name: `."""
+    try:
+        yield
+    except ConfigError as exc:
+        msg = str(exc)
+        sep = "." if msg.split(" ", 1)[0] in keys else ": "
+        raise ConfigError(f"{name}{sep}{msg}") from None
+
+
 def _build_dataclass(cls, section, name: str):
     """`cls(**section)` once its keys, required fields and numbers check out."""
     if not isinstance(section, dict):
@@ -131,7 +144,8 @@ def _build_dataclass(cls, section, name: str):
                 raise ConfigError(f"{where} must be an object")
             for key, value in section[f.name].items():
                 _number(value, f"{where}.{key}")
-    return cls(**section)
+    with _section(name, allowed):
+        return cls(**section)
 
 
 def load_config(source) -> RunConfig:
@@ -164,7 +178,8 @@ def load_config(source) -> RunConfig:
 
     r_min_bps = float(_number(merged["qos"]["r_min_bps"], "qos.r_min_bps"))
     p_max_w = float(_number(merged["qos"]["p_max_w"], "qos.p_max_w"))
-    make_qos(r_min_bps, scenario.K, frame, p_max_w)    # QosSpec checks the values
+    with _section("qos", ("r_min_bps", "p_max_w")):
+        make_qos(r_min_bps, scenario.K, frame, p_max_w)    # QosSpec checks the values
     timing = merged["record_timing"]
     if not isinstance(timing, bool):
         raise ConfigError(f"record_timing must be true or false, not {timing!r}")
@@ -185,15 +200,22 @@ def load_config(source) -> RunConfig:
         if not isinstance(sweep_values, list) or not sweep_values:
             raise ConfigError("sweep.values must be a nonempty list")
         kind = float if sweep_parameter in ("area_side", "r_min_bps") else int
-        sweep_values = tuple(_number(v, "sweep.values", kind) for v in sweep_values)
+        sweep_values = tuple(_number(v, f"sweep.values[{i}]", kind)
+                             for i, v in enumerate(sweep_values))
 
-    return RunConfig(
+    config = RunConfig(
         scenario=scenario, frame=frame, bs_config=bs_config, system=system,
         r_min_bps=r_min_bps, p_max_w=p_max_w,
         settings=settings, algorithms=tuple(algorithms), drops=drops,
         base_seed=_number(merged["base_seed"], "base_seed", int),
         record_timing=timing,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values)
+    for i, value in enumerate(sweep_values):
+        with _section(f"sweep.values[{i}]"):
+            point = _apply_sweep(config, value)
+            _check_pilots(point.scenario, point.frame)
+            make_qos(point.r_min_bps, point.scenario.K, point.frame, point.p_max_w)
+    return config
 
 
 def _apply_sweep(config: RunConfig, value) -> RunConfig:

@@ -2,14 +2,17 @@
 
 A matching is the binary serving matrix under the per-UE cap L and per-BS cap
 N; BSs with no UE sleep. Starting from a received-power initialization, the
-swap phase repeatedly scans candidate moves (pair exchanges plus single-UE
-add/remove/replace through empty slots) and commits every move that all
-affected players weakly prefer with one strict improvement. Because every
-player shares the network-wide objective, a move is approved exactly when it
-keeps QoS satisfied and strictly raises EE; from a QoS-violating state the
-preference is lexicographic (total rate shortfall first, EE second) so the
-scan can climb back into the feasible region. Termination follows from strict
-lexicographic improvement over a finite matching space.
+swap phase repeatedly scans candidate moves and commits every move that all
+affected players weakly prefer with one strict improvement. A move is the
+tuple (i, m, n, j): UE i leaves BS m and enters BS n (None when that side has
+no BS), and when j is set UE j moves from n to m. So add is (i, None, n, None),
+remove (i, m, None, None), replace (i, m, n, None) and exchange (i, m, n, j).
+Because every player shares the network-wide objective, a move is approved
+exactly when it keeps QoS satisfied and strictly raises EE; from a
+QoS-violating state the preference is lexicographic (total rate shortfall
+first, EE second) so the scan can climb back into the feasible region.
+Termination follows from strict lexicographic improvement over a finite
+matching space.
 
 Power inside the scan comes from one of the controllers (slmdb, fipc, qopc,
 eipc); any heuristic mode gets a final slmdb refinement once the matching has
@@ -73,26 +76,9 @@ class EvalResult:
 
 
 @dataclass(frozen=True)
-class SwapMove:
-    """Candidate matching mutation; None marks an empty slot.
-
-    exchange: both UEs swap the named serving BSs.
-    add/remove/replace: single-UE moves through the empty-slot cases.
-    """
-    kind: str
-    ue_i: int
-    bs_m: int | None = None      # BS leaving S(ue_i)
-    ue_j: int | None = None
-    bs_n: int | None = None      # BS entering S(ue_i)
-
-
-@dataclass(frozen=True)
 class PreferenceOutcome:
-    ee_before: float
-    ee_after: float
-    qos_ok_before: bool
-    qos_ok_after: bool
     approved: bool
+    matching: Association | None = None    # the matching after an approved move
 
 
 @dataclass(frozen=True)
@@ -217,84 +203,50 @@ def _eval_count(ctx: EvaluationContext, power_mode: str) -> int:
 # Moves
 # ---------------------------------------------------------------------------
 
-def apply_move(matching: Association, move: SwapMove, ctx: EvaluationContext):
-    """New Association after the move, or None when preconditions fail."""
-    S = matching.S
-    M, K = S.shape
-    L, N = ctx.scenario.L, ctx.scenario.N
-    i = move.ue_i
-    if not 0 <= i < K:
-        raise ConfigError("ue_i out of range")
-    new = S.copy()
-    if move.kind == "exchange":
-        j, m, n = move.ue_j, move.bs_m, move.bs_n
-        if j is None or m is None or n is None:
-            raise ConfigError("exchange requires both UEs and both BSs")
-        if not (0 <= j < K and 0 <= m < M and 0 <= n < M) or i == j:
-            raise ConfigError("exchange indices out of range")
-        if not (S[m, i] and S[n, j]) or S[n, i] or S[m, j]:
-            return None
-        new[m, i] = False
-        new[n, i] = True
-        new[n, j] = False
-        new[m, j] = True
-    elif move.kind == "add":
-        n = move.bs_n
-        if n is None or move.bs_m is not None or move.ue_j is not None:
-            raise ConfigError("add takes only the entering BS")
-        if not 0 <= n < M:
-            raise ConfigError("bs_n out of range")
-        if S[n, i] or S[:, i].sum() >= L or S[n].sum() >= N:
-            return None
-        new[n, i] = True
-    elif move.kind == "remove":
-        m = move.bs_m
-        if m is None or move.bs_n is not None or move.ue_j is not None:
-            raise ConfigError("remove takes only the leaving BS")
-        if not 0 <= m < M:
-            raise ConfigError("bs_m out of range")
-        if not S[m, i]:
-            return None
-        new[m, i] = False
-    elif move.kind == "replace":
-        m, n = move.bs_m, move.bs_n
-        if m is None or n is None or move.ue_j is not None:
-            raise ConfigError("replace takes a leaving and an entering BS")
-        if not (0 <= m < M and 0 <= n < M):
-            raise ConfigError("replace indices out of range")
-        if not S[m, i] or S[n, i] or S[n].sum() >= N:
-            return None
-        new[m, i] = False
-        new[n, i] = True
-    else:
-        raise ConfigError(f"unknown move kind {move.kind!r}")
+def apply_move(matching: Association, move: tuple, ctx: EvaluationContext):
+    """Association after the move (i, m, n, j), or None when it does not apply.
 
+    The vacated slots must be held and the entered slots free. A move without
+    j that enters n must leave UE i within L and BS n within N; an exchange
+    keeps every count. No move may put a serving BS to sleep under no_sleep.
+    """
+    i, m, n, j = move
+    S = matching.S
+    leave = [] if m is None else [(m, i)]
+    enter = [] if n is None else [(n, i)]
+    if j is not None:
+        leave.append((n, j))
+        enter.append((m, j))
+    if not all(S[c] for c in leave) or any(S[c] for c in enter):
+        return None
+    new = S.copy()
+    for c in leave:
+        new[c] = False
+    for c in enter:
+        new[c] = True
+    if j is None and n is not None and (new[:, i].sum() > ctx.scenario.L
+                                        or new[n].sum() > ctx.scenario.N):
+        return None
     if ctx.no_sleep and matching.A[~new.any(axis=1)].any():
         return None    # move would put a serving BS to sleep
-    if np.array_equal(new, S):
-        return None
-    return Association(S=new, max_per_ue=L, max_per_bs=N)
+    return Association(S=new)
 
 
 def _pair_moves(S: np.ndarray, i: int, j: int | None):
-    """Candidate moves for the ordered pair (UE i, UE j) against the current S."""
+    """Candidate moves for the ordered pair (UE i, UE j) against the current S:
+    with j None every add, then remove, then replace; else every exchange."""
     M = S.shape[0]
+    held = [int(m) for m in np.flatnonzero(S[:, i])]
     if j is None:
-        for n in range(M):
-            if not S[n, i]:
-                yield SwapMove(kind="add", ue_i=i, bs_n=n)
-        for m in np.flatnonzero(S[:, i]):
-            yield SwapMove(kind="remove", ue_i=i, bs_m=int(m))
-        for m in np.flatnonzero(S[:, i]):
-            for n in range(M):
-                if not S[n, i]:
-                    yield SwapMove(kind="replace", ue_i=i, bs_m=int(m), bs_n=n)
+        free = [n for n in range(M) if not S[n, i]]
+        yield from ((i, None, n, None) for n in free)
+        yield from ((i, m, None, None) for m in held)
+        yield from ((i, m, n, None) for m in held for n in free)
     else:
-        for m in np.flatnonzero(S[:, i]):
+        for m in held:
             for n in np.flatnonzero(S[:, j]):
                 if not S[n, i] and not S[m, j]:
-                    yield SwapMove(kind="exchange", ue_i=i, bs_m=int(m),
-                                   ue_j=j, bs_n=int(n))
+                    yield i, m, int(n), j
 
 
 def _pair_order(K: int):
@@ -305,7 +257,7 @@ def _pair_order(K: int):
             yield i, j
 
 
-def is_swap_blocking(matching: Association, move: SwapMove, power_mode: str,
+def is_swap_blocking(matching: Association, move: tuple, power_mode: str,
                      ctx: EvaluationContext) -> PreferenceOutcome:
     """Approve the move iff it strictly improves (shortfall, EE) lexicographically.
 
@@ -315,16 +267,12 @@ def is_swap_blocking(matching: Association, move: SwapMove, power_mode: str,
     before = evaluate(matching, power_mode, ctx)
     swapped = apply_move(matching, move, ctx)
     if swapped is None:
-        return PreferenceOutcome(ee_before=before.ee, ee_after=before.ee,
-                                 qos_ok_before=before.qos_ok,
-                                 qos_ok_after=before.qos_ok, approved=False)
+        return PreferenceOutcome(approved=False)
     after = evaluate(swapped, power_mode, ctx)
-    approved = (after.shortfall_bps < before.shortfall_bps
-                or (after.shortfall_bps == before.shortfall_bps
-                    and after.ee > before.ee))
-    return PreferenceOutcome(ee_before=before.ee, ee_after=after.ee,
-                             qos_ok_before=before.qos_ok, qos_ok_after=after.qos_ok,
-                             approved=approved)
+    if (after.shortfall_bps < before.shortfall_bps
+            or (after.shortfall_bps == before.shortfall_bps and after.ee > before.ee)):
+        return PreferenceOutcome(approved=True, matching=swapped)
+    return PreferenceOutcome(approved=False)
 
 
 def verify_stability(matching: Association, power_mode: str,
@@ -342,13 +290,9 @@ def verify_stability(matching: Association, power_mode: str,
 # The full matching algorithm and the oracle
 # ---------------------------------------------------------------------------
 
-def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb",
-           initial: Association | None = None) -> SolutionReport:
+def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb") -> SolutionReport:
     """Initialization + swap phase + (for heuristic modes) final slmdb pass."""
-    if initial is None:
-        matching = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
-    else:
-        matching = initial
+    matching = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
     structural_gap = False
     if ctx.no_sleep:
         matching, structural_gap = _repair_empty_bs(matching, ctx)
@@ -361,7 +305,7 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb",
             for move in _pair_moves(matching.S, i, j):
                 outcome = is_swap_blocking(matching, move, power_mode, ctx)
                 if outcome.approved:
-                    matching = apply_move(matching, move, ctx)
+                    matching = outcome.matching
                     swap_count += 1
                     approved_any = True
         if not approved_any:
@@ -378,10 +322,10 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb",
         stable=converged, infeasible=(not final.qos_ok) or structural_gap)
 
 
-def nos_assoc(ctx: EvaluationContext, power_mode: str = "eipc") -> SolutionReport:
+def nos_assoc(ctx: EvaluationContext) -> SolutionReport:
     """No-sleeping variant: every BS must keep at least one UE; A is all ones."""
     no_sleep_ctx = ctx if ctx.no_sleep else ctx.clone(no_sleep=True)
-    return trimsm(no_sleep_ctx, power_mode)
+    return trimsm(no_sleep_ctx, "eipc")
 
 
 def _repair_empty_bs(matching: Association, ctx: EvaluationContext):

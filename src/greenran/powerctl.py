@@ -62,13 +62,14 @@ class QosSpec:
         if not 0 < self.p_max_w < np.inf:
             raise ConfigError("p_max_w must be positive and finite")
         if not (np.asarray(self.gamma) >= 0).all() or not np.isfinite(self.gamma).all():
-            raise ConfigError("SINR thresholds must be finite and nonnegative")
+            raise ConfigError("r_min_bps must give finite, nonnegative SINR thresholds")
 
 
 def gamma_thresholds(r_min_bps: np.ndarray, frame: FrameConfig) -> np.ndarray:
     """SINR threshold equivalent to each minimum rate: 2^(tau_c R / (tau_u B)) - 1."""
     r = np.asarray(r_min_bps, dtype=float)
-    return 2.0 ** (frame.tau_c * r / (frame.tau_u * frame.bandwidth_hz)) - 1.0
+    with np.errstate(over="ignore"):    # an overflow gives inf, which QosSpec rejects
+        return 2.0 ** (frame.tau_c * r / (frame.tau_u * frame.bandwidth_hz)) - 1.0
 
 
 def make_qos(r_min_bps, K: int, frame: FrameConfig, p_max_w: float) -> QosSpec:

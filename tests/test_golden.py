@@ -1,8 +1,9 @@
-"""Golden regression: re-run the two checked-in configs and compare records.
+"""Golden regression: re-run the checked-in configs and compare records.
 
 The files under tests/data were produced from the same configs with
 
     greenran run --config configs/desk.json --out tests/data/desk.csv
+    greenran run --config configs/modes.json --out tests/data/modes.csv
     greenran sweep --config configs/sweep.json --out tests/data/sweep.csv \
         --aggregates-out tests/data/sweep_aggregates.csv
 
@@ -67,6 +68,14 @@ def test_desk_records_match_golden(tmp_path):
     assert main(["run", "--config", str(ROOT / "configs" / "desk.json"),
                  "--out", str(out)]) == 0
     assert_records_match(DATA / "desk.csv", out)
+
+
+def test_swap_modes_records_match_golden(tmp_path):
+    # trimsm with the slmdb, qopc and fipc controllers in the swap loop
+    out = tmp_path / "modes.csv"
+    assert main(["run", "--config", str(ROOT / "configs" / "modes.json"),
+                 "--out", str(out)]) == 0
+    assert_records_match(DATA / "modes.csv", out)
 
 
 def test_sweep_records_and_aggregates_match_golden(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -95,10 +96,25 @@ class TestConfig:
         ({"solver": {"slm_max_iter": 0}}, "slm_max_iter"),
         ({"power": {"bs": {"rf_components": [{"name": "adc"}]}}},
          "power.bs.rf_components[0].p_ref_w"),
+        # every sweep point is built and checked at load
+        ({"sweep": {"parameter": "r_min_bps", "values": [1e6, -1.0]}}, "sweep.values[1]"),
+        ({"sweep": {"parameter": "r_min_bps", "values": [1e12]}}, "sweep.values[0]"),
+        ({"sweep": {"parameter": "M", "values": [0]}}, "sweep.values[0]"),
+        ({"sweep": {"parameter": "K", "values": [2, 50]}}, "sweep.values[1]"),
+        ({"sweep": {"parameter": "L", "values": [20]}}, "sweep.values[0]"),
+        ({"sweep": {"parameter": "area_side", "values": [-3.0]}}, "sweep.values[0]"),
+        # range errors name their section
+        ({"solver": {"slm_max_iter": 0}}, "solver.slm_max_iter must be >= 1"),
+        ({"power": {"bs": {"sleep_scale": 2.0}}}, "power.bs.sleep_scale"),
+        ({"scenario": {"M": 4, "L": 6}}, "scenario.L"),
+        ({"qos": {"r_min_bps": -1.0}}, "qos.r_min_bps"),
+        ({"qos": {"r_min_bps": 1e12}}, "qos.r_min_bps"),
     ])
     def test_wrong_typed_values_rejected(self, bad, key):
-        with pytest.raises(ConfigError, match=re.escape(key)):
-            load_config(dict(BASE, **bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # no numpy warning ahead of the error
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                load_config(dict(BASE, **bad))
 
     def test_non_object_config_rejected(self):
         with pytest.raises(ConfigError, match="config must be an object"):

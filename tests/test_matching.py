@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from greenran import Association, ConfigError, ScenarioParams
-from greenran.matching import (SwapMove, apply_move, evaluate, exhaustive_search,
-                               is_swap_blocking, llsf_assoc, nos_assoc, recp_init,
-                               trimsm, tsap_assoc, verify_stability)
+from greenran import matching as matching_module
+from greenran.matching import (_pair_moves, _pair_order, apply_move, evaluate,
+                               exhaustive_search, is_swap_blocking, llsf_assoc,
+                               nos_assoc, recp_init, trimsm, tsap_assoc,
+                               verify_stability)
 from conftest import make_context, strongest_assoc
 from test_statistics import scaled_identity_set
 
@@ -88,27 +90,24 @@ class TestMoves:
     def test_exchange_involution(self):
         S = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
         m0 = Association(S=S)
-        move = SwapMove(kind="exchange", ue_i=0, bs_m=0, ue_j=1, bs_n=1)
-        m1 = apply_move(m0, move, self.ctx)
-        back = SwapMove(kind="exchange", ue_i=0, bs_m=1, ue_j=1, bs_n=0)
-        m2 = apply_move(m1, back, self.ctx)
+        m1 = apply_move(m0, (0, 0, 1, 1), self.ctx)
+        m2 = apply_move(m1, (0, 1, 0, 1), self.ctx)
         assert np.array_equal(m2.S, m0.S)
 
     def test_add_respects_caps(self):
         S = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
         m0 = Association(S=S)
         # BS 0 already serves N=2 UEs: add must fail
-        assert apply_move(m0, SwapMove(kind="add", ue_i=2, bs_n=0), self.ctx) is None
-        got = apply_move(m0, SwapMove(kind="add", ue_i=2, bs_n=1), self.ctx)
+        assert apply_move(m0, (2, None, 0, None), self.ctx) is None
+        got = apply_move(m0, (2, None, 1, None), self.ctx)
         assert got.S[1, 2]
 
     def test_remove_and_replace(self):
         S = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
         m0 = Association(S=S)
-        removed = apply_move(m0, SwapMove(kind="remove", ue_i=0, bs_m=0), self.ctx)
+        removed = apply_move(m0, (0, 0, None, None), self.ctx)
         assert not removed.S[:, 0].any()
-        replaced = apply_move(m0, SwapMove(kind="replace", ue_i=0, bs_m=0, bs_n=3),
-                              self.ctx)
+        replaced = apply_move(m0, (0, 0, 3, None), self.ctx)
         assert replaced.S[3, 0] and not replaced.S[0, 0]
 
     def test_constraints_preserved_under_random_moves(self):
@@ -119,25 +118,14 @@ class TestMoves:
         for _ in range(200):
             kind = kinds[rng.integers(0, 3)]
             i = int(rng.integers(0, 3))
-            move = SwapMove(kind=kind, ue_i=i,
-                            bs_m=int(rng.integers(0, 4)) if kind != "add" else None,
-                            bs_n=int(rng.integers(0, 4)) if kind != "remove" else None)
-            got = apply_move(matching, move, ctx)
+            m = int(rng.integers(0, 4)) if kind != "add" else None
+            n = int(rng.integers(0, 4)) if kind != "remove" else None
+            got = apply_move(matching, (i, m, n, None), ctx)
             if got is not None:
                 matching = got
             assert (matching.S.sum(axis=0) <= ctx.scenario.L).all()
             assert (matching.S.sum(axis=1) <= ctx.scenario.N).all()
             assert np.array_equal(matching.A, matching.S.any(axis=1))
-
-    def test_malformed_moves_rejected(self):
-        m0 = strongest_assoc(self.ctx)
-        with pytest.raises(ConfigError):
-            apply_move(m0, SwapMove(kind="exchange", ue_i=0, bs_m=0, ue_j=None,
-                                    bs_n=1), self.ctx)
-        with pytest.raises(ConfigError):
-            apply_move(m0, SwapMove(kind="add", ue_i=0, bs_m=1, bs_n=2), self.ctx)
-        with pytest.raises(ConfigError):
-            apply_move(m0, SwapMove(kind="bogus", ue_i=0), self.ctx)
 
 
 class TestPreferences:
@@ -145,9 +133,8 @@ class TestPreferences:
         ctx = make_context(M=3, K=2, N=2, L=2, seed=3)
         matching = strongest_assoc(ctx)
         m = int(np.flatnonzero(matching.S[:, 0])[0])
-        out = is_swap_blocking(matching, SwapMove(kind="exchange", ue_i=0, bs_m=m,
-                                                  ue_j=1, bs_n=m), "eipc", ctx)
-        assert not out.approved
+        out = is_swap_blocking(matching, (0, m, m, 1), "eipc", ctx)
+        assert not out.approved and out.matching is None
 
     def test_qos_breaking_move_not_approved(self):
         # removing a serving BS under full power saves energy (EE rises) but
@@ -156,7 +143,6 @@ class TestPreferences:
         matching = recp_init(ctx.corr, ctx.scenario, 95.0)
         before = evaluate(matching, "fipc", ctx)
         assert before.qos_ok
-        from greenran.matching import _pair_moves, _pair_order
         checked = 0
         for i, j in _pair_order(3):
             for move in _pair_moves(matching.S, i, j):
@@ -174,7 +160,7 @@ class TestPreferences:
         ctx = make_context(M=2, K=2, N=1, L=1, seed=21)
         S = np.array([[1, 0], [0, 1]], dtype=bool)
         matching = Association(S=S)
-        move = SwapMove(kind="exchange", ue_i=0, bs_m=0, ue_j=1, bs_n=1)
+        move = (0, 0, 1, 1)
         out = is_swap_blocking(matching, move, "slmdb", ctx)
         swapped = apply_move(matching, move, ctx)
         ev_a = evaluate(matching, "slmdb", ctx)
@@ -183,6 +169,8 @@ class TestPreferences:
             or (ev_b.shortfall_bps < ev_a.shortfall_bps) \
             or (ev_b.shortfall_bps == ev_a.shortfall_bps and ev_b.ee > ev_a.ee)
         assert out.approved == expect
+        if expect:
+            assert np.array_equal(out.matching.S, swapped.S)
 
     def test_evaluation_cached(self):
         ctx = make_context(M=3, K=2, N=2, L=2, seed=5)
@@ -247,10 +235,28 @@ class TestTrimsm:
         ctx = make_context(M=4, K=3, N=2, L=2, seed=77)
         rep = trimsm(ctx, "eipc")
         # any non-converged matching with an approved move must fail the check
-        from greenran.matching import _pair_moves, _pair_order
         init = recp_init(ctx.corr, ctx.scenario, 95.0)
         if not np.array_equal(init.S, rep.matching.S):
             assert not verify_stability(init, "eipc", ctx)
+
+    def test_approval_commits_the_evaluated_matching(self, monkeypatch):
+        # one apply_move per scanned move: an approval reuses the candidate
+        calls = {"apply": 0, "scan": 0}
+        apply, scan = matching_module.apply_move, matching_module.is_swap_blocking
+
+        def counted_apply(*args):
+            calls["apply"] += 1
+            return apply(*args)
+
+        def counted_scan(*args):
+            calls["scan"] += 1
+            return scan(*args)
+
+        monkeypatch.setattr(matching_module, "apply_move", counted_apply)
+        monkeypatch.setattr(matching_module, "is_swap_blocking", counted_scan)
+        rep = trimsm(make_context(M=4, K=3, N=2, L=2, seed=77), "eipc")
+        assert rep.swap_count > 0
+        assert calls["apply"] == calls["scan"]
 
     def test_hybrid_final_refinement_runs_slmdb(self):
         ctx = make_context(M=3, K=2, N=2, L=2, seed=13)

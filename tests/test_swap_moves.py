@@ -1,0 +1,149 @@
+"""The swap scan's move tuples against the earlier kind-tagged moves.
+
+The earlier `SwapMove` generator and its four-branch `apply_move` are kept
+below as the reference. Over generated small matchings, every pair of
+`_pair_order` must give the same moves in the same order, and each move must
+give the same serving matrix (or None) on the matching at the start of the
+pair and on the matching after the moves already committed in that pair.
+"""
+
+from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from greenran import Association, ConfigError, ScenarioParams
+from greenran.matching import _pair_moves, _pair_order, apply_move
+
+
+@dataclass(frozen=True)
+class SwapMove:
+    kind: str
+    ue_i: int
+    bs_m: int | None = None
+    ue_j: int | None = None
+    bs_n: int | None = None
+
+
+def ref_apply_move(matching, move, ctx):
+    S = matching.S
+    M, K = S.shape
+    L, N = ctx.scenario.L, ctx.scenario.N
+    i = move.ue_i
+    if not 0 <= i < K:
+        raise ConfigError("ue_i out of range")
+    new = S.copy()
+    if move.kind == "exchange":
+        j, m, n = move.ue_j, move.bs_m, move.bs_n
+        if j is None or m is None or n is None:
+            raise ConfigError("exchange requires both UEs and both BSs")
+        if not (0 <= j < K and 0 <= m < M and 0 <= n < M) or i == j:
+            raise ConfigError("exchange indices out of range")
+        if not (S[m, i] and S[n, j]) or S[n, i] or S[m, j]:
+            return None
+        new[m, i] = False
+        new[n, i] = True
+        new[n, j] = False
+        new[m, j] = True
+    elif move.kind == "add":
+        n = move.bs_n
+        if n is None or move.bs_m is not None or move.ue_j is not None:
+            raise ConfigError("add takes only the entering BS")
+        if not 0 <= n < M:
+            raise ConfigError("bs_n out of range")
+        if S[n, i] or S[:, i].sum() >= L or S[n].sum() >= N:
+            return None
+        new[n, i] = True
+    elif move.kind == "remove":
+        m = move.bs_m
+        if m is None or move.bs_n is not None or move.ue_j is not None:
+            raise ConfigError("remove takes only the leaving BS")
+        if not 0 <= m < M:
+            raise ConfigError("bs_m out of range")
+        if not S[m, i]:
+            return None
+        new[m, i] = False
+    elif move.kind == "replace":
+        m, n = move.bs_m, move.bs_n
+        if m is None or n is None or move.ue_j is not None:
+            raise ConfigError("replace takes a leaving and an entering BS")
+        if not (0 <= m < M and 0 <= n < M):
+            raise ConfigError("replace indices out of range")
+        if not S[m, i] or S[n, i] or S[n].sum() >= N:
+            return None
+        new[m, i] = False
+        new[n, i] = True
+    else:
+        raise ConfigError(f"unknown move kind {move.kind!r}")
+
+    if ctx.no_sleep and matching.A[~new.any(axis=1)].any():
+        return None
+    if np.array_equal(new, S):
+        return None
+    return Association(S=new, max_per_ue=L, max_per_bs=N)
+
+
+def ref_pair_moves(S, i, j):
+    M = S.shape[0]
+    if j is None:
+        for n in range(M):
+            if not S[n, i]:
+                yield SwapMove(kind="add", ue_i=i, bs_n=n)
+        for m in np.flatnonzero(S[:, i]):
+            yield SwapMove(kind="remove", ue_i=i, bs_m=int(m))
+        for m in np.flatnonzero(S[:, i]):
+            for n in range(M):
+                if not S[n, i]:
+                    yield SwapMove(kind="replace", ue_i=i, bs_m=int(m), bs_n=n)
+    else:
+        for m in np.flatnonzero(S[:, i]):
+            for n in np.flatnonzero(S[:, j]):
+                if not S[n, i] and not S[m, j]:
+                    yield SwapMove(kind="exchange", ue_i=i, bs_m=int(m),
+                                   ue_j=j, bs_n=int(n))
+
+
+def as_tuple(move: SwapMove) -> tuple:
+    return move.ue_i, move.bs_m, move.bs_n, move.ue_j
+
+
+def same(got, want) -> bool:
+    if got is None or want is None:
+        return got is None and want is None
+    return np.array_equal(got.S, want.S) and np.array_equal(got.A, want.A)
+
+
+@st.composite
+def scans(draw):
+    M = draw(st.integers(1, 6))
+    K = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 5))
+    L = draw(st.integers(1, M))
+    S = np.array(draw(st.lists(st.booleans(), min_size=M * K, max_size=M * K)),
+                 dtype=bool).reshape(M, K)
+    for k in range(K):                  # trim to the caps, lowest indices kept
+        S[np.flatnonzero(S[:, k])[L:], k] = False
+    for m in range(M):
+        S[m, np.flatnonzero(S[m])[N:]] = False
+    ctx = SimpleNamespace(scenario=ScenarioParams(M=M, K=K, N=N, L=L),
+                          no_sleep=draw(st.booleans()))
+    return Association(S=S, max_per_ue=L, max_per_bs=N), ctx, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scans())
+def test_tuple_moves_match_kind_moves(case):
+    matching, ctx, seed = case
+    rng = np.random.default_rng(seed)
+    for i, j in _pair_order(ctx.scenario.K):
+        start = matching
+        moves = list(_pair_moves(start.S, i, j))
+        ref_moves = list(ref_pair_moves(start.S, i, j))
+        assert moves == [as_tuple(mv) for mv in ref_moves]
+        for move, ref in zip(moves, ref_moves):
+            assert same(apply_move(start, move, ctx), ref_apply_move(start, ref, ctx))
+            got = apply_move(matching, move, ctx)
+            assert same(got, ref_apply_move(matching, ref, ctx))
+            if got is not None and rng.random() < 0.4:
+                matching = got          # as if approved: later moves see it

@@ -61,9 +61,10 @@ class LinkCoefficients:
 
 def link_coefficients(assoc: Association, tensor: CoefficientTensor) -> LinkCoefficients:
     S = assoc.S.astype(float)
-    mu_eff = np.einsum("mk,mk->k", S, tensor.mu)
-    sum_mu2 = np.einsum("mk,mk->k", S, tensor.mu**2)
-    interf = np.einsum("mk,mkj->kj", S, tensor.omega)
+    mu, omega = tensor.rows(assoc.A)    # rows of idle BSs may still be 0; they meet S = 0
+    mu_eff = np.einsum("mk,mk->k", S, mu)
+    sum_mu2 = np.einsum("mk,mk->k", S, mu**2)
+    interf = np.einsum("mk,mkj->kj", S, omega)
     ds2 = mu_eff**2
     # own-signal cross terms over distinct serving BSs: (sum mu)^2 - sum mu^2
     interf[np.arange(len(mu_eff)), np.arange(len(mu_eff))] += ds2 - sum_mu2

@@ -10,10 +10,9 @@ normalized maximum-ratio combiner v = h_est / sqrt(E{||h_est||^2}):
     E{||v||^2} = 1
 
 The closed form is exact; `monte_carlo_statistics` re-estimates the same
-quantities from sampled pilots/channels and is the validation oracle.
+quantities from sampled pilots/channels and is the validation oracle. The
+closed form computes a BS's rows on first use, so a sleeping BS costs nothing.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +23,34 @@ from .netmodel import ConfigError, CorrelationSet, FrameConfig
 _CHUNK = 16384
 
 
-@dataclass(frozen=True)
 class CoefficientTensor:
-    mu: np.ndarray               # (M, K) >= 0
-    omega: np.ndarray            # (M, K, K) >= 0; omega[m, k, k'] = E{|v_mk^H h_mk'|^2}
-    noise_coeff: np.ndarray      # (M, K) E{||v||^2}; 1 under the normalized combiner
-    mu_se: np.ndarray | None = None      # standard errors (Monte Carlo only)
-    omega_se: np.ndarray | None = None
+    """mu (M, K) >= 0; omega (M, K, K) >= 0, omega[m, k, k'] = E{|v_mk^H h_mk'|^2};
+    noise_coeff (M, K) = E{||v||^2}, 1 under the normalized combiner; mu_se and
+    omega_se are standard errors (Monte Carlo only). Given `fill_row`, row m
+    (mu[m], omega[m]) stays 0 until `rows` first asks for it and calls fill_row(m);
+    `ready` marks filled rows. Whole-array reads of `mu`/`omega` fill every row."""
+
+    def __init__(self, mu, omega, noise_coeff, mu_se=None, omega_se=None, fill_row=None):
+        self._mu, self._omega, self.noise_coeff = mu, omega, noise_coeff
+        self.mu_se, self.omega_se, self.fill_row = mu_se, omega_se, fill_row
+        self.ready = np.full(len(mu), fill_row is None)    # full arrays start ready
+        self._all_ready = fill_row is None
+
+    mu = property(lambda self: self.rows(~self.ready)[0])
+    omega = property(lambda self: self.rows(~self.ready)[1])
+
+    def rows(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, omega) with every row in the (M,) bool mask `wanted` filled."""
+        if not self._all_ready:
+            for m in np.flatnonzero(wanted & ~self.ready):
+                self.fill_row(m)
+                self.ready[m] = True
+            self._all_ready = bool(self.ready.all())
+        return self._mu, self._omega
 
 
 def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTensor:
-    """Closed-form coefficient tensor for all M x K links.
+    """Closed-form coefficient tensor for all M x K links, filled per BS on first use.
 
     Runs in R's dtype: a real set takes real LAPACK/BLAS calls, a complex one
     complex calls, on the same lines. Per BS, one batched solve gives every
@@ -50,7 +66,7 @@ def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTens
     omega = np.zeros((M, K, K))
     eye = np.eye(N)
     # batched over one BS's K links; over M too would hold (M, K, N, N) temporaries
-    for m in range(M):
+    def fill_row(m):
         psi = pp_taup * R[m] + sigma2 * eye
         phi = pp_taup * R[m] @ np.linalg.solve(psi, R[m])
         t = np.trace(phi, axis1=1, axis2=2).real
@@ -60,7 +76,8 @@ def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTens
         cross = (phi_t @ R[m].reshape(K, N * N).T).real     # cross[i, k'] = tr(R_k' Phi_live[i])
         omega[m, live] = cross / t[live, None]
         omega[m, live, live] += t[live]
-    return CoefficientTensor(mu=mu, omega=omega, noise_coeff=np.ones((M, K)))
+    return CoefficientTensor(mu=mu, omega=omega, noise_coeff=np.ones((M, K)),
+                             fill_row=fill_row)
 
 
 def monte_carlo_statistics(

@@ -4,6 +4,7 @@ The files under tests/data were produced from the same configs with
 
     greenran run --config configs/desk.json --out tests/data/desk.csv
     greenran run --config configs/modes.json --out tests/data/modes.csv
+    greenran run --config configs/sparse.json --out tests/data/sparse.csv
     greenran sweep --config configs/sweep.json --out tests/data/sweep.csv \
         --aggregates-out tests/data/sweep_aggregates.csv
 
@@ -76,6 +77,14 @@ def test_swap_modes_records_match_golden(tmp_path):
     assert main(["run", "--config", str(ROOT / "configs" / "modes.json"),
                  "--out", str(out)]) == 0
     assert_records_match(DATA / "modes.csv", out)
+
+
+def test_sparse_records_match_golden(tmp_path):
+    # M=40 with at most 15 served BSs: most tensor rows are never filled
+    out = tmp_path / "sparse.csv"
+    assert main(["run", "--config", str(ROOT / "configs" / "sparse.json"),
+                 "--out", str(out)]) == 0
+    assert_records_match(DATA / "sparse.csv", out)
 
 
 def test_sweep_records_and_aggregates_match_golden(tmp_path, capsys):

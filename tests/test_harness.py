@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -156,6 +157,32 @@ class TestRun:
         ctx2 = harness._make_context(cfg, 11)
         assert np.array_equal(ctx1.tensor.mu, ctx2.tensor.mu)
         assert np.array_equal(ctx1.corr.beta, ctx2.corr.beta)
+
+    def test_drop_fills_only_served_rows_once(self):
+        # the record path of recp, llsf and tsap must read only the rows of the
+        # BSs they serve, and nos's clone must reuse rows already filled
+        cfg = load_config(dict(BASE, algorithm=["recp", "llsf", "tsap", "nos"], drops=1,
+                               scenario={"M": 64, "K": 4, "N": 4, "L": 2}))
+        ctx = harness._make_context(cfg, 11)
+        tensor, fill_row, fills = ctx.tensor, ctx.tensor.fill_row, Counter()
+
+        def counted(m):
+            fills[m] += 1
+            fill_row(m)
+
+        tensor.fill_row = counted
+        served = np.zeros(64, dtype=bool)
+        for alg in cfg.algorithms:
+            report, used = harness._dispatch(alg, ctx)
+            harness._record(cfg, report, used, alg, 0, 11, 0.0, 0.0)
+            if alg == "nos":
+                assert used.tensor is tensor
+                assert tensor.ready[served].all()
+            else:
+                served |= report.matching.A
+                assert np.array_equal(tensor.ready, served)
+        assert not served.all()
+        assert set(fills.values()) == {1}
 
     def test_exhaustive_guard(self):
         cfg = load_config(dict(BASE, algorithm="exhaustive",

@@ -6,6 +6,9 @@ einsum per live link, kept below. The scenarios cover real drop correlations
 positive pilot power, so live and dead links mix at one BS. Summation order
 differs between the two, so they agree to 1e-12 relative, and exactly where
 the reference is 0.
+
+The tensor fills a BS's row on first request; any order of requests must give
+the arrays of an eager fill bitwise, and rows never requested stay 0.
 """
 
 import numpy as np
@@ -68,3 +71,36 @@ def test_matches_per_link_reference(corr, pilot_power_w):
     assert tensor.mu.dtype == tensor.omega.dtype == np.float64
     assert_matches(tensor.mu, mu)
     assert_matches(tensor.omega, omega)
+
+
+@st.composite
+def drops_with_requests(draw):
+    M = draw(st.integers(1, 8))
+    scen = ScenarioParams(M=M, K=draw(st.integers(1, 4)), N=draw(st.integers(1, 6)), L=1,
+                          seed=draw(st.integers(0, 2**32 - 1)),
+                          area_side=draw(st.sampled_from((100.0, 500.0, 2000.0))),
+                          shadowing_std_db=draw(st.floats(0.0, 8.0)))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=M, max_size=M), max_size=6))
+    corr = build_correlation(generate_topology(scen), FrameConfig())
+    return corr, [np.array(mask) for mask in masks]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(drops_with_requests(), st.sampled_from((0.0, 1e-4, 0.1)))
+def test_rows_on_request_match_eager_fill(drop, pilot_power_w):
+    corr, requests = drop
+    frame = FrameConfig(pilot_power_w=pilot_power_w)
+    eager = mmse_statistics(corr, frame)
+    mu_ref, omega_ref = eager.mu, eager.omega
+    lazy = mmse_statistics(corr, frame)
+    assert not lazy.ready.any()
+    for wanted in requests:
+        mu, omega = lazy.rows(wanted)
+        ready = lazy.ready
+        assert ready[wanted].all()
+        assert np.array_equal(mu[ready], mu_ref[ready])
+        assert np.array_equal(omega[ready], omega_ref[ready])
+        assert not mu[~ready].any() and not omega[~ready].any()
+    # whole-array reads after a partial fill complete it
+    assert np.array_equal(lazy.mu, mu_ref) and np.array_equal(lazy.omega, omega_ref)
+    assert lazy.ready.all()

@@ -14,15 +14,21 @@ The solver iterates two nested loops:
     QoS constraints r_k(P) <= 0, solved with a log-barrier Newton method.
 
 Every log argument of the barrier (rate logs, box and normalized QoS slacks)
-is affine in P and is stacked as z = B P + b, so a Newton step costs a fixed
-handful of array calls. The interior start is the QoPC LP's min-max point;
-cold solves move it halfway toward the box center, and warm Dinkelbach rounds
-start at the previous solution and the final barrier weight.
+is affine in P and is stacked once per problem as z = B P + b, so a Newton step
+costs a fixed handful of array calls. Every solve runs damped Newton at one
+barrier weight, whose duality-gap proxy sits below the target both in rate-scale
+units and relative to the spectral efficiency: the center at a fixed weight is
+unique and damped Newton reaches it from any interior start (Boyd &
+Vandenberghe, Convex Optimization, 2004, 9.6 and 11.3), so no central path is
+followed. A start with every slack positive, such as the SLM anchor or the
+previous Dinkelbach round's solution, is used as it is; any other solve starts
+from the QoPC LP's min-max point moved halfway toward the box center.
 
 The true EE of the iterates is nondecreasing because the surrogate is a global
-lower bound with equality at the anchor. Low-complexity controllers: fixed max
-power, a QoS feasibility LP (min-max residual), and statistical channel
-inversion.
+lower bound with equality at the anchor; only the inner solve's tolerance can
+lose EE, so the outer loop stops at the first round that does not raise it.
+Low-complexity controllers: fixed max power, a QoS feasibility LP (min-max
+residual), and statistical channel inversion.
 
 The min-max LP has the uplink power-control structure of Foschini & Miljanic
 (IEEE TVT 1993) and Yates (IEEE JSAC 1995): a UE's QoS residual falls with its
@@ -33,7 +39,9 @@ binding UE that sees no interference from some other UE) a homotopy in s finds
 the optimal face's least element in at most k + 1 small solves.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,14 +103,14 @@ class SolverSettings:
 @dataclass
 class SolveDiagnostics:
     slm_iterations: int = 0
-    ee_trace: list = field(default_factory=list)
+    ee_trace: list = field(default_factory=list)    # start, then each SLM round
     dinkelbach_iterations: list = field(default_factory=list)
     pi_traces: list = field(default_factory=list)
     newton_steps: int = 0            # Newton systems solved
     hit_iteration_cap: bool = False
     lstsq_fallbacks: int = 0         # singular Newton systems solved by least squares
-    line_search_exhausted: int = 0   # Newton stages ended with no admissible step
-    newton_cap_hits: int = 0         # barrier stages ended at the Newton step cap
+    line_search_exhausted: int = 0   # solves ended with no admissible step
+    newton_cap_hits: int = 0         # solves ended at the Newton step cap
     interior_infeasible: bool = False    # no strict interior ended the SLM loop early
 
 
@@ -219,6 +227,17 @@ class ReducedProblem:
     def surrogate(self, anchor: np.ndarray) -> "Surrogate":
         return Surrogate(self, np.asarray(anchor, dtype=float))
 
+    @cached_property
+    def barrier_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B, b) with z = B P + b stacking every barrier log argument: af, ag,
+        the box slacks P and pmax - P, and the normalized QoS slacks."""
+        k, rows = len(self.idx), self.qrows
+        B = np.vstack([self.Af, self.Ag, np.eye(k), -np.eye(k),
+                       -self.W[rows] / self.rscale[rows, None]])
+        b = np.concatenate([self.n, self.n, np.zeros(k), np.full(k, self.pmax),
+                            -self.c[rows] / self.rscale[rows]])
+        return B, b
+
 
 class Surrogate:
     """Tangent data of the two concave logs at the anchor point."""
@@ -264,9 +283,9 @@ class Surrogate:
 # ---------------------------------------------------------------------------
 
 _NEWTON_MAX_ITER = 200
-_INNER_TOL = 1e-8        # duality-gap proxy, in rate-scale units
-_BARRIER_T0 = 1.0
-_BARRIER_MU = 30.0
+_NEWTON_TOL = 1e-6       # half the Newton decrement that ends a solve
+_INNER_TOL = 1e-8        # duality-gap proxy, in rate-scale units and relative to SE
+_LS_TRIALS = 60          # step halvings before a line search gives up
 
 
 class _Parametric:
@@ -292,11 +311,6 @@ class _Parametric:
                      + self.q @ p + self.u0)
 
 
-def _strictly_feasible(prob: ReducedProblem, p: np.ndarray, margin: float = 1e-9) -> bool:
-    return bool((p > margin * prob.pmax).all() and (p < (1 - margin) * prob.pmax).all()
-                and prob.margin(p) < -margin)
-
-
 def _center(p: np.ndarray, B: np.ndarray, b: np.ndarray, pmax: float) -> np.ndarray:
     """Move p toward the box center, halfway to where that ray leaves
     {B P + b > 0} and at most to the center: every slack keeps half its value."""
@@ -309,87 +323,69 @@ def _center(p: np.ndarray, B: np.ndarray, b: np.ndarray, pmax: float) -> np.ndar
     return p + s * d
 
 
+def _halvings(rz_min: float) -> int:
+    """Halvings of a unit step before rz_min * 2^-j > -1, i.e. before every slack
+    stays positive: the binary exponent of -rz_min, exact since each scale is a
+    power of two. A NaN or infinite rz_min admits no step and spends the budget."""
+    return 0 if rz_min > -1 else math.frexp(-rz_min)[1] if rz_min > -math.inf else _LS_TRIALS
+
+
 def _solve_parametric(sur: Surrogate, pi: float, start: np.ndarray | None,
-                      diag: SolveDiagnostics, warm: bool = False) -> np.ndarray:
+                      diag: SolveDiagnostics) -> np.ndarray:
     prob = sur.prob
     k = len(prob.idx)
     if k == 0:
         return np.zeros(0)
     obj = _Parametric(sur, pi)
-    p = None
-    if start is not None:
-        if _strictly_feasible(prob, start):
-            p = start.copy()
-        else:
-            # previous solutions hug the boundary; nudging toward the cached
-            # interior point restores strict feasibility (constraints affine)
-            blend = 0.99 * start + 0.01 * prob.interior_point()
-            if _strictly_feasible(prob, blend, margin=1e-12):
-                p = blend
-    if p is None:
-        p = prob.interior_point()
-        warm = False
+    B, b = prob.barrier_stack
+    p = start
+    if p is None or not (B @ p + b > 0).all():
+        p = _center(prob.interior_point(), B, b, prob.pmax)
+    z = B @ p + b
 
-    # every log argument is affine in P: z = B P + b stacks af, ag, the box
-    # slacks P and pmax - P, and the normalized QoS slacks
-    rows = prob.qrows
-    B = np.vstack([prob.Af, prob.Ag, np.eye(k), -np.eye(k),
-                   -prob.W[rows] / prob.rscale[rows, None]])
-    b = np.concatenate([prob.n, prob.n, np.zeros(k), np.full(k, prob.pmax),
-                        -prob.c[rows] / prob.rscale[rows]])
-    # barrier = w . log z + t q . P: the objective's log2 terms carry weight
+    # barrier = w . log z + t q . P at the one weight t whose duality-gap proxy
+    # m / t sits well below the target in rate-scale units and, since the gap
+    # over the spectral efficiency SE = sum log2(af / ag) bounds the relative EE
+    # loss, relative to the start's SE: the objective's log2 terms carry weight
     # t / ln 2, the box and QoS barrier terms weight 1
-    m = 2 * k + len(rows)    # barrier terms
-    w_obj = np.concatenate([np.ones(k), obj.c2, np.zeros(m)]) / _LN2
-    w_box = np.concatenate([np.zeros(2 * k), np.ones(m)])
-
-    # final barrier weight: duality-gap proxy m/t well below the target; warm
-    # rounds start next to the previous center and go straight to it
-    t_final = m / (0.1 * _INNER_TOL)
-    if not warm:
-        p = _center(p, B, b, prob.pmax)
-    t = t_final if warm else min(_BARRIER_T0, t_final)
-
-    while True:
-        last_stage = t >= t_final * 0.999
-        tol = 1e-6 if last_stage else 1e-2
-        w = t * w_obj + w_box
-        tq = t * obj.q
-        z = B @ p + b
-        for _ in range(_NEWTON_MAX_ITER):
-            wz = w / z
-            grad = B.T @ wz + tq
-            neg_hess = (B.T * (wz / z)) @ B
-            try:
-                step = np.linalg.solve(neg_hess, grad)
-            except np.linalg.LinAlgError:
-                diag.lstsq_fallbacks += 1
-                step = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
-            dec = float(grad @ step)
-            diag.newton_steps += 1
-            if dec / 2 <= tol:
-                break
-            # line search on the barrier's change, w.log1p(scale dz/z) + scale t q.step:
-            # at t_final the barrier value is too large to resolve the Armijo gain
-            dz = B @ step
-            rz = dz / z
-            qs = float(tq @ step)
-            scale = 1.0
-            for _ in range(60):
-                if (scale * rz).min() > -1:
-                    gain = w @ np.log1p(scale * rz) + scale * qs
-                    if gain > 0.25 * scale * dec:
-                        p, z = p + scale * step, z + scale * dz
-                        break
-                scale *= 0.5
-            else:
-                diag.line_search_exhausted += 1
-                break
-        else:
-            diag.newton_cap_hits += 1
-        if last_stage:
+    m = len(b) - 2 * k    # barrier terms
+    se = float(np.sum(np.log2(z[:k] / z[k:2 * k])))
+    t = m / (0.1 * _INNER_TOL * min(1.0, se))
+    w = t * (np.concatenate([np.ones(k), obj.c2, np.zeros(m)]) / _LN2)
+    w[2 * k:] = 1.0
+    tq = t * obj.q
+    for _ in range(_NEWTON_MAX_ITER):
+        wz = w / z
+        grad = B.T @ wz + tq
+        neg_hess = (B.T * (wz / z)) @ B
+        try:
+            step = np.linalg.solve(neg_hess, grad)
+        except np.linalg.LinAlgError:
+            diag.lstsq_fallbacks += 1
+            step = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
+        dec = float(grad @ step)
+        diag.newton_steps += 1
+        if dec / 2 <= _NEWTON_TOL:
             break
-        t = min(t * _BARRIER_MU, t_final)
+        # line search on the barrier's change, w.log1p(scale dz/z) + scale t q.step
+        # (the barrier value is too large to resolve the Armijo gain), from the
+        # first halving that keeps every slack positive
+        dz = B @ step
+        rz = dz / z
+        qs = float(tq @ step)
+        j = _halvings(float(rz.min()))
+        scale = math.ldexp(1.0, -j)
+        for _ in range(j, _LS_TRIALS):
+            gain = w @ np.log1p(scale * rz) + scale * qs
+            if gain > 0.25 * scale * dec:
+                p, z = p + scale * step, z + scale * dz
+                break
+            scale *= 0.5
+        else:
+            diag.line_search_exhausted += 1
+            break
+    else:
+        diag.newton_cap_hits += 1
     return np.clip(p, 0.0, prob.pmax)
 
 
@@ -402,26 +398,22 @@ _DINKELBACH_MAX_ITER = 50
 _STALL_ROUNDS = 3        # non-increasing ratio updates that end the rounds
 
 
-def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, diag: SolveDiagnostics,
-                start: np.ndarray | None = None):
+def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, diag: SolveDiagnostics):
     """Maximize the fractional surrogate anchored at `anchor`.
 
-    Returns (p, pi_star, pi_trace); pi is the surrogate ratio and is
-    nondecreasing along the iterations.
+    The first parametric solve starts at the anchor. Returns (p, pi_star,
+    pi_trace); pi is the surrogate ratio and is nondecreasing along the
+    iterations.
     """
     sur = prob.surrogate(anchor)
     pi = max(sur.ratio(anchor), 0.0)
     pi_trace = [pi]
-    p = start if start is not None else anchor
-    is_warm = start is not None
-    best_p = anchor
+    p = anchor
     stall = 0
     for _ in range(_DINKELBACH_MAX_ITER):
-        p = _solve_parametric(sur, pi, p, diag, warm=is_warm)
-        is_warm = True
+        p = _solve_parametric(sur, pi, p, diag)
         num, den = sur.fraction(p)
         f_val = num - pi * den
-        best_p = p
         if abs(f_val) <= _DINKELBACH_TOL * max(prob.cr, abs(num)):
             break
         pi_new = num / den
@@ -437,7 +429,7 @@ def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, diag: SolveDiagnostics
         diag.hit_iteration_cap = True
     diag.dinkelbach_iterations.append(len(pi_trace))
     diag.pi_traces.append(pi_trace)
-    return best_p, pi, pi_trace
+    return p, pi, pi_trace
 
 
 def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
@@ -466,19 +458,18 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
     p_red = prob.reduce(p_start)
     ee_prev = prob.ee(p_red)
     diag.ee_trace.append(ee_prev)
-    best_p, best_ee = p_red, ee_prev
-    warm = None
     try:
         for n in range(1, settings.slm_max_iter + 1):
             diag.slm_iterations = n
-            p_red, _, _ = _dinkelbach(prob, p_red, diag, start=warm)
-            warm = p_red
-            ee = prob.ee(p_red)
+            p_new, _, _ = _dinkelbach(prob, p_red, diag)
+            ee = prob.ee(p_new)
             diag.ee_trace.append(ee)
-            if ee > best_ee:
-                best_ee, best_p = ee, p_red
+            if not ee > ee_prev:
+                # the surrogate is tight at the anchor, so only the inner
+                # solve's tolerance can lose EE: no ascent left, keep p_red
+                break
             improvement = (ee - ee_prev) / ee_prev if ee_prev > 0 else np.inf
-            ee_prev = ee
+            p_red, ee_prev = p_new, ee
             if improvement <= settings.slm_tol:
                 break
         else:
@@ -488,7 +479,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
         # the feasible start is already the solution
         diag.interior_infeasible = True
 
-    return prob.solution(prob.expand(best_p), True, diag)
+    return prob.solution(prob.expand(p_red), True, diag)
 
 
 # ---------------------------------------------------------------------------

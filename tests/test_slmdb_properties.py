@@ -1,0 +1,77 @@
+"""Properties of `slmdb` on small generated instances.
+
+Instances span M 1-4, K 1-3, N 1-4, L <= M, shadowing 0-8 dB, and rate targets
+from none up to ones no association can meet. A feasible result must improve
+on its start, keep its EE trace nondecreasing, respect the power box and the
+rate targets, and come back bitwise the same on a re-run; the parametric
+solver must land on the same point from a cold start and from its own answer.
+No solve may end at the Newton step cap, with an exhausted line search, or on a
+least-squares Newton step: damped Newton at the one barrier weight must reach
+the center from any interior start.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from greenran import Association, build_affine_form, link_coefficients, slmdb
+from greenran.powerctl import (QOS_RATE_RTOL, ReducedProblem, SolveDiagnostics,
+                               _solve_parametric)
+from conftest import make_context
+
+
+@st.composite
+def instances(draw):
+    M = draw(st.integers(1, 4))
+    K = draw(st.integers(1, 3))
+    L = draw(st.integers(1, M))
+    ctx = make_context(
+        M=M, K=K, N=draw(st.integers(1, 4)), L=L,
+        area=draw(st.floats(150.0, 600.0)), seed=draw(st.integers(0, 2**16)),
+        r_min=draw(st.one_of(st.just(0.0), st.floats(1e5, 5e8))),
+        shadowing=draw(st.floats(0.0, 8.0)))
+    S = np.zeros((M, K), dtype=bool)
+    for k in range(K):
+        S[sorted(draw(st.sets(st.integers(0, M - 1), min_size=1, max_size=L))), k] = True
+    return ctx, Association(S=S)
+
+
+def solve(ctx, assoc):
+    form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+    return slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings), form
+
+
+def assert_clean(diag):
+    assert (diag.newton_cap_hits, diag.line_search_exhausted, diag.lstsq_fallbacks) == (0, 0, 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances())
+def test_feasible_slmdb_properties(instance):
+    ctx, assoc = instance
+    sol, form = solve(ctx, assoc)
+    if not sol.feasible:
+        return
+    diag = sol.diagnostics
+    assert_clean(diag)
+    trace = np.asarray(diag.ee_trace)
+    assert sol.ee >= trace[0]
+    assert (np.diff(trace) >= -1e-9 * trace[:-1]).all()
+    pmax = ctx.qos.p_max_w
+    assert (sol.p >= 0).all() and (sol.p <= pmax).all()
+    assert (sol.rates >= ctx.qos.r_min_bps * (1 - QOS_RATE_RTOL)).all()
+
+    again, _ = solve(ctx, assoc)
+    assert np.array_equal(again.p, sol.p) and np.array_equal(again.rates, sol.rates)
+    assert again.ee == sol.ee and again.diagnostics == diag
+
+    if diag.interior_infeasible:
+        return
+    prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos)
+    sur = prob.surrogate(prob.reduce(sol.p))
+    pi = max(sur.ratio(sur.anchor), 0.0)
+    cold_diag, warm_diag = SolveDiagnostics(), SolveDiagnostics()
+    cold = _solve_parametric(sur, pi, None, cold_diag)
+    warm = _solve_parametric(sur, pi, cold, warm_diag)
+    assert_clean(cold_diag)
+    assert_clean(warm_diag)
+    assert np.abs(warm - cold).max(initial=0.0) <= 1e-6 * pmax

@@ -284,7 +284,7 @@ def _dispatch(algorithm: str, ctx: EvaluationContext) -> tuple[SolutionReport, E
 def _record(config: RunConfig, report: SolutionReport, ctx: EvaluationContext,
             algorithm: str, drop_index: int, drop_seed: int,
             sweep_value: float, wall_ms: float) -> ResultRecord:
-    form = ctx.form_for(report.matching)
+    form = ctx.form_for(report.matching.S, report.matching.active_count)
     breakdown = network_power(report.power.p, report.power.rates,
                               report.matching, form)
     sum_rate = float(np.sum(report.power.rates))

@@ -17,6 +17,11 @@ matching space.
 Power inside the scan comes from one of the controllers (slmdb, fipc, qopc,
 eipc); any heuristic mode gets a final slmdb refinement once the matching has
 converged.
+
+An evaluation is a pure function of S, so the scan looks ahead: when a pair's
+scan starts, and after each approval, `evaluate` scores the candidates of the
+pair's remaining moves in one stacked call, bitwise as if one by one, before the
+judge takes them in order. slmdb, which gains nothing from stacking, does not.
 """
 
 from dataclasses import dataclass, field
@@ -29,11 +34,12 @@ from .powerctl import (QOS_RATE_RTOL, PowerSolution, QosSpec, SolveDiagnostics,
                        SolverSettings, eipc, fipc, qopc_solve, slmdb_solve)
 from .powermodel import (AffinePowerForm, BsPowerConfig, SystemPowerParams,
                          build_affine_form)
-from .rates import Association, link_coefficients, rates_from_coeffs
+from .rates import Association, LinkCoefficients, link_coefficients, rates_from_coeffs
 from .statistics import CoefficientTensor
 
 POWER_MODES = ("slmdb", "fipc", "qopc", "eipc")
 _MAX_SWEEPS = 200        # swap sweeps before the scan gives up unconverged
+_NO_SOLVE = SolveDiagnostics()    # shared by the cached closed-form results; never written
 
 
 @dataclass
@@ -49,6 +55,7 @@ class EvaluationContext:
     settings: SolverSettings
     no_sleep: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
+    _ahead: dict = field(default_factory=dict, repr=False)    # per mode, see evaluate
     _forms: dict = field(default_factory=dict, repr=False)
 
     def clone(self, **overrides) -> "EvaluationContext":
@@ -58,16 +65,16 @@ class EvaluationContext:
         kw.update(overrides)
         return EvaluationContext(**kw)
 
-    def form_for(self, assoc: Association) -> AffinePowerForm:
-        n_active = self.scenario.M if self.no_sleep else assoc.active_count
+    def form_for(self, S: np.ndarray, active_count: int) -> AffinePowerForm:
+        n_active = self.scenario.M if self.no_sleep else active_count
         if n_active not in self._forms:
             self._forms[n_active] = build_affine_form(
-                assoc, self.bs_config, self.system, M=self.scenario.M,
+                Association(S=S), self.bs_config, self.system, M=self.scenario.M,
                 n_active=n_active)
         return self._forms[n_active]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     ee: float
     qos_ok: bool
@@ -154,45 +161,69 @@ def tsap_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> Association:
 # Evaluation with caching
 # ---------------------------------------------------------------------------
 
-def evaluate(matching: Association, power_mode: str, ctx: EvaluationContext) -> EvalResult:
-    """Score a matching: run the selected controller, compute rates and EE."""
+def evaluate(matchings, power_mode: str, ctx: EvaluationContext):
+    """Score a matching: run the selected controller, compute rates and EE.
+
+    A matching is an Association or its serving matrix S. A list of them (the
+    swap scan's lookahead) gives a list of results, with every cache miss among
+    them scored in one stacked call. Those results wait outside the cache until
+    their matching is asked for alone, and the next list drops the rest, so the
+    cache, and evaluation_count, hold only the matchings asked for alone.
+    """
     if power_mode not in POWER_MODES:
         raise ConfigError(f"unknown power mode {power_mode!r}")
-    key = matching.S.tobytes()
     mode_cache = ctx._cache.setdefault(power_mode, {})
-    hit = mode_cache.get(key)
-    if hit is not None:
-        return hit
+    if isinstance(matchings, list):
+        stack = [getattr(m, "S", m) for m in matchings]
+        keys = [S.tobytes() for S in stack]
+        misses = {key: S for key, S in zip(keys, stack) if key not in mode_cache}
+        ctx._ahead[power_mode] = ahead = dict(zip(misses, _score(
+            np.array([*misses.values()]), power_mode, ctx) if misses else []))
+        return [mode_cache.get(key) or ahead[key] for key in keys]
+    S = getattr(matchings, "S", matchings)
+    key = S.tobytes()
+    if key not in mode_cache:
+        held = ctx._ahead.get(power_mode, {}).pop(key, None)
+        mode_cache[key] = held or _score(S[None], power_mode, ctx)[0]
+    return mode_cache[key]
 
-    lc = link_coefficients(matching, ctx.tensor)
-    form = ctx.form_for(matching)
+
+def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext) -> list:
+    """EvalResults of the serving matrices stacked (B, M, K), one per member."""
+    qos = ctx.qos
+    lc = link_coefficients(S, ctx.tensor)
+    active = S.any(axis=2).sum(axis=1)
+    forms = [ctx.form_for(s, n) for s, n in zip(S, active.tolist())]
     if power_mode == "slmdb":
-        sol = slmdb_solve(lc, ctx.frame, form, ctx.qos, ctx.settings)
-        rates = sol.rates
+        sols = [slmdb_solve(LinkCoefficients(*coeffs), ctx.frame, form, qos, ctx.settings)
+                for *coeffs, form in zip(lc.ds2, lc.interf, lc.ns, forms)]
+        rates = np.array([sol.rates for sol in sols])
     else:
         verdict = None
         if power_mode == "fipc":
-            p = fipc(ctx.scenario.K, ctx.qos)
+            p = np.broadcast_to(fipc(ctx.scenario.K, qos), lc.ns.shape)
         elif power_mode == "eipc":
-            p = eipc(matching, ctx.corr, ctx.qos)
+            p = eipc(S, ctx.corr, qos)
         else:
-            p, verdict = qopc_solve(lc, ctx.frame, ctx.qos)
+            p, verdict = qopc_solve(lc, ctx.frame, qos)
         rates = rates_from_coeffs(p, lc, ctx.frame)
+        ee = np.sum(rates, axis=1)
+        for n in set(active.tolist()):    # one power form per active count
+            rows = np.flatnonzero(active == n)
+            ee[rows] /= forms[rows[0]].total(p[rows], rates[rows])
 
-    slack = QOS_RATE_RTOL * ctx.qos.r_min_bps
-    deficit = np.maximum(0.0, ctx.qos.r_min_bps - rates - slack)
-    shortfall = float(np.sum(deficit))
-    qos_ok = shortfall == 0.0
+    slack = QOS_RATE_RTOL * qos.r_min_bps
+    shortfall = np.sum(np.maximum(0.0, qos.r_min_bps - rates - slack), axis=1).tolist()
     if power_mode == "slmdb":
-        qos_ok = qos_ok and sol.feasible
-    else:
-        # feasible is the QoPC LP's own verdict, else the rate check
-        sol = PowerSolution(p=p, ee=float(np.sum(rates)) / form.total(p, rates),
-                            rates=rates, feasible=qos_ok if verdict is None else verdict,
-                            diagnostics=SolveDiagnostics())
-    result = EvalResult(ee=sol.ee, qos_ok=qos_ok, shortfall_bps=shortfall, power=sol)
-    mode_cache[key] = result
-    return result
+        return [EvalResult(ee=sol.ee, qos_ok=short == 0.0 and sol.feasible,
+                           shortfall_bps=short, power=sol)
+                for sol, short in zip(sols, shortfall)]
+    # feasible is the QoPC LP's own verdict, else the rate check; rows are copied
+    # so that a cached result does not keep the stack alive
+    return [EvalResult(ee=e, qos_ok=short == 0.0, shortfall_bps=short, power=PowerSolution(
+                p=p[b].copy(), ee=e, rates=rates[b].copy(), diagnostics=_NO_SOLVE,
+                feasible=short == 0.0 if verdict is None else bool(verdict[b])))
+            for b, (e, short) in enumerate(zip(ee.tolist(), shortfall))]
 
 
 def _eval_count(ctx: EvaluationContext, power_mode: str) -> int:
@@ -203,15 +234,14 @@ def _eval_count(ctx: EvaluationContext, power_mode: str) -> int:
 # Moves
 # ---------------------------------------------------------------------------
 
-def apply_move(matching: Association, move: tuple, ctx: EvaluationContext):
-    """Association after the move (i, m, n, j), or None when it does not apply.
+def _moved(S: np.ndarray, move: tuple, ctx: EvaluationContext) -> np.ndarray | None:
+    """Serving matrix after the move (i, m, n, j), or None when it does not apply.
 
     The vacated slots must be held and the entered slots free. A move without
     j that enters n must leave UE i within L and BS n within N; an exchange
     keeps every count. No move may put a serving BS to sleep under no_sleep.
     """
     i, m, n, j = move
-    S = matching.S
     leave = [] if m is None else [(m, i)]
     enter = [] if n is None else [(n, i)]
     if j is not None:
@@ -224,12 +254,18 @@ def apply_move(matching: Association, move: tuple, ctx: EvaluationContext):
         new[c] = False
     for c in enter:
         new[c] = True
-    if j is None and n is not None and (new[:, i].sum() > ctx.scenario.L
-                                        or new[n].sum() > ctx.scenario.N):
+    if j is None and n is not None and (np.count_nonzero(new[:, i]) > ctx.scenario.L
+                                        or np.count_nonzero(new[n]) > ctx.scenario.N):
         return None
-    if ctx.no_sleep and matching.A[~new.any(axis=1)].any():
+    if ctx.no_sleep and S.any(axis=1)[~new.any(axis=1)].any():
         return None    # move would put a serving BS to sleep
-    return Association(S=new)
+    return new
+
+
+def apply_move(matching: Association, move: tuple, ctx: EvaluationContext):
+    """Association after the move (see `_moved`), or None when it does not apply."""
+    new = _moved(matching.S, move, ctx)
+    return None if new is None else Association(S=new)
 
 
 def _pair_moves(S: np.ndarray, i: int, j: int | None):
@@ -265,13 +301,13 @@ def is_swap_blocking(matching: Association, move: tuple, power_mode: str,
     increases (the shared-preference reading of a blocking pair).
     """
     before = evaluate(matching, power_mode, ctx)
-    swapped = apply_move(matching, move, ctx)
+    swapped = _moved(matching.S, move, ctx)
     if swapped is None:
         return PreferenceOutcome(approved=False)
     after = evaluate(swapped, power_mode, ctx)
     if (after.shortfall_bps < before.shortfall_bps
             or (after.shortfall_bps == before.shortfall_bps and after.ee > before.ee)):
-        return PreferenceOutcome(approved=True, matching=swapped)
+        return PreferenceOutcome(approved=True, matching=Association(S=swapped))
     return PreferenceOutcome(approved=False)
 
 
@@ -302,7 +338,11 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb") -> SolutionReport:
     for _ in range(_MAX_SWEEPS):
         approved_any = False
         for i, j in _pair_order(ctx.scenario.K):
-            for move in _pair_moves(matching.S, i, j):
+            moves = list(_pair_moves(matching.S, i, j))
+            for t, move in enumerate(moves):
+                if power_mode != "slmdb" and (t == 0 or outcome.approved):
+                    ahead = (_moved(matching.S, later, ctx) for later in moves[t:])
+                    evaluate([S for S in ahead if S is not None], power_mode, ctx)
                 outcome = is_swap_blocking(matching, move, power_mode, ctx)
                 if outcome.approved:
                     matching = outcome.matching

@@ -100,7 +100,7 @@ class SolverSettings:
             raise ConfigError("recp_delta_percent must lie in (0, 100]")
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveDiagnostics:
     slm_iterations: int = 0
     ee_trace: list = field(default_factory=list)    # start, then each SLM round
@@ -114,7 +114,7 @@ class SolveDiagnostics:
     interior_infeasible: bool = False    # no strict interior ended the SLM loop early
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerSolution:
     p: np.ndarray
     ee: float
@@ -126,6 +126,15 @@ class PowerSolution:
 # ---------------------------------------------------------------------------
 # Reduced problem over served UEs
 # ---------------------------------------------------------------------------
+
+def _qos_rows(Af, D, n, gamma, pmax):
+    """QoS residuals r = W P + c (<= 0: target met) and scales, (W, c, rscale)."""
+    diag = np.arange(len(gamma))
+    W = gamma[:, None] * Af
+    W[..., diag, diag] -= (1.0 + gamma) * D
+    c = gamma * n
+    return W, c, np.maximum(np.abs(c) + np.abs(W) @ np.full(len(gamma), pmax), 1e-300)
+
 
 class ReducedProblem:
     """Fixed-association power problem restricted to UEs with a serving set.
@@ -140,26 +149,23 @@ class ReducedProblem:
         self.form = form
         self.qos = qos
         self.K = len(lc.ns)
-        self.served = lc.served.copy()
+        self.served = lc.served
         s = np.flatnonzero(self.served)
         self.idx = s
         self.cr = frame.rate_scale
         self.pmax = qos.p_max_w
 
-        self.Af = lc.interf[np.ix_(s, s)].copy()
-        self.D = lc.ds2[s].copy()
+        self.Af = lc.interf[np.ix_(s, s)]    # indexing copies every array here
+        self.D = lc.ds2[s]
         self.Ag = self.Af - np.diag(self.D)
         self.n = frame.noise_power_w * lc.ns[s]
-        self.gamma = qos.gamma[s].copy()
+        self.gamma = qos.gamma[s]
         if form is not None:
-            self.alpha = form.alpha_per_k[s].copy()
-            self.delta = form.delta_per_k[s].copy()
+            self.alpha = form.alpha_per_k[s]
+            self.delta = form.delta_per_k[s]
 
-        # affine QoS residuals r = W P + c  (<= 0 means the rate target is met)
-        self.W = self.gamma[:, None] * self.Af - np.diag((1.0 + self.gamma) * self.D)
-        self.c = self.gamma * self.n
-        self.rscale = np.abs(self.c) + np.abs(self.W) @ np.full(len(s), self.pmax)
-        self.rscale = np.maximum(self.rscale, 1e-300)
+        self.W, self.c, self.rscale = _qos_rows(self.Af, self.D, self.n, self.gamma,
+                                                self.pmax)
         self.qrows = np.flatnonzero(self.gamma > 0)   # gamma = 0 rows are implied by P >= 0
 
         # UEs with a rate target but no serving set make the problem infeasible
@@ -491,8 +497,9 @@ def fipc(K: int, qos: QosSpec) -> np.ndarray:
     return np.full(K, qos.p_max_w)
 
 
-def _balanced_point(prob: ReducedProblem) -> tuple[np.ndarray, float] | None:
-    """Closed-form optimum (P, s) of the min-max LP, or None without a certificate.
+def _balanced_point(W, c, rscale, pmax):
+    """Closed-form optima (P, s) of min-max LPs stacked (B, k, k), and the mask
+    of members whose certificate holds; the other members' rows are undefined.
 
     With the QoS rows tight, W P + c = s rscale gives P = a - s b for
     a = (-W)^-1 c and b = (-W)^-1 rscale; the smallest s that fits the cap is
@@ -503,28 +510,33 @@ def _balanced_point(prob: ReducedProblem) -> tuple[np.ndarray, float] | None:
     to every other UE (W[j*, i] > 0): any other optimal P >= P* with
     P_j* = pmax would break row j*.
     """
-    W = prob.W
-    dW = np.diag(W)
-    if (dW >= 0).any() or ((W - np.diag(dW)) < 0).any():
-        return None
+    B, k = c.shape
+    eye = np.eye(k, dtype=bool)
+    ok = ~((W < 0) != eye).any(axis=(1, 2))
+    neg = -W if ok.all() else np.where(ok[:, None, None], -W, eye)    # uncertified: I
     try:
-        inv = np.linalg.inv(-W)
-    except np.linalg.LinAlgError:
-        return None
-    if (inv < 0).any():
-        return None
-    a = inv @ prob.c
-    b = inv @ prob.rscale
-    ratios = (a - prob.pmax) / b
-    j = int(np.argmax(ratios))
-    s = float(ratios[j])
-    p = a - s * b
-    if (p < 0).any() or (len(W) > 1 and (np.delete(W[j], j) <= 0).any()):
-        return None
-    return p, s
+        inv = np.linalg.inv(neg)
+    except np.linalg.LinAlgError:    # one singular member fails the whole stack
+        inv = np.zeros_like(neg)
+        for t in range(B):
+            try:
+                inv[t] = np.linalg.inv(neg[t])
+            except np.linalg.LinAlgError:
+                ok[t] = False
+    ok &= ~(inv < 0).any(axis=(1, 2))
+    a = (inv @ c[..., None])[..., 0]
+    b = (inv @ rscale[..., None])[..., 0]
+    b[~ok] = 1.0    # keeps the uncertified members' ratios finite
+    ratios = (a - pmax) / b
+    j = ratios.argmax(axis=1)
+    rows = np.arange(B)
+    s = ratios[rows, j]
+    p = a - s[:, None] * b
+    ok &= ~(p < 0).any(axis=1) & ((W[rows, j] <= 0).sum(axis=1) == 1)    # only W[j*, j*] <= 0
+    return p, s, ok
 
 
-def _least_power_point(prob: ReducedProblem) -> tuple[np.ndarray, float]:
+def _least_power_point(W, c, r, pmax) -> tuple[np.ndarray, float]:
     """Least element (P, s) of the min-max LP's optimal face, by a homotopy in s.
 
     Off-diagonal W >= 0 makes {0 <= P <= pmax : W P + c <= s rscale} closed under
@@ -535,7 +547,6 @@ def _least_power_point(prob: ReducedProblem) -> tuple[np.ndarray, float]:
     free UE reaches pmax, or where no P >= 0 fits below s: the grown -W_AA is not
     a nonsingular M-matrix (b not > 0), which covers a tight row with W_jj >= 0.
     """
-    W, c, r, pmax = prob.W, prob.c, prob.rscale, prob.pmax
     free = np.zeros(len(c), dtype=bool)
     a = b = np.zeros(0)
     s = np.inf
@@ -574,39 +585,61 @@ def _qopc_on_problem(prob: ReducedProblem) -> tuple[np.ndarray, bool, float]:
         return prob._qopc
     if len(prob.idx) == 0:
         return np.zeros(0), not prob.structurally_infeasible, -np.inf
-    p, s_norm = _balanced_point(prob) or _least_power_point(prob)
+    W, c, r = prob.W, prob.c, prob.rscale
+    p, s, ok = _balanced_point(W[None], c[None], r[None], prob.pmax)
+    p, s_norm = (p[0], float(s[0])) if ok[0] else _least_power_point(W, c, r, prob.pmax)
     feasible = s_norm <= _FEAS_TOL and not prob.structurally_infeasible
     prob._qopc = (np.clip(p, 0.0, prob.pmax), feasible, s_norm)
     return prob._qopc
 
 
-def qopc_solve(lc: LinkCoefficients, frame: FrameConfig,
-               qos: QosSpec) -> tuple[np.ndarray, bool]:
+def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec):
     """Min-max QoS residual LP; feasible iff the optimum is (numerically) <= 0.
 
     Unserved UEs get zero power; a positive rate target on an unserved UE makes
-    the verdict infeasible regardless of the LP outcome.
+    the verdict infeasible regardless of the LP outcome. Stacked coefficients give
+    stacked results, with one closed form per served set and the uncertified
+    members solved one by one.
     """
-    prob = ReducedProblem(lc, frame, None, qos)
-    p_red, feasible, _ = _qopc_on_problem(prob)
-    return prob.expand(p_red), feasible
+    one = lc.ns.ndim == 1
+    ds2, interf, ns = (x[None] if one else x for x in (lc.ds2, lc.interf, lc.ns))
+    p, feasible = np.zeros(ns.shape), np.zeros(len(ns), dtype=bool)
+    served = ns > 0
+    groups = {}
+    for b, row in enumerate(served):
+        groups.setdefault(row.tobytes(), []).append(b)
+    for rows in groups.values():
+        s = np.flatnonzero(served[rows[0]])
+        blocked = bool((qos.r_min_bps[~served[rows[0]]] > 0).any())
+        if len(s) == 0:
+            feasible[rows] = not blocked
+            continue
+        W, c, rscale = _qos_rows(interf[np.ix_(rows, s, s)], ds2[np.ix_(rows, s)],
+                                 frame.noise_power_w * ns[np.ix_(rows, s)],
+                                 qos.gamma[s], qos.p_max_w)
+        p_red, s_norm, ok = _balanced_point(W, c, rscale, qos.p_max_w)
+        for t in np.flatnonzero(~ok):
+            p_red[t], s_norm[t] = _least_power_point(W[t], c[t], rscale[t], qos.p_max_w)
+        feasible[rows] = (s_norm <= _FEAS_TOL) & (not blocked)
+        p[np.ix_(rows, s)] = np.clip(p_red, 0.0, qos.p_max_w)
+    return (p[0], bool(feasible[0])) if one else (p, feasible)
 
 
-def eipc(assoc: Association, corr, qos: QosSpec) -> np.ndarray:
+def eipc(assoc, corr, qos: QosSpec) -> np.ndarray:
     """Statistical channel inversion.
 
     Per-UE gain vector over its serving BSs (trace of the link correlation);
     power scales with the inverse squared norm so the weakest served UE gets
-    the cap. Unserved UEs get zero.
+    the cap. Unserved UEs get zero. Serving matrices stacked (B, M, K) give (B, K).
     """
-    S = assoc.S
+    S = getattr(assoc, "S", assoc)
     n_ant = corr.R.shape[-1]
     gains = np.where(S, n_ant * corr.beta, 0.0)
-    g2 = np.sum(gains**2, axis=0)
+    g2 = np.sum(gains**2, axis=-2)
     served = g2 > 0
-    p = np.zeros(S.shape[1])
-    if served.any():
-        p[served] = np.min(g2[served]) / g2[served] * qos.p_max_w
+    weakest = np.min(g2, axis=-1, keepdims=True, where=served, initial=np.inf)
+    p = np.zeros(g2.shape)
+    p[served] = np.broadcast_to(weakest, g2.shape)[served] / g2[served] * qos.p_max_w
     return p
 
 

@@ -111,10 +111,13 @@ class AffinePowerForm:
     # per-category (constant, per-rate-unit, per-watt) triples for the breakdown
     parts: dict = field(default_factory=dict, repr=False)
 
-    def total(self, P: np.ndarray, rates: np.ndarray) -> float:
-        return float(self.c0_w
-                     + self.alpha_per_k @ (np.asarray(rates) / self.r_ref_bps)
-                     + self.delta_per_k @ np.asarray(P))
+    def total(self, P: np.ndarray, rates: np.ndarray):
+        """P_N in watts, one per row of P and rates stacked (B, K); a row times a
+        column is one dot product, as alpha @ x is."""
+        x = np.asarray(rates)[..., None, :] / self.r_ref_bps
+        total = (self.c0_w + x @ self.alpha_per_k[:, None]
+                 + np.asarray(P)[..., None, :] @ self.delta_per_k[:, None])[..., 0, 0]
+        return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)

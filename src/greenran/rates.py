@@ -59,16 +59,20 @@ class LinkCoefficients:
         return self.ns > 0
 
 
-def link_coefficients(assoc: Association, tensor: CoefficientTensor) -> LinkCoefficients:
-    S = assoc.S.astype(float)
-    mu, omega = tensor.rows(assoc.A)    # rows of idle BSs may still be 0; they meet S = 0
-    mu_eff = np.einsum("mk,mk->k", S, mu)
-    sum_mu2 = np.einsum("mk,mk->k", S, mu**2)
-    interf = np.einsum("mk,mkj->kj", S, omega)
+def link_coefficients(assoc, tensor: CoefficientTensor) -> LinkCoefficients:
+    """Coefficients of an Association, or stacked over serving matrices (..., M, K)."""
+    S = np.asarray(getattr(assoc, "S", assoc))
+    Sf = S.astype(float)
+    # rows of BSs that no matching uses may still be 0; they meet S = 0
+    mu, omega = tensor.rows(S.reshape(-1, *S.shape[-2:]).any(axis=(0, 2)))
+    mu_eff = np.einsum("...mk,mk->...k", Sf, mu)
+    sum_mu2 = np.einsum("...mk,mk->...k", Sf, mu**2)
+    interf = np.einsum("...mk,mkj->...kj", Sf, omega)
     ds2 = mu_eff**2
     # own-signal cross terms over distinct serving BSs: (sum mu)^2 - sum mu^2
-    interf[np.arange(len(mu_eff)), np.arange(len(mu_eff))] += ds2 - sum_mu2
-    ns = np.einsum("mk,mk->k", S, tensor.noise_coeff)
+    diag = np.arange(S.shape[-1])
+    interf[..., diag, diag] += ds2 - sum_mu2
+    ns = np.einsum("...mk,mk->...k", Sf, tensor.noise_coeff)
     return LinkCoefficients(ds2=ds2, interf=interf, ns=ns)
 
 
@@ -82,7 +86,7 @@ def sinr(P: np.ndarray, assoc: Association, tensor: CoefficientTensor,
 
 def sinr_from_coeffs(P: np.ndarray, lc: LinkCoefficients, noise_power_w: float) -> np.ndarray:
     signal = P * lc.ds2
-    denom = lc.interf @ P - signal + noise_power_w * lc.ns
+    denom = (lc.interf @ P[..., None])[..., 0] - signal + noise_power_w * lc.ns
     out = np.zeros_like(signal)
     ok = denom > 0
     out[ok] = signal[ok] / denom[ok]

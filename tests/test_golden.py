@@ -5,6 +5,7 @@ The files under tests/data were produced from the same configs with
     greenran run --config configs/desk.json --out tests/data/desk.csv
     greenran run --config configs/modes.json --out tests/data/modes.csv
     greenran run --config configs/sparse.json --out tests/data/sparse.csv
+    greenran run --config configs/scan.json --out tests/data/scan.csv
     greenran sweep --config configs/sweep.json --out tests/data/sweep.csv \
         --aggregates-out tests/data/sweep_aggregates.csv
 
@@ -85,6 +86,14 @@ def test_sparse_records_match_golden(tmp_path):
     assert main(["run", "--config", str(ROOT / "configs" / "sparse.json"),
                  "--out", str(out)]) == 0
     assert_records_match(DATA / "sparse.csv", out)
+
+
+def test_scan_records_match_golden(tmp_path):
+    # M=22, K=4: each pair of the swap scan holds dozens of QoPC and EIPC moves
+    out = tmp_path / "scan.csv"
+    assert main(["run", "--config", str(ROOT / "configs" / "scan.json"),
+                 "--out", str(out)]) == 0
+    assert_records_match(DATA / "scan.csv", out)
 
 
 def test_sweep_records_and_aggregates_match_golden(tmp_path, capsys):

@@ -240,23 +240,52 @@ class TestTrimsm:
             assert not verify_stability(init, "eipc", ctx)
 
     def test_approval_commits_the_evaluated_matching(self, monkeypatch):
-        # one apply_move per scanned move: an approval reuses the candidate
-        calls = {"apply": 0, "scan": 0}
-        apply, scan = matching_module.apply_move, matching_module.is_swap_blocking
+        # the judge applies each scanned move once and an approval commits the
+        # serving matrix it judged: the scan builds an Association only for the
+        # init, an approval or a new power form, never per scanned move
+        built, applied, approvals = [], [], []
+        moved, scan = matching_module._moved, matching_module.is_swap_blocking
 
-        def counted_apply(*args):
-            calls["apply"] += 1
-            return apply(*args)
+        class CountedAssociation(Association):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        def counted_moved(*args):
+            out = moved(*args)
+            if applied:
+                applied[-1].append(out)
+            return out
 
         def counted_scan(*args):
-            calls["scan"] += 1
-            return scan(*args)
+            applied.append([])
+            outcome = scan(*args)
+            judged = applied.pop()
+            assert len(judged) == 1
+            if outcome.approved:
+                assert outcome.matching.S is judged[0]
+            approvals.append(outcome.approved)
+            return outcome
 
-        monkeypatch.setattr(matching_module, "apply_move", counted_apply)
+        monkeypatch.setattr(matching_module, "Association", CountedAssociation)
+        monkeypatch.setattr(matching_module, "_moved", counted_moved)
         monkeypatch.setattr(matching_module, "is_swap_blocking", counted_scan)
-        rep = trimsm(make_context(M=4, K=3, N=2, L=2, seed=77), "eipc")
-        assert rep.swap_count > 0
-        assert calls["apply"] == calls["scan"]
+        ctx = make_context(M=4, K=3, N=2, L=2, seed=77)
+        rep = trimsm(ctx, "eipc")
+        assert rep.swap_count == sum(approvals) > 0
+        assert len(built) == 1 + rep.swap_count + len(ctx._forms) < len(approvals)
+
+    @pytest.mark.parametrize("mode, count", [("fipc", 91), ("qopc", 82), ("eipc", 83),
+                                             ("slmdb", 106)])
+    def test_evaluation_count_is_matchings_judged(self, mode, count, monkeypatch):
+        # the lookahead scores matchings that no judge asks about once an
+        # earlier move is approved; the count is of the judged ones alone
+        scored, score = [], matching_module._score
+        monkeypatch.setattr(matching_module, "_score",
+                            lambda S, *args: scored.append(len(S)) or score(S, *args))
+        rep = trimsm(make_context(M=6, K=3, N=3, L=2, seed=13), mode)
+        assert rep.evaluation_count == count
+        assert sum(scored) > count if mode != "slmdb" else sum(scored) == count
 
     def test_hybrid_final_refinement_runs_slmdb(self):
         ctx = make_context(M=3, K=2, N=2, L=2, seed=13)

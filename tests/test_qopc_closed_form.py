@@ -24,6 +24,16 @@ from conftest import make_context
 R_MIN = (0.0, 1e6, 5e6, 15e6, 40e6, 100e6, 300e6)
 
 
+def closed_form(prob):
+    """`_balanced_point` on one problem: (P, s), or None without a certificate."""
+    p, s, ok = _balanced_point(prob.W[None], prob.c[None], prob.rscale[None], prob.pmax)
+    return (p[0], float(s[0])) if ok[0] else None
+
+
+def least_power(prob):
+    return _least_power_point(prob.W, prob.c, prob.rscale, prob.pmax)
+
+
 def ref_minmax(prob):
     """(P, s) of min s s.t. (W P + c) / rscale <= s, 0 <= P <= pmax."""
     k = len(prob.idx)
@@ -86,7 +96,7 @@ def test_closed_form_matches_lp(prob):
         return
     p_ref, s_ref = ref_minmax(prob)
     assert feasible == (s_ref <= _FEAS_TOL and not prob.structurally_infeasible)
-    if _balanced_point(prob) is not None:
+    if closed_form(prob) is not None:
         assert np.abs(p - p_ref).max() <= 1e-9 * prob.pmax
         assert abs(s - s_ref) <= 1e-9
         return
@@ -112,7 +122,7 @@ def test_certificate_holds_on_reachable_targets():
     S = np.ones((4, 2), dtype=bool)
     lc = link_coefficients(Association(S=S), ctx.tensor)
     prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
-    p, s = _balanced_point(prob)
+    p, s = closed_form(prob)
     assert s < 0 and np.isclose(p.max(), prob.pmax, rtol=1e-12, atol=0.0)
     p_ref, s_ref = ref_minmax(prob)
     assert np.abs(p - p_ref).max() <= 1e-9 * prob.pmax and abs(s - s_ref) <= 1e-9
@@ -123,9 +133,9 @@ def test_uncoupled_tight_row_is_not_certified():
     # P_1 in [0.6, 1] is optimal too: the closed form must defer to the LP
     lp = SimpleNamespace(W=np.array([[-1.0, 0.0], [0.0, -1.0]]), c=np.array([0.5, 0.1]),
                          rscale=np.ones(2), pmax=1.0)
-    assert _balanced_point(lp) is None
+    assert closed_form(lp) is None
     lp.W[0, 1] = 0.01
-    p, s = _balanced_point(lp)
+    p, s = closed_form(lp)
     assert np.allclose(p, [1.0, 0.6], rtol=0, atol=1e-2) and s < 0
 
 
@@ -133,7 +143,7 @@ def test_uncoupled_rows_give_the_least_point():
     # s falls from 0.5: row 0 turns tight first, row 1 at s = 0.1, and UE 0
     # reaches the cap at s* = -0.5, where P_1 = 0.6 is the least optimal power
     lp = SimpleNamespace(W=-np.eye(2), c=np.array([0.5, 0.1]), rscale=np.ones(2), pmax=1.0)
-    p, s = _least_power_point(lp)
+    p, s = least_power(lp)
     assert np.array_equal(p, [1.0, 0.6]) and s == -0.5
 
 
@@ -143,8 +153,8 @@ def test_non_m_matrix_stops_the_homotopy():
     # row 1, so s* = 1.4 / 3 with P_1 = 0
     lp = SimpleNamespace(W=np.array([[-1.0, 2.0], [2.0, -1.0]]), c=np.array([0.5, 0.4]),
                          rscale=np.ones(2), pmax=1.0, idx=np.arange(2))
-    assert _balanced_point(lp) is None
-    p, s = _least_power_point(lp)
+    assert closed_form(lp) is None
+    p, s = least_power(lp)
     assert s == pytest.approx(1.4 / 3, rel=1e-15)
     assert np.allclose(p, [0.5 - 1.4 / 3, 0.0], rtol=0, atol=1e-15)
     assert s - dual_value(lp, p) <= 1e-15
@@ -157,5 +167,5 @@ def test_zero_row_stops_at_its_level():
     # has an all-zero row: it turns tight at s = 0, where -W_AA is singular
     lp = SimpleNamespace(W=np.array([[-1.0, 0.0], [0.0, 0.0]]), c=np.array([0.5, 0.0]),
                          rscale=np.array([1.0, 1e-300]), pmax=1.0)
-    p, s = _least_power_point(lp)
+    p, s = least_power(lp)
     assert s == 0.0 and np.array_equal(p, [0.5, 0.0])

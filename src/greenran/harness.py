@@ -274,7 +274,7 @@ def _dispatch(algorithm: str, ctx: EvaluationContext) -> tuple[SolutionReport, E
         assoc = tsap_assoc(ctx.corr, ctx.scenario)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    ev = evaluate(assoc, "slmdb", ctx)
+    ev = evaluate(assoc.S, "slmdb", ctx)
     report = SolutionReport(matching=assoc, power=ev.power, ee=ev.ee, swap_count=0,
                             evaluation_count=1, stable=False,
                             infeasible=not ev.qos_ok)
@@ -284,7 +284,7 @@ def _dispatch(algorithm: str, ctx: EvaluationContext) -> tuple[SolutionReport, E
 def _record(config: RunConfig, report: SolutionReport, ctx: EvaluationContext,
             algorithm: str, drop_index: int, drop_seed: int,
             sweep_value: float, wall_ms: float) -> ResultRecord:
-    form = ctx.form_for(report.matching.S, report.matching.active_count)
+    form = ctx.form_for(report.matching.active_count)
     breakdown = network_power(report.power.p, report.power.rates,
                               report.matching, form)
     sum_rate = float(np.sum(report.power.rates))

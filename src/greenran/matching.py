@@ -34,7 +34,7 @@ from .powerctl import (QOS_RATE_RTOL, PowerSolution, QosSpec, SolveDiagnostics,
                        SolverSettings, eipc, fipc, qopc_solve, slmdb_solve)
 from .powermodel import (AffinePowerForm, BsPowerConfig, SystemPowerParams,
                          build_affine_form)
-from .rates import Association, LinkCoefficients, link_coefficients, rates_from_coeffs
+from .rates import Association, link_coefficients, rates_from_coeffs
 from .statistics import CoefficientTensor
 
 POWER_MODES = ("slmdb", "fipc", "qopc", "eipc")
@@ -65,12 +65,12 @@ class EvaluationContext:
         kw.update(overrides)
         return EvaluationContext(**kw)
 
-    def form_for(self, S: np.ndarray, active_count: int) -> AffinePowerForm:
+    def form_for(self, active_count: int) -> AffinePowerForm:
         n_active = self.scenario.M if self.no_sleep else active_count
         if n_active not in self._forms:
             self._forms[n_active] = build_affine_form(
-                Association(S=S), self.bs_config, self.system, M=self.scenario.M,
-                n_active=n_active)
+                None, self.bs_config, self.system, M=self.scenario.M,
+                n_active=n_active, K=self.scenario.K)
         return self._forms[n_active]
 
 
@@ -161,26 +161,22 @@ def tsap_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> Association:
 # Evaluation with caching
 # ---------------------------------------------------------------------------
 
-def evaluate(matchings, power_mode: str, ctx: EvaluationContext):
-    """Score a matching: run the selected controller, compute rates and EE.
-
-    A matching is an Association or its serving matrix S. A list of them (the
-    swap scan's lookahead) gives a list of results, with every cache miss among
-    them scored in one stacked call. Those results wait outside the cache until
-    their matching is asked for alone, and the next list drops the rest, so the
-    cache, and evaluation_count, hold only the matchings asked for alone.
-    """
+def evaluate(S, power_mode: str, ctx: EvaluationContext):
+    """Score the matching with serving matrix S: run the selected controller,
+    compute rates and EE. A list of serving matrices (the swap scan's lookahead)
+    gives a list of results, every cache miss among them scored in one stacked
+    call. They wait outside the cache until their matching is asked for alone,
+    and the next list drops the rest, so the cache, and evaluation_count, hold
+    only the matchings asked for alone."""
     if power_mode not in POWER_MODES:
         raise ConfigError(f"unknown power mode {power_mode!r}")
     mode_cache = ctx._cache.setdefault(power_mode, {})
-    if isinstance(matchings, list):
-        stack = [getattr(m, "S", m) for m in matchings]
-        keys = [S.tobytes() for S in stack]
-        misses = {key: S for key, S in zip(keys, stack) if key not in mode_cache}
+    if isinstance(S, list):
+        keys = [s.tobytes() for s in S]
+        misses = {key: s for key, s in zip(keys, S) if key not in mode_cache}
         ctx._ahead[power_mode] = ahead = dict(zip(misses, _score(
             np.array([*misses.values()]), power_mode, ctx) if misses else []))
         return [mode_cache.get(key) or ahead[key] for key in keys]
-    S = getattr(matchings, "S", matchings)
     key = S.tobytes()
     if key not in mode_cache:
         held = ctx._ahead.get(power_mode, {}).pop(key, None)
@@ -191,14 +187,14 @@ def evaluate(matchings, power_mode: str, ctx: EvaluationContext):
 def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext) -> list:
     """EvalResults of the serving matrices stacked (B, M, K), one per member."""
     qos = ctx.qos
-    lc = link_coefficients(S, ctx.tensor)
     active = S.any(axis=2).sum(axis=1)
-    forms = [ctx.form_for(s, n) for s, n in zip(S, active.tolist())]
-    if power_mode == "slmdb":
-        sols = [slmdb_solve(LinkCoefficients(*coeffs), ctx.frame, form, qos, ctx.settings)
-                for *coeffs, form in zip(lc.ds2, lc.interf, lc.ns, forms)]
+    forms = [ctx.form_for(n) for n in active.tolist()]
+    if power_mode == "slmdb":    # solved one by one, so nothing is stacked
+        sols = [slmdb_solve(link_coefficients(s, ctx.tensor), ctx.frame, form, qos,
+                            ctx.settings) for s, form in zip(S, forms)]
         rates = np.array([sol.rates for sol in sols])
     else:
+        lc = link_coefficients(S, ctx.tensor)
         verdict = None
         if power_mode == "fipc":
             p = np.broadcast_to(fipc(ctx.scenario.K, qos), lc.ns.shape)
@@ -300,7 +296,7 @@ def is_swap_blocking(matching: Association, move: tuple, power_mode: str,
     With QoS currently met that reduces to: QoS stays met and EE strictly
     increases (the shared-preference reading of a blocking pair).
     """
-    before = evaluate(matching, power_mode, ctx)
+    before = evaluate(matching.S, power_mode, ctx)
     swapped = _moved(matching.S, move, ctx)
     if swapped is None:
         return PreferenceOutcome(approved=False)
@@ -353,7 +349,7 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb") -> SolutionReport:
             break
 
     # a sweep that approves nothing has scanned every move from this matching
-    final = evaluate(matching, "slmdb", ctx)
+    final = evaluate(matching.S, "slmdb", ctx)
     return SolutionReport(
         matching=matching, power=final.power, ee=final.ee,
         swap_count=swap_count,
@@ -418,7 +414,7 @@ def exhaustive_search(ctx: EvaluationContext) -> SolutionReport:
         if (S.sum(axis=1) > Ncap).any():
             continue
         matching = Association(S=S, max_per_ue=L, max_per_bs=Ncap)
-        res = evaluate(matching, "slmdb", ctx)
+        res = evaluate(matching.S, "slmdb", ctx)
         rank = ((0, -res.ee, matching.active_count, S.tobytes()) if res.qos_ok
                 else (1, res.shortfall_bps, -res.ee, S.tobytes()))
         if best is None or rank < best[0]:

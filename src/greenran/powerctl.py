@@ -136,6 +136,11 @@ def _qos_rows(Af, D, n, gamma, pmax):
     return W, c, np.maximum(np.abs(c) + np.abs(W) @ np.full(len(gamma), pmax), 1e-300)
 
 
+def _unserved_target(qos: QosSpec, served: np.ndarray) -> bool:
+    """Whether a UE with a rate target has no serving set (infeasible at any P)."""
+    return bool((qos.r_min_bps[~served] > 0).any())
+
+
 class ReducedProblem:
     """Fixed-association power problem restricted to UEs with a serving set.
 
@@ -168,8 +173,7 @@ class ReducedProblem:
                                                 self.pmax)
         self.qrows = np.flatnonzero(self.gamma > 0)   # gamma = 0 rows are implied by P >= 0
 
-        # UEs with a rate target but no serving set make the problem infeasible
-        self.structurally_infeasible = bool((qos.r_min_bps[~self.served] > 0).any())
+        self.structurally_infeasible = _unserved_target(qos, self.served)
         self._qopc = None    # cached min-max LP result, see _qopc_on_problem
 
     # -- plain evaluations ---------------------------------------------------
@@ -512,7 +516,9 @@ def _balanced_point(W, c, rscale, pmax):
     """
     B, k = c.shape
     eye = np.eye(k, dtype=bool)
-    ok = ~((W < 0) != eye).any(axis=(1, 2))
+    ok = ((W < 0) == eye).all(axis=(1, 2))
+    if not ok.any():
+        return np.zeros((B, k)), np.zeros(B), ok
     neg = -W if ok.all() else np.where(ok[:, None, None], -W, eye)    # uncertified: I
     try:
         inv = np.linalg.inv(neg)
@@ -532,7 +538,7 @@ def _balanced_point(W, c, rscale, pmax):
     rows = np.arange(B)
     s = ratios[rows, j]
     p = a - s[:, None] * b
-    ok &= ~(p < 0).any(axis=1) & ((W[rows, j] <= 0).sum(axis=1) == 1)    # only W[j*, j*] <= 0
+    ok &= ~((p < 0) | (W[rows, j] == 0)).any(axis=1)    # row j* couples to every UE
     return p, s, ok
 
 
@@ -573,23 +579,27 @@ def _least_power_point(W, c, r, pmax) -> tuple[np.ndarray, float]:
     return p, s
 
 
-def _qopc_on_problem(prob: ReducedProblem) -> tuple[np.ndarray, bool, float]:
-    """Min-max QoS residual LP on a built problem, solved once and cached;
-    returns (reduced P, feasible, normalized optimal residual).
+def _minmax(W, c, rscale, pmax, blocked: bool):
+    """Min-max LPs, min s over 0 <= P <= pmax with (W P + c) / rscale <= s,
+    stacked (B, k, k) over one served set: P clipped to the box, s and verdicts,
+    all of which `blocked` (an unserved UE has a target) fails. `_balanced_point`
+    where its certificate holds, else `_least_power_point` one by one."""
+    B, k = c.shape
+    if k == 0:
+        return np.zeros((B, 0)), np.full(B, -np.inf), np.full(B, not blocked)
+    p, s, ok = _balanced_point(W, c, rscale, pmax)
+    for t in np.flatnonzero(~ok):
+        p[t], s[t] = _least_power_point(W[t], c[t], rscale[t], pmax)
+    return np.clip(p, 0.0, pmax), s, (s <= _FEAS_TOL) & (not blocked)
 
-    The LP is min s over 0 <= P <= pmax with (W P + c) / rscale <= s. When
-    `_balanced_point`'s certificate holds, its closed form is the LP's unique
-    optimum; otherwise `_least_power_point` gives the optimal face's least element.
-    """
-    if prob._qopc is not None:
-        return prob._qopc
-    if len(prob.idx) == 0:
-        return np.zeros(0), not prob.structurally_infeasible, -np.inf
-    W, c, r = prob.W, prob.c, prob.rscale
-    p, s, ok = _balanced_point(W[None], c[None], r[None], prob.pmax)
-    p, s_norm = (p[0], float(s[0])) if ok[0] else _least_power_point(W, c, r, prob.pmax)
-    feasible = s_norm <= _FEAS_TOL and not prob.structurally_infeasible
-    prob._qopc = (np.clip(p, 0.0, prob.pmax), feasible, s_norm)
+
+def _qopc_on_problem(prob: ReducedProblem) -> tuple[np.ndarray, bool, float]:
+    """`_minmax` on a built problem, solved once and cached; returns (reduced P,
+    feasible, normalized optimal residual)."""
+    if prob._qopc is None:
+        p, s, feasible = _minmax(prob.W[None], prob.c[None], prob.rscale[None],
+                                 prob.pmax, prob.structurally_infeasible)
+        prob._qopc = (p[0], bool(feasible[0]), float(s[0]))
     return prob._qopc
 
 
@@ -598,8 +608,7 @@ def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec):
 
     Unserved UEs get zero power; a positive rate target on an unserved UE makes
     the verdict infeasible regardless of the LP outcome. Stacked coefficients give
-    stacked results, with one closed form per served set and the uncertified
-    members solved one by one.
+    stacked results, with one `_minmax` call per served set.
     """
     one = lc.ns.ndim == 1
     ds2, interf, ns = (x[None] if one else x for x in (lc.ds2, lc.interf, lc.ns))
@@ -610,29 +619,23 @@ def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec):
         groups.setdefault(row.tobytes(), []).append(b)
     for rows in groups.values():
         s = np.flatnonzero(served[rows[0]])
-        blocked = bool((qos.r_min_bps[~served[rows[0]]] > 0).any())
-        if len(s) == 0:
-            feasible[rows] = not blocked
-            continue
         W, c, rscale = _qos_rows(interf[np.ix_(rows, s, s)], ds2[np.ix_(rows, s)],
                                  frame.noise_power_w * ns[np.ix_(rows, s)],
                                  qos.gamma[s], qos.p_max_w)
-        p_red, s_norm, ok = _balanced_point(W, c, rscale, qos.p_max_w)
-        for t in np.flatnonzero(~ok):
-            p_red[t], s_norm[t] = _least_power_point(W[t], c[t], rscale[t], qos.p_max_w)
-        feasible[rows] = (s_norm <= _FEAS_TOL) & (not blocked)
-        p[np.ix_(rows, s)] = np.clip(p_red, 0.0, qos.p_max_w)
+        p_red, _, feasible[rows] = _minmax(W, c, rscale, qos.p_max_w,
+                                           _unserved_target(qos, served[rows[0]]))
+        p[np.ix_(rows, s)] = p_red
     return (p[0], bool(feasible[0])) if one else (p, feasible)
 
 
-def eipc(assoc, corr, qos: QosSpec) -> np.ndarray:
+def eipc(S: np.ndarray, corr, qos: QosSpec) -> np.ndarray:
     """Statistical channel inversion.
 
     Per-UE gain vector over its serving BSs (trace of the link correlation);
     power scales with the inverse squared norm so the weakest served UE gets
-    the cap. Unserved UEs get zero. Serving matrices stacked (B, M, K) give (B, K).
+    the cap. Unserved UEs get zero. S is a serving matrix (M, K), or a stack of
+    them (B, M, K) giving (B, K).
     """
-    S = getattr(assoc, "S", assoc)
     n_ant = corr.R.shape[-1]
     gains = np.where(S, n_ant * corr.beta, 0.0)
     g2 = np.sum(gains**2, axis=-2)
@@ -650,7 +653,7 @@ def eipc(assoc, corr, qos: QosSpec) -> np.ndarray:
 def qos_residual(P, assoc: Association, tensor: CoefficientTensor,
                  frame: FrameConfig, qos: QosSpec) -> np.ndarray:
     """Affine residuals r(P); r_k <= 0 iff UE k meets its rate target."""
-    lc = link_coefficients(assoc, tensor)
+    lc = link_coefficients(assoc.S, tensor)
     P = np.asarray(P, dtype=float)
     interf_tot = lc.interf @ P
     return (qos.gamma * (interf_tot + frame.noise_power_w * lc.ns)
@@ -659,7 +662,7 @@ def qos_residual(P, assoc: Association, tensor: CoefficientTensor,
 
 def _problem(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
              form: AffinePowerForm | None, qos: QosSpec) -> ReducedProblem:
-    return ReducedProblem(link_coefficients(assoc, tensor), frame, form, qos)
+    return ReducedProblem(link_coefficients(assoc.S, tensor), frame, form, qos)
 
 
 def taylor_bounds(P, anchor, assoc: Association, tensor: CoefficientTensor,
@@ -705,10 +708,10 @@ def dinkelbach(anchor, assoc: Association, tensor: CoefficientTensor,
 def slmdb(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
           form: AffinePowerForm, qos: QosSpec, settings: SolverSettings,
           p0: np.ndarray | None = None) -> PowerSolution:
-    lc = link_coefficients(assoc, tensor)
+    lc = link_coefficients(assoc.S, tensor)
     return slmdb_solve(lc, frame, form, qos, settings, p0=p0)
 
 
 def qopc(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
          qos: QosSpec) -> tuple[np.ndarray, bool]:
-    return qopc_solve(link_coefficients(assoc, tensor), frame, qos)
+    return qopc_solve(link_coefficients(assoc.S, tensor), frame, qos)

@@ -112,8 +112,8 @@ class AffinePowerForm:
     parts: dict = field(default_factory=dict, repr=False)
 
     def total(self, P: np.ndarray, rates: np.ndarray):
-        """P_N in watts, one per row of P and rates stacked (B, K); a row times a
-        column is one dot product, as alpha @ x is."""
+        """P_N in watts, one per row of P and rates stacked (B, K); each row times
+        a column is one dot product, as alpha @ x is for a single row."""
         x = np.asarray(rates)[..., None, :] / self.r_ref_bps
         total = (self.c0_w + x @ self.alpha_per_k[:, None]
                  + np.asarray(P)[..., None, :] @ self.delta_per_k[:, None])[..., 0, 0]
@@ -211,19 +211,19 @@ def traffic_power_coefficient(cfg: BsPowerConfig) -> float:
     return ubs_power(cfg, 1.0) - ubs_power(cfg, 0.0)
 
 
-def build_affine_form(assoc: Association, cfg: BsPowerConfig,
+def build_affine_form(assoc: Association | None, cfg: BsPowerConfig,
                       params: SystemPowerParams, M: int | None = None,
-                      n_active: int | None = None) -> AffinePowerForm:
+                      n_active: int | None = None, K: int | None = None) -> AffinePowerForm:
     """Collapse the component model into the affine network-power form.
 
     Traffic is attributed per UE as R_k / R_ref; the aggregate over active BSs
     matches the per-BS load definition, so the collapse is exact whenever all
     load exponents are 0 or 1 (validated). `n_active` overrides the derived
     activity count (used by the no-sleeping variant, which keeps every BS on).
+    `assoc` is read only for M, K and n_active, so it may be None when all are given.
     """
-    if M is None:
-        M = assoc.S.shape[0]
-    K = assoc.S.shape[1]
+    M = assoc.S.shape[0] if M is None else M
+    K = assoc.S.shape[1] if K is None else K
     if n_active is None:
         n_active = assoc.active_count
     n_sleep = M - n_active

@@ -59,12 +59,10 @@ class LinkCoefficients:
         return self.ns > 0
 
 
-def link_coefficients(assoc, tensor: CoefficientTensor) -> LinkCoefficients:
-    """Coefficients of an Association, or stacked over serving matrices (..., M, K)."""
-    S = np.asarray(getattr(assoc, "S", assoc))
+def link_coefficients(S: np.ndarray, tensor: CoefficientTensor) -> LinkCoefficients:
+    """Coefficients of a serving matrix (M, K), or stacked over them (..., M, K)."""
     Sf = S.astype(float)
-    # rows of BSs that no matching uses may still be 0; they meet S = 0
-    mu, omega = tensor.rows(S.reshape(-1, *S.shape[-2:]).any(axis=(0, 2)))
+    mu, omega = tensor.rows(S)    # rows of BSs that S leaves idle may still be 0
     mu_eff = np.einsum("...mk,mk->...k", Sf, mu)
     sum_mu2 = np.einsum("...mk,mk->...k", Sf, mu**2)
     interf = np.einsum("...mk,mkj->...kj", Sf, omega)
@@ -81,7 +79,7 @@ def sinr(P: np.ndarray, assoc: Association, tensor: CoefficientTensor,
     P = np.asarray(P, dtype=float)
     if (P < 0).any():
         raise ConfigError("transmit powers must be nonnegative")
-    return sinr_from_coeffs(P, link_coefficients(assoc, tensor), noise_power_w)
+    return sinr_from_coeffs(P, link_coefficients(assoc.S, tensor), noise_power_w)
 
 
 def sinr_from_coeffs(P: np.ndarray, lc: LinkCoefficients, noise_power_w: float) -> np.ndarray:

@@ -42,6 +42,8 @@ class CoefficientTensor:
     def rows(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(mu, omega) with every row in the (M,) bool mask `wanted` filled."""
         if not self._all_ready:
+            if wanted.ndim > 1:    # serving matrices (..., M, K): the rows they use
+                wanted = wanted.reshape(-1, *wanted.shape[-2:]).any(axis=(0, 2))
             for m in np.flatnonzero(wanted & ~self.ready):
                 self.fill_row(m)
                 self.ready[m] = True

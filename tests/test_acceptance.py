@@ -162,7 +162,7 @@ def test_single_ue_solver_matches_grid_search():
         assoc = strongest_assoc(ctx, per_ue=M)
         form = build_affine_form(assoc, ctx.bs_config, ctx.system)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
-        prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame,
+        prob = ReducedProblem(link_coefficients(assoc.S, ctx.tensor), ctx.frame,
                               form, ctx.qos)
         g = np.linspace(0.0, 0.1, 100001)[1:]
         af = prob.Af[0, 0] * g + prob.n[0]
@@ -236,7 +236,7 @@ def _oracle_instance(seed: int):
     oracle = exhaustive_search(ctx)
     rep = trimsm(ctx, "slmdb")          # shares the evaluation cache
     init = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
-    base = evaluate(init, "slmdb", ctx)
+    base = evaluate(init.S, "slmdb", ctx)
     if oracle.infeasible or rep.infeasible:
         return None
     init_ok = (not base.qos_ok) or rep.ee >= base.ee * (1 - 1e-9)

@@ -141,7 +141,7 @@ class TestPreferences:
         # drops the UE below target: the move must not be approved
         ctx = make_context(M=5, K=3, N=2, L=2, area=400.0, seed=3, r_min=20e6)
         matching = recp_init(ctx.corr, ctx.scenario, 95.0)
-        before = evaluate(matching, "fipc", ctx)
+        before = evaluate(matching.S, "fipc", ctx)
         assert before.qos_ok
         checked = 0
         for i, j in _pair_order(3):
@@ -149,7 +149,7 @@ class TestPreferences:
                 swapped = apply_move(matching, move, ctx)
                 if swapped is None:
                     continue
-                after = evaluate(swapped, "fipc", ctx)
+                after = evaluate(swapped.S, "fipc", ctx)
                 if after.ee > before.ee and not after.qos_ok:
                     out = is_swap_blocking(matching, move, "fipc", ctx)
                     assert not out.approved
@@ -163,8 +163,8 @@ class TestPreferences:
         move = (0, 0, 1, 1)
         out = is_swap_blocking(matching, move, "slmdb", ctx)
         swapped = apply_move(matching, move, ctx)
-        ev_a = evaluate(matching, "slmdb", ctx)
-        ev_b = evaluate(swapped, "slmdb", ctx)
+        ev_a = evaluate(matching.S, "slmdb", ctx)
+        ev_b = evaluate(swapped.S, "slmdb", ctx)
         expect = (ev_b.qos_ok and ev_a.qos_ok and ev_b.ee > ev_a.ee) \
             or (ev_b.shortfall_bps < ev_a.shortfall_bps) \
             or (ev_b.shortfall_bps == ev_a.shortfall_bps and ev_b.ee > ev_a.ee)
@@ -175,25 +175,25 @@ class TestPreferences:
     def test_evaluation_cached(self):
         ctx = make_context(M=3, K=2, N=2, L=2, seed=5)
         matching = strongest_assoc(ctx)
-        first = evaluate(matching, "eipc", ctx)
-        second = evaluate(matching, "eipc", ctx)
+        first = evaluate(matching.S, "eipc", ctx)
+        second = evaluate(matching.S, "eipc", ctx)
         assert first is second
 
     def test_heuristic_verdicts_surface_infeasibility(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
         matching = strongest_assoc(ctx, per_ue=1)
         for mode in ("qopc", "fipc", "eipc"):
-            res = evaluate(matching, mode, ctx)
+            res = evaluate(matching.S, mode, ctx)
             assert not res.qos_ok and res.shortfall_bps > 0
             assert not res.power.feasible, mode
 
     def test_heuristic_verdicts_pass_on_reachable_targets(self):
         ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=0)
         matching = strongest_assoc(ctx)
-        qopc_res = evaluate(matching, "qopc", ctx)
+        qopc_res = evaluate(matching.S, "qopc", ctx)
         assert qopc_res.qos_ok and qopc_res.power.feasible
         for mode in ("fipc", "eipc"):
-            res = evaluate(matching, mode, ctx)
+            res = evaluate(matching.S, mode, ctx)
             assert res.power.feasible == res.qos_ok, mode
 
     def test_slmdb_never_below_fipc(self):
@@ -201,8 +201,8 @@ class TestPreferences:
         for seed in range(6):
             ctx = make_context(M=4, K=2, N=3, L=2, seed=40 + seed)
             matching = strongest_assoc(ctx)
-            fi = evaluate(matching, "fipc", ctx)
-            sl = evaluate(matching, "slmdb", ctx)
+            fi = evaluate(matching.S, "fipc", ctx)
+            sl = evaluate(matching.S, "slmdb", ctx)
             if fi.qos_ok:
                 assert sl.ee >= fi.ee * (1 - 1e-9)
                 wins += 1
@@ -220,7 +220,7 @@ class TestTrimsm:
         for seed in (0, 1, 2):
             ctx = make_context(M=4, K=3, N=2, L=2, seed=60 + seed)
             init = recp_init(ctx.corr, ctx.scenario, 95.0)
-            base = evaluate(init, "slmdb", ctx)
+            base = evaluate(init.S, "slmdb", ctx)
             rep = trimsm(ctx, "slmdb")
             if base.qos_ok:
                 assert rep.ee >= base.ee * (1 - 1e-9)
@@ -242,7 +242,7 @@ class TestTrimsm:
     def test_approval_commits_the_evaluated_matching(self, monkeypatch):
         # the judge applies each scanned move once and an approval commits the
         # serving matrix it judged: the scan builds an Association only for the
-        # init, an approval or a new power form, never per scanned move
+        # init and each approval, never per scanned move
         built, applied, approvals = [], [], []
         moved, scan = matching_module._moved, matching_module.is_swap_blocking
 
@@ -273,7 +273,7 @@ class TestTrimsm:
         ctx = make_context(M=4, K=3, N=2, L=2, seed=77)
         rep = trimsm(ctx, "eipc")
         assert rep.swap_count == sum(approvals) > 0
-        assert len(built) == 1 + rep.swap_count + len(ctx._forms) < len(approvals)
+        assert len(built) == 1 + rep.swap_count < len(approvals)
 
     @pytest.mark.parametrize("mode, count", [("fipc", 91), ("qopc", 82), ("eipc", 83),
                                              ("slmdb", 106)])

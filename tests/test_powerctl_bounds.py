@@ -101,7 +101,7 @@ class TestSurrogateEe:
     def test_global_lower_bound(self, small_ctx):
         assoc = strongest_assoc(small_ctx)
         form = build_affine_form(assoc, small_ctx.bs_config, small_ctx.system)
-        lc = link_coefficients(assoc, small_ctx.tensor)
+        lc = link_coefficients(assoc.S, small_ctx.tensor)
         rng = np.random.default_rng(3)
         for _ in range(200):
             anchor = rng.random(2) * 0.1

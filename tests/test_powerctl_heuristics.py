@@ -31,21 +31,21 @@ class TestEipc:
         corr = scaled_identity_set([[1e-10, 1e-10]], 2)
         assoc = Association(S=np.ones((1, 2), dtype=bool))
         qos = make_qos(0.0, 2, FrameConfig(), 0.1)
-        assert np.allclose(eipc(assoc, corr, qos), [0.1, 0.1])
+        assert np.allclose(eipc(assoc.S, corr, qos), [0.1, 0.1])
 
     def test_inverse_gain_ratio(self):
         # squared serving-gain norms 1 and 4 (up to a common scale)
         corr = scaled_identity_set([[1e-10, 2e-10]], 1)
         assoc = Association(S=np.ones((1, 2), dtype=bool))
         qos = make_qos(0.0, 2, FrameConfig(), 0.1)
-        p = eipc(assoc, corr, qos)
+        p = eipc(assoc.S, corr, qos)
         assert p[0] == pytest.approx(0.1)
         assert p[1] == pytest.approx(0.1 / 4)
 
     def test_weakest_served_ue_gets_cap(self):
         ctx = make_context(M=4, K=3, N=3, L=2, seed=6)
         assoc = strongest_assoc(ctx)
-        p = eipc(assoc, ctx.corr, ctx.qos)
+        p = eipc(assoc.S, ctx.corr, ctx.qos)
         gains = np.where(assoc.S, ctx.corr.R.shape[-1] * ctx.corr.beta, 0.0)
         g2 = (gains**2).sum(axis=0)
         assert p[np.argmin(g2)] == pytest.approx(ctx.qos.p_max_w)
@@ -56,7 +56,7 @@ class TestEipc:
         S = np.array([[True, False]])
         assoc = Association(S=S)
         qos = make_qos(0.0, 2, FrameConfig(), 0.1)
-        p = eipc(assoc, corr, qos)
+        p = eipc(assoc.S, corr, qos)
         assert p[1] == 0.0 and p[0] == pytest.approx(0.1)
 
 
@@ -96,7 +96,7 @@ class TestQopc:
         assoc = strongest_assoc(ctx)
         p, ok = qopc(assoc, ctx.tensor, ctx.frame, ctx.qos)
         assert ok
-        lc = link_coefficients(assoc, ctx.tensor)
+        lc = link_coefficients(assoc.S, ctx.tensor)
         prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
         assert (prob.residual(prob.reduce(p)) <= 0).all()
         # P = 0 itself satisfies the constraints when gamma = 0
@@ -109,7 +109,7 @@ class TestQopc:
             ctx = make_context(M=1, K=1, N=4, L=1, area=300.0,
                                seed=500 + trial, r_min=(10 + trial) * 1e6)
             assoc = Association(S=np.ones((1, 1), dtype=bool))
-            lc = link_coefficients(assoc, ctx.tensor)
+            lc = link_coefficients(assoc.S, ctx.tensor)
             gam = ctx.qos.gamma[0]
             denom = (1 + gam) * lc.ds2[0] - gam * lc.interf[0, 0]
             sigma2 = ctx.frame.noise_power_w
@@ -131,7 +131,7 @@ class TestQopc:
             ctx = make_context(M=4, K=K, N=3, L=2, area=700.0,
                                seed=900 + trial, r_min=30e6)
             assoc = strongest_assoc(ctx)
-            lc = link_coefficients(assoc, ctx.tensor)
+            lc = link_coefficients(assoc.S, ctx.tensor)
             p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
             prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
             oracle = feasibility_by_vertex_enumeration(prob)
@@ -143,7 +143,7 @@ class TestQopc:
     def test_returned_point_attains_min_max_residual(self):
         ctx = make_context(M=3, K=2, N=3, L=2, seed=14, r_min=20e6)
         assoc = strongest_assoc(ctx)
-        lc = link_coefficients(assoc, ctx.tensor)
+        lc = link_coefficients(assoc.S, ctx.tensor)
         p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
         prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
         attained = np.max(prob.residual(prob.reduce(p)) / prob.rscale)

@@ -10,7 +10,7 @@ from conftest import make_context, strongest_assoc
 
 def build_problem(ctx, assoc):
     form = build_affine_form(assoc, ctx.bs_config, ctx.system)
-    lc = link_coefficients(assoc, ctx.tensor)
+    lc = link_coefficients(assoc.S, ctx.tensor)
     prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)
     return prob, form
 
@@ -68,7 +68,7 @@ class TestParametricSolver:
         anchor = np.full(2, 0.05)
         p = solve_parametric(1e5, anchor, assoc, ctx.tensor, ctx.frame, form, ctx.qos)
         assert (p >= 0).all() and (p <= 0.1).all()
-        lc = link_coefficients(assoc, ctx.tensor)
+        lc = link_coefficients(assoc.S, ctx.tensor)
         prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)
         assert (prob.residual(prob.reduce(p)) <= 1e-8).all()
 
@@ -131,7 +131,7 @@ class TestInteriorPoint:
         # the one point P = p_max, feasible but without an interior
         ctx = make_context(M=1, K=1, N=4, L=1, area=300.0, seed=500, r_min=10e6)
         assoc = strongest_assoc(ctx, per_ue=1)
-        lc = link_coefficients(assoc, ctx.tensor)
+        lc = link_coefficients(assoc.S, ctx.tensor)
         gam = ctx.qos.gamma[0]
         denom = (1 + gam) * lc.ds2[0] - gam * lc.interf[0, 0]
         assert denom > 0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from greenran import Association, link_coefficients, make_qos
+from greenran import link_coefficients, make_qos
 from greenran.powerctl import (_FEAS_TOL, ReducedProblem, _balanced_point,
                                _least_power_point, _qopc_on_problem)
 from conftest import make_context
@@ -83,7 +83,7 @@ def problems(draw):
     r_min = [draw(st.sampled_from(R_MIN)) for _ in range(K)]
     p_max = 10.0 ** draw(st.floats(-3.0, 0.5))
     qos = make_qos(r_min, K, ctx.frame, p_max)
-    lc = link_coefficients(Association(S=S), ctx.tensor)
+    lc = link_coefficients(S, ctx.tensor)
     return ReducedProblem(lc, ctx.frame, None, qos)
 
 
@@ -120,7 +120,7 @@ def test_certificate_holds_on_reachable_targets():
     # fits the box, and it is the one point that meets the cap with equality
     ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=0)
     S = np.ones((4, 2), dtype=bool)
-    lc = link_coefficients(Association(S=S), ctx.tensor)
+    lc = link_coefficients(S, ctx.tensor)
     prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
     p, s = closed_form(prob)
     assert s < 0 and np.isclose(p.max(), prob.pmax, rtol=1e-12, atol=0.0)

@@ -51,7 +51,7 @@ class TestSinr:
         # mu1 = mu2 = 1, omega_kk = 1.5 each: E|IS_kk|^2 = 3 + 2 = 5
         t = synthetic_tensor([[1.0], [1.0]], [[[1.5]], [[1.5]]], 2, 1)
         assoc = Association(S=np.ones((2, 1), dtype=bool))
-        lc = link_coefficients(assoc, t)
+        lc = link_coefficients(assoc.S, t)
         assert lc.interf[0, 0] == pytest.approx(5.0)
         assert lc.ds2[0] == pytest.approx(4.0)
         assert lc.ns[0] == pytest.approx(2.0)
@@ -63,7 +63,7 @@ class TestSinr:
         corr = build_correlation(generate_topology(p), frame)
         mc = monte_carlo_statistics(corr, frame, samples=30000, seed=7)
         assoc = Association(S=np.ones((2, 1), dtype=bool))
-        lc = link_coefficients(assoc, mc)
+        lc = link_coefficients(assoc.S, mc)
 
         rng = np.random.default_rng(123)
         n_s = 30000
@@ -99,11 +99,11 @@ class TestSinr:
     def test_dropping_a_bs_never_raises_mean_signal(self, small_ctx):
         t = small_ctx.tensor
         full = Association(S=np.ones((3, 2), dtype=bool))
-        ds_full = link_coefficients(full, t).ds2
+        ds_full = link_coefficients(full.S, t).ds2
         for m in range(3):
             S = np.ones((3, 2), dtype=bool)
             S[m, :] = False
-            ds = link_coefficients(Association(S=S), t).ds2
+            ds = link_coefficients(S, t).ds2
             assert (ds <= ds_full + 1e-30).all()
 
 

@@ -66,7 +66,7 @@ def test_feasible_slmdb_properties(instance):
 
     if diag.interior_infeasible:
         return
-    prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos)
+    prob = ReducedProblem(link_coefficients(assoc.S, ctx.tensor), ctx.frame, form, ctx.qos)
     sur = prob.surrogate(prob.reduce(sol.p))
     pi = max(sur.ratio(sur.anchor), 0.0)
     cold_diag, warm_diag = SolveDiagnostics(), SolveDiagnostics()

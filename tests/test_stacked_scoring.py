@@ -15,7 +15,6 @@ a stacked inverse for its whole stack.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from greenran import Association
 from greenran.matching import POWER_MODES, evaluate
 from greenran.powerctl import QosSpec, ReducedProblem, _balanced_point
 from greenran.rates import link_coefficients
@@ -57,7 +56,7 @@ def assert_stacked_equals_alone(ctx, mode, matchings):
     together = evaluate(matchings, mode, ctx.clone())
     assert len(together) == len(matchings)
     for S, got in zip(matchings, together):
-        assert_same(got, evaluate(Association(S=S), mode, ctx.clone()))
+        assert_same(got, evaluate(S, mode, ctx.clone()))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -77,7 +76,7 @@ def test_singular_member_is_scored_as_alone():
                      qos=QosSpec(r_min_bps=np.full(2, base.frame.rate_scale),
                                  gamma=np.ones(2), p_max_w=0.1))
     singular = np.array([[1, 1], [0, 0]], dtype=bool)
-    lc = link_coefficients(Association(S=singular), ctx.tensor)
+    lc = link_coefficients(singular, ctx.tensor)
     prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
     assert np.array_equal(prob.W, [[-1.0, 1.0], [1.0, -1.0]])
     _, _, certified = _balanced_point(prob.W[None], prob.c[None], prob.rscale[None], prob.pmax)

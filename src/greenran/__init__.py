@@ -5,16 +5,13 @@ programming power control, and swap-matching association with BS sleeping.
 """
 
 from .netmodel import (ConfigError, CorrelationSet, FrameConfig, ScenarioParams,
-                       Topology, build_correlation, generate_topology, wrap_distance)
-from .powerctl import (InfeasibleError, PowerSolution, QosSpec, SolverSettings,
-                       dinkelbach, eipc, fipc, gamma_thresholds, make_qos, qopc,
-                       qos_residual, slmdb, solve_parametric, surrogate_ee,
-                       taylor_bounds)
+                       Topology, build_correlation, generate_topology)
+from .powerctl import (InfeasibleError, PowerSolution, QosSpec, SolverSettings, eipc,
+                       fipc, gamma_thresholds, make_qos, slmdb)
 from .powermodel import (AffinePowerForm, BsPowerConfig, PowerBreakdown,
                          SubComponentSpec, SystemPowerParams, build_affine_form,
-                         component_power, edge_cloud_power, energy_efficiency,
-                         network_power, sleep_power, theta, ubs_power)
-from .rates import Association, link_coefficients, sinr, uplink_rate
+                         component_power, network_power, theta, ubs_power)
+from .rates import Association, link_coefficients
 from .statistics import CoefficientTensor, mmse_statistics, monte_carlo_statistics
 
 __version__ = "0.1.0"

@@ -3,7 +3,6 @@
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import harness
 from .matching import exhaustive_search, trimsm
@@ -51,18 +50,18 @@ def _common_args(p):
 
 
 def _load(args) -> harness.RunConfig:
-    config = harness.load_config(args.config if args.config else {})
-    if getattr(args, "algorithm", None) is not None:
-        algorithms = tuple(a.strip() for a in args.algorithm.split(",") if a.strip())
-        harness._check_algorithms(algorithms)
-        config = replace(config, algorithms=algorithms)
-    if getattr(args, "drops", None) is not None:
-        if args.drops < 1:
-            raise ConfigError("drops must be >= 1")
-        config = replace(config, drops=args.drops)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, base_seed=args.seed)
-    return config
+    """The config file, or the defaults, with the command-line overrides merged
+    in before `load_config` checks it."""
+    raw = {}
+    if args.config:
+        with open(args.config) as fh:
+            raw = json.load(fh) or {}
+    overrides = {"drops": args.drops, "base_seed": args.seed}
+    if args.algorithm is not None:
+        overrides["algorithm"] = [a.strip() for a in args.algorithm.split(",") if a.strip()]
+    if isinstance(raw, dict):    # anything else fails in load_config
+        raw = dict(raw, **{key: v for key, v in overrides.items() if v is not None})
+    return harness.load_config(raw)
 
 
 def _run_command(args) -> int:

@@ -188,6 +188,9 @@ def load_config(source) -> RunConfig:
     drops = _number(merged["drops"], "drops", int)
     if drops < 1:
         raise ConfigError("drops must be >= 1")
+    base_seed = _number(merged["base_seed"], "base_seed", int)
+    if not 0 <= base_seed < 2**64:    # drop seeds base_seed ^ d must stay seeds
+        raise ConfigError("base_seed must lie in [0, 2**64)")
     _check_pilots(scenario, frame)
 
     sweep_parameter = None
@@ -209,7 +212,7 @@ def load_config(source) -> RunConfig:
         scenario=scenario, frame=frame, bs_config=bs_config, system=system,
         r_min_bps=r_min_bps, p_max_w=p_max_w,
         settings=settings, algorithms=tuple(algorithms), drops=drops,
-        base_seed=_number(merged["base_seed"], "base_seed", int),
+        base_seed=base_seed,
         record_timing=timing,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values)
     for i, value in enumerate(sweep_values):
@@ -285,8 +288,7 @@ def _record(config: RunConfig, report: SolutionReport, ctx: EvaluationContext,
             algorithm: str, drop_index: int, drop_seed: int,
             sweep_value: float, wall_ms: float) -> ResultRecord:
     form = ctx.form_for(report.matching.active_count)
-    breakdown = network_power(report.power.p, report.power.rates,
-                              report.matching, form)
+    breakdown = network_power(report.power.p, report.power.rates, form)
     sum_rate = float(np.sum(report.power.rates))
     qos = ctx.qos
     slack = QOS_RATE_RTOL * qos.r_min_bps

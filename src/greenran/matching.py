@@ -69,8 +69,7 @@ class EvaluationContext:
         n_active = self.scenario.M if self.no_sleep else active_count
         if n_active not in self._forms:
             self._forms[n_active] = build_affine_form(
-                None, self.bs_config, self.system, M=self.scenario.M,
-                n_active=n_active, K=self.scenario.K)
+                self.bs_config, self.system, self.scenario.M, self.scenario.K, n_active)
         return self._forms[n_active]
 
 
@@ -256,12 +255,6 @@ def _moved(S: np.ndarray, move: tuple, ctx: EvaluationContext) -> np.ndarray | N
     if ctx.no_sleep and S.any(axis=1)[~new.any(axis=1)].any():
         return None    # move would put a serving BS to sleep
     return new
-
-
-def apply_move(matching: Association, move: tuple, ctx: EvaluationContext):
-    """Association after the move (see `_moved`), or None when it does not apply."""
-    new = _moved(matching.S, move, ctx)
-    return None if new is None else Association(S=new)
 
 
 def _pair_moves(S: np.ndarray, i: int, j: int | None):

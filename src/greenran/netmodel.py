@@ -89,14 +89,8 @@ class CorrelationSet:
         object.__setattr__(self, "beta", beta)
 
 
-def wrap_distance(a, b, side: float) -> float:
-    """Torus distance between two points in [0, side)^2."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    d = np.minimum(d, side - d)
-    return float(np.hypot(d[..., 0], d[..., 1]))
-
-
 def _wrap_distance_matrix(ubs_xy: np.ndarray, ue_xy: np.ndarray, side: float) -> np.ndarray:
+    """Torus distances (M, K) from each BS to each UE on [0, side)^2."""
     d = np.abs(ubs_xy[:, None, :] - ue_xy[None, :, :])
     d = np.minimum(d, side - d)
     return np.hypot(d[..., 0], d[..., 1])

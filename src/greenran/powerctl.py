@@ -443,22 +443,14 @@ def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, diag: SolveDiagnostics
 
 
 def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
-                qos: QosSpec, settings: SolverSettings,
-                p0: np.ndarray | None = None) -> PowerSolution:
-    """Full successive lower-bound maximization on precomputed link coefficients."""
+                qos: QosSpec, settings: SolverSettings) -> PowerSolution:
+    """Full successive lower-bound maximization on precomputed link coefficients,
+    started from the QoPC LP's point."""
     prob = ReducedProblem(lc, frame, form, qos)
     diag = SolveDiagnostics()
 
-    if p0 is None:
-        p_red0, feasible, _ = _qopc_on_problem(prob)
-        p_start = prob.expand(p_red0)
-    else:
-        p_start = np.asarray(p0, dtype=float)
-        res = prob.residual(prob.reduce(p_start))
-        feasible = (bool((res / prob.rscale <= _FEAS_TOL).all())
-                    and prob.box_feasible(p_start, tol=1e-12))
-    if prob.structurally_infeasible:
-        feasible = False
+    p_red0, feasible, _ = _qopc_on_problem(prob)
+    p_start = prob.expand(p_red0)
     if not feasible:
         return prob.solution(p_start, False, diag)
     if len(prob.idx) == 0:
@@ -647,71 +639,9 @@ def eipc(S: np.ndarray, corr, qos: QosSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Public wrappers on (assoc, tensor) inputs
+# Library entry point on an Association
 # ---------------------------------------------------------------------------
 
-def qos_residual(P, assoc: Association, tensor: CoefficientTensor,
-                 frame: FrameConfig, qos: QosSpec) -> np.ndarray:
-    """Affine residuals r(P); r_k <= 0 iff UE k meets its rate target."""
-    lc = link_coefficients(assoc.S, tensor)
-    P = np.asarray(P, dtype=float)
-    interf_tot = lc.interf @ P
-    return (qos.gamma * (interf_tot + frame.noise_power_w * lc.ns)
-            - (1.0 + qos.gamma) * P * lc.ds2)
-
-
-def _problem(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
-             form: AffinePowerForm | None, qos: QosSpec) -> ReducedProblem:
-    return ReducedProblem(link_coefficients(assoc.S, tensor), frame, form, qos)
-
-
-def taylor_bounds(P, anchor, assoc: Association, tensor: CoefficientTensor,
-                  frame: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(Rhat, Rbar) rate bounds at P for the expansion point `anchor`.
-
-    Entries for unserved UEs are zero.
-    """
-    K = assoc.S.shape[1]
-    qos = QosSpec(r_min_bps=np.zeros(K), gamma=np.zeros(K),
-                  p_max_w=max(np.max(np.asarray(P)), np.max(np.asarray(anchor)), 1.0))
-    prob = _problem(assoc, tensor, frame, None, qos)
-    sur = prob.surrogate(prob.reduce(anchor))
-    r_hat, r_bar = sur.rate_bounds(prob.reduce(P))
-    return prob.expand(r_hat), prob.expand(r_bar)
-
-
-def surrogate_ee(P, anchor, assoc: Association, tensor: CoefficientTensor,
-                 frame: FrameConfig, form: AffinePowerForm, qos: QosSpec) -> float:
-    """Lower-bound EE estimate: sum Rbar over P_N evaluated at Rhat."""
-    prob = _problem(assoc, tensor, frame, form, qos)
-    sur = prob.surrogate(prob.reduce(anchor))
-    r_hat, r_bar = sur.rate_bounds(prob.reduce(P))
-    return float(np.sum(r_bar)) / form.total(np.asarray(P, dtype=float),
-                                             prob.expand(r_hat))
-
-
-def solve_parametric(pi: float, anchor, assoc: Association, tensor: CoefficientTensor,
-                     frame: FrameConfig, form: AffinePowerForm, qos: QosSpec) -> np.ndarray:
-    prob = _problem(assoc, tensor, frame, form, qos)
-    sur = prob.surrogate(prob.reduce(anchor))
-    return prob.expand(_solve_parametric(sur, pi, None, SolveDiagnostics()))
-
-
-def dinkelbach(anchor, assoc: Association, tensor: CoefficientTensor,
-               frame: FrameConfig, form: AffinePowerForm,
-               qos: QosSpec) -> tuple[np.ndarray, float]:
-    prob = _problem(assoc, tensor, frame, form, qos)
-    p, pi, _ = _dinkelbach(prob, prob.reduce(anchor), SolveDiagnostics())
-    return prob.expand(p), pi
-
-
 def slmdb(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
-          form: AffinePowerForm, qos: QosSpec, settings: SolverSettings,
-          p0: np.ndarray | None = None) -> PowerSolution:
-    lc = link_coefficients(assoc.S, tensor)
-    return slmdb_solve(lc, frame, form, qos, settings, p0=p0)
-
-
-def qopc(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
-         qos: QosSpec) -> tuple[np.ndarray, bool]:
-    return qopc_solve(link_coefficients(assoc.S, tensor), frame, qos)
+          form: AffinePowerForm, qos: QosSpec, settings: SolverSettings) -> PowerSolution:
+    return slmdb_solve(link_coefficients(assoc.S, tensor), frame, form, qos, settings)

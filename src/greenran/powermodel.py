@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netmodel import ConfigError
-from .rates import Association
 
 SCALING_PARAMS = ("N", "B", "Q", "Se", "Ld", "St")
 
@@ -169,12 +168,6 @@ def theta(cfg: BsPowerConfig, params: SystemPowerParams, M: int = 1) -> float:
     return params.psi_d * bbu / (rf + bbu)
 
 
-def sleep_power(cfg: BsPowerConfig, params: SystemPowerParams) -> float:
-    """Sleep draw: eta_s times idle power, reduced by the offloaded share."""
-    kt = params.kappa * theta(cfg, params)
-    return cfg.sleep_scale * ubs_power(cfg, 0.0) * (1.0 - kt)
-
-
 def edge_cloud_scaling(params: SystemPowerParams, M: int, loss_co_bs: float) -> float:
     """Pooling/stacking factor times the cooling correction."""
     pool = params.pooling_power / M * np.ceil(M / (params.pooling_capacity * params.stacking_gain))
@@ -185,15 +178,6 @@ def edge_cloud_scaling(params: SystemPowerParams, M: int, loss_co_bs: float) -> 
         # BSs had no active cooling, so the stacked BBUs add cooling on top
         cool = sco / ((1.0 - sco) * params.cooling_gain) + 1.0
     return float(pool * cool)
-
-
-def edge_cloud_power(cfg: BsPowerConfig, params: SystemPowerParams, M: int,
-                     per_ubs_powers: np.ndarray) -> float:
-    """Edge-cloud draw from the unscaled per-BS powers (sleepers at zero load)."""
-    if M < 1:
-        raise ConfigError("M must be >= 1")
-    base = params.kappa * theta(cfg, params) * float(np.sum(per_ubs_powers))
-    return base * edge_cloud_scaling(params, M, cfg.loss_co)
 
 
 def _validate_load_exponents(cfg: BsPowerConfig) -> None:
@@ -211,21 +195,16 @@ def traffic_power_coefficient(cfg: BsPowerConfig) -> float:
     return ubs_power(cfg, 1.0) - ubs_power(cfg, 0.0)
 
 
-def build_affine_form(assoc: Association | None, cfg: BsPowerConfig,
-                      params: SystemPowerParams, M: int | None = None,
-                      n_active: int | None = None, K: int | None = None) -> AffinePowerForm:
-    """Collapse the component model into the affine network-power form.
+def build_affine_form(cfg: BsPowerConfig, params: SystemPowerParams, M: int, K: int,
+                      n_active: int) -> AffinePowerForm:
+    """Collapse the component model into the affine network-power form of M BSs,
+    n_active of them active, serving K UEs.
 
     Traffic is attributed per UE as R_k / R_ref; the aggregate over active BSs
     matches the per-BS load definition, so the collapse is exact whenever all
-    load exponents are 0 or 1 (validated). `n_active` overrides the derived
-    activity count (used by the no-sleeping variant, which keeps every BS on).
-    `assoc` is read only for M, K and n_active, so it may be None when all are given.
+    load exponents are 0 or 1 (validated). The no-sleeping variant passes
+    n_active = M, since it keeps every BS on.
     """
-    M = assoc.S.shape[0] if M is None else M
-    K = assoc.S.shape[1] if K is None else K
-    if n_active is None:
-        n_active = assoc.active_count
     n_sleep = M - n_active
 
     p_fix = ubs_power(cfg, 0.0)
@@ -255,8 +234,7 @@ def build_affine_form(assoc: Association | None, cfg: BsPowerConfig,
                            r_ref_bps=rref, parts=parts)
 
 
-def network_power(P: np.ndarray, rates: np.ndarray, assoc: Association,
-                  form: AffinePowerForm) -> PowerBreakdown:
+def network_power(P: np.ndarray, rates: np.ndarray, form: AffinePowerForm) -> PowerBreakdown:
     P = np.asarray(P, dtype=float)
     rates = np.asarray(rates, dtype=float)
     vals = {}
@@ -266,11 +244,3 @@ def network_power(P: np.ndarray, rates: np.ndarray, assoc: Association,
     return PowerBreakdown(ubs_active_w=vals["ubs_active"], ubs_sleep_w=vals["ubs_sleep"],
                           fronthaul_w=vals["fronthaul"], edge_cloud_w=vals["edge_cloud"],
                           ue_w=vals["ue"], total_w=total)
-
-
-def energy_efficiency(P: np.ndarray, rates: np.ndarray, form: AffinePowerForm) -> float:
-    """Sum rate over holistic network power, bit/joule."""
-    total = form.total(P, rates)
-    if total <= 0:
-        raise ConfigError("network power must be positive")
-    return float(np.sum(rates) / total)

@@ -74,14 +74,6 @@ def link_coefficients(S: np.ndarray, tensor: CoefficientTensor) -> LinkCoefficie
     return LinkCoefficients(ds2=ds2, interf=interf, ns=ns)
 
 
-def sinr(P: np.ndarray, assoc: Association, tensor: CoefficientTensor,
-         noise_power_w: float) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if (P < 0).any():
-        raise ConfigError("transmit powers must be nonnegative")
-    return sinr_from_coeffs(P, link_coefficients(assoc.S, tensor), noise_power_w)
-
-
 def sinr_from_coeffs(P: np.ndarray, lc: LinkCoefficients, noise_power_w: float) -> np.ndarray:
     signal = P * lc.ds2
     denom = (lc.interf @ P[..., None])[..., 0] - signal + noise_power_w * lc.ns
@@ -91,12 +83,6 @@ def sinr_from_coeffs(P: np.ndarray, lc: LinkCoefficients, noise_power_w: float) 
     return out
 
 
-def uplink_rate(P: np.ndarray, assoc: Association, tensor: CoefficientTensor,
-                frame: FrameConfig) -> np.ndarray:
-    """Per-UE rates in bit/s; zero for UEs with an empty serving set."""
-    s = sinr(P, assoc, tensor, frame.noise_power_w)
-    return frame.rate_scale * np.log2(1.0 + s)
-
-
 def rates_from_coeffs(P: np.ndarray, lc: LinkCoefficients, frame: FrameConfig) -> np.ndarray:
+    """Per-UE rates in bit/s; zero for UEs with an empty serving set."""
     return frame.rate_scale * np.log2(1.0 + sinr_from_coeffs(P, lc, frame.noise_power_w))

@@ -11,12 +11,13 @@ import numpy as np
 from greenran import (Association, FrameConfig, ScenarioParams, SolverSettings,
                       build_affine_form, build_correlation, generate_topology,
                       link_coefficients, mmse_statistics, monte_carlo_statistics,
-                      qos_residual, slmdb, surrogate_ee, ubs_power, uplink_rate)
+                      slmdb, ubs_power)
 from greenran.harness import emit, load_config, run
 from greenran.matching import (evaluate, exhaustive_search, recp_init, trimsm,
                                verify_stability)
 from greenran.powerctl import ReducedProblem
 from greenran.powermodel import traffic_power_coefficient
+from greenran.rates import rates_from_coeffs
 from conftest import default_bs_config, make_context, strongest_assoc
 
 
@@ -79,7 +80,7 @@ def test_network_power_zero_curvature():
     for _ in range(20):
         M, K = int(rng.integers(2, 8)), int(rng.integers(1, 5))
         assoc = Association(S=rng.random((M, K)) < 0.5)
-        form = build_affine_form(assoc, cfg, params)
+        form = build_affine_form(cfg, params, M, K, assoc.active_count)
         P = rng.random(K) * 0.1
         rates = rng.random(K) * 50e6
         base = form.total(P, rates)
@@ -103,20 +104,20 @@ def test_surrogate_is_global_lower_bound():
     for seed in range(10):
         ctx = make_context(M=4, K=3, N=4, L=2, area=350.0, seed=seed)
         assoc = strongest_assoc(ctx)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        form = ctx.form_for(assoc.active_count)
+        lc = link_coefficients(assoc.S, ctx.tensor)
+        prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)    # every UE is served
         for _ in range(100):
             p = rng.random(3) * 0.1
             anchor = rng.random(3) * 0.1
-            below = surrogate_ee(p, anchor, assoc, ctx.tensor, ctx.frame,
-                                 form, ctx.qos)
-            rates = uplink_rate(p, assoc, ctx.tensor, ctx.frame)
+            below = prob.surrogate(anchor).ratio(p)
+            rates = rates_from_coeffs(p, lc, ctx.frame)
             true_ee = float(np.sum(rates)) / form.total(p, rates)
             violations = max(violations, (below - true_ee) / max(true_ee, 1e-30))
             pairs += 1
         anchor = rng.random(3) * 0.1
-        at = surrogate_ee(anchor, anchor, assoc, ctx.tensor, ctx.frame,
-                          form, ctx.qos)
-        rates = uplink_rate(anchor, assoc, ctx.tensor, ctx.frame)
+        at = prob.surrogate(anchor).ratio(anchor)
+        rates = rates_from_coeffs(anchor, lc, ctx.frame)
         true_ee = float(np.sum(rates)) / form.total(anchor, rates)
         worst_anchor_gap = max(worst_anchor_gap,
                                abs(at - true_ee) / max(true_ee, 1e-30))
@@ -134,11 +135,12 @@ def test_qos_residual_sign_equivalence():
     for seed in range(10):
         ctx = make_context(M=4, K=3, N=4, L=2, area=400.0, seed=50 + seed,
                            r_min=20e6)
-        assoc = strongest_assoc(ctx)
+        lc = link_coefficients(strongest_assoc(ctx).S, ctx.tensor)
+        prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)    # every UE is served
         for _ in range(100):
             p = rng.random(3) * 0.1
-            r = qos_residual(p, assoc, ctx.tensor, ctx.frame, ctx.qos)
-            rates = uplink_rate(p, assoc, ctx.tensor, ctx.frame)
+            r = prob.residual(p)
+            rates = rates_from_coeffs(p, lc, ctx.frame)
             deficit = ctx.qos.r_min_bps - rates
             for k in range(3):
                 if abs(deficit[k]) < 1.0 or abs(r[k]) < 1e-20:
@@ -160,7 +162,7 @@ def test_single_ue_solver_matches_grid_search():
         ctx = make_context(M=M, K=1, N=4, L=M, area=250.0, seed=1000 + seed,
                            r_min=10e6, settings=st)
         assoc = strongest_assoc(ctx, per_ue=M)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        form = ctx.form_for(assoc.active_count)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
         prob = ReducedProblem(link_coefficients(assoc.S, ctx.tensor), ctx.frame,
                               form, ctx.qos)
@@ -188,7 +190,7 @@ def test_monotone_solver_traces():
     for seed in range(100):
         ctx = make_context(M=8, K=4, N=5, L=3, area=500.0, seed=seed, r_min=20e6)
         assoc = strongest_assoc(ctx)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        form = ctx.form_for(assoc.active_count)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
         if not sol.feasible:
             continue

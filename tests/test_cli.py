@@ -56,6 +56,12 @@ class TestCli:
         assert "drops must be >= 1" in captured.err
         assert captured.out == ""
 
+    def test_negative_seed_override_rejected(self, cfg_path, capsys):
+        assert main(["run", "--config", cfg_path, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "base_seed" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("algorithm", [",", " , ", ""])
     def test_empty_algorithm_override_rejected(self, cfg_path, capsys, algorithm):
         assert main(["run", "--config", cfg_path, "--algorithm", algorithm]) == 1

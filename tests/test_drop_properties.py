@@ -1,0 +1,50 @@
+"""Properties of `trimsm` on small generated drops, for every power mode.
+
+Drops span M 1-5, K 1-3, N 1-4, L <= M, shadowing 0 or 8 dB, and rate targets
+from none up to ones no association can meet. The final matching must respect
+the per-UE cap L and the per-BS cap N, and must be lexicographically no worse
+in (rate shortfall, EE) than the received-power init, both scored in the scan's
+own mode. A run on a fresh context of the same drop must give the same matching
+and EE, and the record's power parts must sum to its total power.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from greenran import harness
+from greenran.matching import POWER_MODES, evaluate, recp_init, trimsm
+
+
+@st.composite
+def drops(draw):
+    M = draw(st.integers(1, 5))
+    return harness.load_config({
+        "scenario": {"M": M, "K": draw(st.integers(1, 3)), "N": draw(st.integers(1, 4)),
+                     "L": draw(st.integers(1, M)), "area_side": draw(st.floats(150.0, 600.0)),
+                     "shadowing_std_db": draw(st.sampled_from([0.0, 8.0]))},
+        "qos": {"r_min_bps": draw(st.one_of(st.just(0.0), st.floats(1e5, 5e8)))},
+        "algorithm": [f"trimsm-{mode}" for mode in POWER_MODES],
+        "drops": 1, "base_seed": draw(st.integers(0, 2**16))})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drops())
+def test_trimsm_drop_properties(config):
+    seed, scen = config.base_seed, config.scenario
+    for mode in POWER_MODES:
+        ctx = harness._make_context(config, seed)
+        rep = trimsm(ctx, mode)
+        S = rep.matching.S
+        assert (S.sum(axis=0) <= scen.L).all() and (S.sum(axis=1) <= scen.N).all()
+
+        init = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
+        start, end = evaluate(init.S, mode, ctx), evaluate(S, mode, ctx)
+        assert (end.shortfall_bps, -end.ee) <= (start.shortfall_bps, -start.ee), mode
+
+        again = trimsm(harness._make_context(config, seed), mode)
+        assert np.array_equal(again.matching.S, S) and again.ee == rep.ee, mode
+
+        r = harness._record(config, rep, ctx, f"trimsm-{mode}", 0, seed, 0.0, 0.0)
+        parts = (r.ubs_active_power_w + r.ubs_sleep_power_w + r.fronthaul_power_w
+                 + r.edge_cloud_power_w + r.ue_power_w)
+        assert parts == r.total_power_w, mode

@@ -110,12 +110,20 @@ class TestConfig:
         ({"scenario": {"M": 4, "L": 6}}, "scenario.L"),
         ({"qos": {"r_min_bps": -1.0}}, "qos.r_min_bps"),
         ({"qos": {"r_min_bps": 1e12}}, "qos.r_min_bps"),
+        # drop seeds base_seed ^ d must fit a scenario seed
+        ({"base_seed": -1}, "base_seed"),
+        ({"base_seed": 2**64}, "base_seed"),
     ])
     def test_wrong_typed_values_rejected(self, bad, key):
         with warnings.catch_warnings():
             warnings.simplefilter("error")     # no numpy warning ahead of the error
             with pytest.raises(ConfigError, match=re.escape(key)):
                 load_config(dict(BASE, **bad))
+
+    def test_largest_base_seed_accepted(self):
+        cfg = load_config(dict(BASE, base_seed=2**64 - 1))
+        assert cfg.base_seed == 2**64 - 1
+        assert harness._make_context(cfg, cfg.base_seed ^ 1).scenario.seed == 2**64 - 2
 
     def test_non_object_config_rejected(self):
         with pytest.raises(ConfigError, match="config must be an object"):

@@ -3,7 +3,7 @@ import pytest
 
 from greenran import Association, ConfigError, ScenarioParams
 from greenran import matching as matching_module
-from greenran.matching import (_pair_moves, _pair_order, apply_move, evaluate,
+from greenran.matching import (_moved, _pair_moves, _pair_order, evaluate,
                                exhaustive_search, is_swap_blocking, llsf_assoc,
                                nos_assoc, recp_init, trimsm, tsap_assoc,
                                verify_stability)
@@ -89,26 +89,23 @@ class TestMoves:
 
     def test_exchange_involution(self):
         S = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
-        m0 = Association(S=S)
-        m1 = apply_move(m0, (0, 0, 1, 1), self.ctx)
-        m2 = apply_move(m1, (0, 1, 0, 1), self.ctx)
-        assert np.array_equal(m2.S, m0.S)
+        S1 = _moved(S, (0, 0, 1, 1), self.ctx)
+        S2 = _moved(S1, (0, 1, 0, 1), self.ctx)
+        assert np.array_equal(S2, S)
 
     def test_add_respects_caps(self):
         S = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
-        m0 = Association(S=S)
         # BS 0 already serves N=2 UEs: add must fail
-        assert apply_move(m0, (2, None, 0, None), self.ctx) is None
-        got = apply_move(m0, (2, None, 1, None), self.ctx)
-        assert got.S[1, 2]
+        assert _moved(S, (2, None, 0, None), self.ctx) is None
+        got = _moved(S, (2, None, 1, None), self.ctx)
+        assert got[1, 2]
 
     def test_remove_and_replace(self):
         S = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
-        m0 = Association(S=S)
-        removed = apply_move(m0, (0, 0, None, None), self.ctx)
-        assert not removed.S[:, 0].any()
-        replaced = apply_move(m0, (0, 0, 3, None), self.ctx)
-        assert replaced.S[3, 0] and not replaced.S[0, 0]
+        removed = _moved(S, (0, 0, None, None), self.ctx)
+        assert not removed[:, 0].any()
+        replaced = _moved(S, (0, 0, 3, None), self.ctx)
+        assert replaced[3, 0] and not replaced[0, 0]
 
     def test_constraints_preserved_under_random_moves(self):
         rng = np.random.default_rng(5)
@@ -120,9 +117,9 @@ class TestMoves:
             i = int(rng.integers(0, 3))
             m = int(rng.integers(0, 4)) if kind != "add" else None
             n = int(rng.integers(0, 4)) if kind != "remove" else None
-            got = apply_move(matching, (i, m, n, None), ctx)
+            got = _moved(matching.S, (i, m, n, None), ctx)
             if got is not None:
-                matching = got
+                matching = Association(S=got)
             assert (matching.S.sum(axis=0) <= ctx.scenario.L).all()
             assert (matching.S.sum(axis=1) <= ctx.scenario.N).all()
             assert np.array_equal(matching.A, matching.S.any(axis=1))
@@ -146,10 +143,10 @@ class TestPreferences:
         checked = 0
         for i, j in _pair_order(3):
             for move in _pair_moves(matching.S, i, j):
-                swapped = apply_move(matching, move, ctx)
+                swapped = _moved(matching.S, move, ctx)
                 if swapped is None:
                     continue
-                after = evaluate(swapped.S, "fipc", ctx)
+                after = evaluate(swapped, "fipc", ctx)
                 if after.ee > before.ee and not after.qos_ok:
                     out = is_swap_blocking(matching, move, "fipc", ctx)
                     assert not out.approved
@@ -162,15 +159,15 @@ class TestPreferences:
         matching = Association(S=S)
         move = (0, 0, 1, 1)
         out = is_swap_blocking(matching, move, "slmdb", ctx)
-        swapped = apply_move(matching, move, ctx)
+        swapped = _moved(matching.S, move, ctx)
         ev_a = evaluate(matching.S, "slmdb", ctx)
-        ev_b = evaluate(swapped.S, "slmdb", ctx)
+        ev_b = evaluate(swapped, "slmdb", ctx)
         expect = (ev_b.qos_ok and ev_a.qos_ok and ev_b.ee > ev_a.ee) \
             or (ev_b.shortfall_bps < ev_a.shortfall_bps) \
             or (ev_b.shortfall_bps == ev_a.shortfall_bps and ev_b.ee > ev_a.ee)
         assert out.approved == expect
         if expect:
-            assert np.array_equal(out.matching.S, swapped.S)
+            assert np.array_equal(out.matching.S, swapped)
 
     def test_evaluation_cached(self):
         ctx = make_context(M=3, K=2, N=2, L=2, seed=5)

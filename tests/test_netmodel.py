@@ -2,29 +2,33 @@ import numpy as np
 import pytest
 
 from greenran import (ConfigError, FrameConfig, ScenarioParams, build_correlation,
-                      generate_topology, wrap_distance)
+                      generate_topology)
+from greenran.netmodel import _wrap_distance_matrix
 
 
 class TestWrapDistance:
+    # BS 0 at the origin against UEs on the square
     def test_identity(self):
-        assert wrap_distance((0.0, 0.0), (0.0, 0.0), 500.0) == 0.0
+        d = _wrap_distance_matrix(np.zeros((1, 2)), np.zeros((1, 2)), 500.0)
+        assert d[0, 0] == 0.0
 
     def test_wraps_across_the_edge(self):
-        assert wrap_distance((0.0, 0.0), (499.0, 0.0), 500.0) == pytest.approx(1.0)
+        d = _wrap_distance_matrix(np.zeros((1, 2)), np.array([[499.0, 0.0]]), 500.0)
+        assert d[0, 0] == pytest.approx(1.0)
 
     def test_farthest_corner(self):
-        d = wrap_distance((0.0, 0.0), (250.0, 250.0), 500.0)
-        assert d == pytest.approx(250.0 * np.sqrt(2.0))
+        d = _wrap_distance_matrix(np.zeros((1, 2)), np.array([[250.0, 250.0]]), 500.0)
+        assert d[0, 0] == pytest.approx(250.0 * np.sqrt(2.0))
 
     def test_metric_properties(self):
         rng = np.random.default_rng(3)
         side = 500.0
         pts = rng.uniform(0, side, size=(60, 2))
-        for a, b, c in zip(pts[:20], pts[20:40], pts[40:]):
-            dab = wrap_distance(a, b, side)
-            assert dab == pytest.approx(wrap_distance(b, a, side))
-            assert dab <= side / np.sqrt(2.0) + 1e-12
-            assert dab <= wrap_distance(a, c, side) + wrap_distance(c, b, side) + 1e-9
+        d = _wrap_distance_matrix(pts, pts, side)
+        assert np.allclose(d, d.T, rtol=1e-12, atol=0.0)
+        assert (d <= side / np.sqrt(2.0) + 1e-12).all()
+        # d[a, b] <= d[a, c] + d[c, b] over every triple, at index [a, c, b]
+        assert (d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-9).all()
 
 
 class TestTopology:

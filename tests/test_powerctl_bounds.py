@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from greenran import (FrameConfig, build_affine_form, gamma_thresholds,
-                      link_coefficients, make_qos, qos_residual, surrogate_ee,
-                      taylor_bounds, uplink_rate)
+from greenran import FrameConfig, gamma_thresholds, link_coefficients, make_qos
+from greenran.powerctl import ReducedProblem
+from greenran.rates import rates_from_coeffs
 from conftest import strongest_assoc
 
 
@@ -23,33 +23,34 @@ class TestGammaThresholds:
 
 
 class TestQosResidual:
+    # strongest_assoc serves both UEs, so reduced and full power vectors agree
     def test_zero_gamma_always_satisfied(self, small_ctx):
-        assoc = strongest_assoc(small_ctx)
+        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
         qos = make_qos(0.0, 2, small_ctx.frame, 0.1)
-        r = qos_residual(np.array([0.05, 0.01]), assoc, small_ctx.tensor,
-                         small_ctx.frame, qos)
+        r = ReducedProblem(lc, small_ctx.frame, None, qos).residual(np.array([0.05, 0.01]))
         assert (r <= 0).all()
 
     def test_affine_in_power(self, small_ctx):
-        assoc = strongest_assoc(small_ctx)
-        qos = small_ctx.qos
+        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.random(2) * 0.1
             d = rng.random(2) * 0.01
-            r0 = qos_residual(p - d, assoc, small_ctx.tensor, small_ctx.frame, qos)
-            r1 = qos_residual(p, assoc, small_ctx.tensor, small_ctx.frame, qos)
-            r2 = qos_residual(p + d, assoc, small_ctx.tensor, small_ctx.frame, qos)
+            r0 = prob.residual(p - d)
+            r1 = prob.residual(p)
+            r2 = prob.residual(p + d)
             assert np.allclose(r2 - 2 * r1 + r0, 0.0, atol=1e-18)
 
     def test_sign_matches_rate_deficit(self, small_ctx):
-        assoc = strongest_assoc(small_ctx)
+        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
         qos = small_ctx.qos
+        prob = ReducedProblem(lc, small_ctx.frame, None, qos)
         rng = np.random.default_rng(1)
         for _ in range(200):
             p = rng.random(2) * 0.1
-            r = qos_residual(p, assoc, small_ctx.tensor, small_ctx.frame, qos)
-            rates = uplink_rate(p, assoc, small_ctx.tensor, small_ctx.frame)
+            r = prob.residual(p)
+            rates = rates_from_coeffs(p, lc, small_ctx.frame)
             deficit = qos.r_min_bps - rates
             for k in range(2):
                 if abs(r[k]) > 1e-18 and abs(deficit[k]) > 1e-3:
@@ -57,39 +58,43 @@ class TestQosResidual:
 
 
 class TestTaylorBounds:
+    # (Rhat, Rbar) of the surrogate at an anchor inside the power box
+
     def test_equality_at_anchor(self, small_ctx):
-        assoc = strongest_assoc(small_ctx)
+        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         anchor = np.array([0.03, 0.07])
-        rates = uplink_rate(anchor, assoc, small_ctx.tensor, small_ctx.frame)
-        hi, lo = taylor_bounds(anchor, anchor, assoc, small_ctx.tensor, small_ctx.frame)
+        rates = rates_from_coeffs(anchor, lc, small_ctx.frame)
+        hi, lo = prob.surrogate(anchor).rate_bounds(anchor)
         assert np.allclose(hi, rates, rtol=1e-10)
         assert np.allclose(lo, rates, rtol=1e-10)
 
     def test_sandwich_everywhere(self, small_ctx):
-        assoc = strongest_assoc(small_ctx)
+        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         rng = np.random.default_rng(2)
         for _ in range(100):
             anchor = rng.random(2) * 0.1
             p = rng.random(2) * 0.1
-            rates = uplink_rate(p, assoc, small_ctx.tensor, small_ctx.frame)
-            hi, lo = taylor_bounds(p, anchor, assoc, small_ctx.tensor, small_ctx.frame)
+            rates = rates_from_coeffs(p, lc, small_ctx.frame)
+            hi, lo = prob.surrogate(anchor).rate_bounds(p)
             assert (lo <= rates + 1e-6).all()
             assert (rates <= hi + 1e-6).all()
 
     def test_upper_bound_gradient_matches_rate_gradient(self, small_ctx):
         # at the anchor the tangent of the concave log reproduces the slope
-        assoc = strongest_assoc(small_ctx)
+        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         anchor = np.array([0.04, 0.06])
+        sur = prob.surrogate(anchor)
         h = 1e-7
         for k in range(2):
             dp = np.zeros(2)
             dp[k] = h
-            hi_p, lo_p = taylor_bounds(anchor + dp, anchor, assoc,
-                                       small_ctx.tensor, small_ctx.frame)
-            hi_m, lo_m = taylor_bounds(anchor - dp, anchor, assoc,
-                                       small_ctx.tensor, small_ctx.frame)
-            r_p = uplink_rate(anchor + dp, assoc, small_ctx.tensor, small_ctx.frame)
-            r_m = uplink_rate(anchor - dp, assoc, small_ctx.tensor, small_ctx.frame)
+            hi_p, lo_p = sur.rate_bounds(anchor + dp)
+            hi_m, lo_m = sur.rate_bounds(anchor - dp)
+            r_p = rates_from_coeffs(anchor + dp, lc, small_ctx.frame)
+            r_m = rates_from_coeffs(anchor - dp, lc, small_ctx.frame)
             grad_rate = (r_p - r_m) / (2 * h)
             grad_hi = (hi_p - hi_m) / (2 * h)
             grad_lo = (lo_p - lo_m) / (2 * h)
@@ -98,48 +103,50 @@ class TestTaylorBounds:
 
 
 class TestSurrogateEe:
+    # the surrogate EE is sum Rbar over P_N at Rhat: `Surrogate.ratio`
+
     def test_global_lower_bound(self, small_ctx):
         assoc = strongest_assoc(small_ctx)
-        form = build_affine_form(assoc, small_ctx.bs_config, small_ctx.system)
         lc = link_coefficients(assoc.S, small_ctx.tensor)
+        form = small_ctx.form_for(assoc.active_count)
+        prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
         rng = np.random.default_rng(3)
         for _ in range(200):
             anchor = rng.random(2) * 0.1
             p = rng.random(2) * 0.1
-            below = surrogate_ee(p, anchor, assoc, small_ctx.tensor,
-                                 small_ctx.frame, form, small_ctx.qos)
-            rates = uplink_rate(p, assoc, small_ctx.tensor, small_ctx.frame)
+            below = prob.surrogate(anchor).ratio(p)
+            rates = rates_from_coeffs(p, lc, small_ctx.frame)
             true_ee = np.sum(rates) / form.total(p, rates)
             assert below <= true_ee * (1 + 1e-12) + 1e-12
 
     def test_tight_at_anchor(self, small_ctx):
         assoc = strongest_assoc(small_ctx)
-        form = build_affine_form(assoc, small_ctx.bs_config, small_ctx.system)
+        lc = link_coefficients(assoc.S, small_ctx.tensor)
+        form = small_ctx.form_for(assoc.active_count)
+        prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
         p = np.array([0.02, 0.09])
-        at = surrogate_ee(p, p, assoc, small_ctx.tensor, small_ctx.frame,
-                          form, small_ctx.qos)
-        rates = uplink_rate(p, assoc, small_ctx.tensor, small_ctx.frame)
+        at = prob.surrogate(p).ratio(p)
+        rates = rates_from_coeffs(p, lc, small_ctx.frame)
         true_ee = np.sum(rates) / form.total(p, rates)
         assert at == pytest.approx(true_ee, rel=1e-10)
 
     def test_gradient_consistency_at_anchor(self, small_ctx):
         # surrogate and true EE share first-order behavior at the anchor
         assoc = strongest_assoc(small_ctx)
-        form = build_affine_form(assoc, small_ctx.bs_config, small_ctx.system)
+        lc = link_coefficients(assoc.S, small_ctx.tensor)
+        form = small_ctx.form_for(assoc.active_count)
+        prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
         anchor = np.array([0.05, 0.04])
+        sur = prob.surrogate(anchor)
         h = 1e-8
 
         def true_ee(p):
-            rates = uplink_rate(p, assoc, small_ctx.tensor, small_ctx.frame)
+            rates = rates_from_coeffs(p, lc, small_ctx.frame)
             return np.sum(rates) / form.total(p, rates)
-
-        def sur(p):
-            return surrogate_ee(p, anchor, assoc, small_ctx.tensor,
-                                small_ctx.frame, form, small_ctx.qos)
 
         for k in range(2):
             dp = np.zeros(2)
             dp[k] = h
             g_true = (true_ee(anchor + dp) - true_ee(anchor - dp)) / (2 * h)
-            g_sur = (sur(anchor + dp) - sur(anchor - dp)) / (2 * h)
+            g_sur = (sur.ratio(anchor + dp) - sur.ratio(anchor - dp)) / (2 * h)
             assert g_sur == pytest.approx(g_true, rel=1e-5)

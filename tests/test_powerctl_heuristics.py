@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from greenran import (Association, ConfigError, FrameConfig, eipc, fipc,
-                      link_coefficients, make_qos, qopc)
+                      link_coefficients, make_qos)
 from greenran.powerctl import ReducedProblem, qopc_solve
 from conftest import make_context, strongest_assoc
 from test_statistics import scaled_identity_set
@@ -93,10 +93,9 @@ def feasibility_by_vertex_enumeration(prob):
 class TestQopc:
     def test_zero_gamma_feasible(self):
         ctx = make_context(M=3, K=2, N=3, L=2, seed=4, r_min=0.0)
-        assoc = strongest_assoc(ctx)
-        p, ok = qopc(assoc, ctx.tensor, ctx.frame, ctx.qos)
+        lc = link_coefficients(strongest_assoc(ctx).S, ctx.tensor)
+        p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
         assert ok
-        lc = link_coefficients(assoc.S, ctx.tensor)
         prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
         assert (prob.residual(prob.reduce(p)) <= 0).all()
         # P = 0 itself satisfies the constraints when gamma = 0
@@ -118,7 +117,7 @@ class TestQopc:
                 analytic = threshold <= ctx.qos.p_max_w
             else:
                 analytic = False
-            _, ok = qopc(assoc, ctx.tensor, ctx.frame, ctx.qos)
+            _, ok = qopc_solve(lc, ctx.frame, ctx.qos)
             assert ok == analytic, trial
             hits += analytic
         assert 0 < hits < 40   # the sample contains both verdicts

@@ -1,26 +1,31 @@
 import numpy as np
 import pytest
 
-from greenran import (Association, InfeasibleError, SolverSettings, build_affine_form,
-                      dinkelbach, link_coefficients, slmdb, solve_parametric)
+from greenran import (Association, InfeasibleError, SolverSettings, link_coefficients,
+                      slmdb)
 from greenran import powerctl
-from greenran.powerctl import ReducedProblem, SolveDiagnostics, _solve_parametric
+from greenran.powerctl import (ReducedProblem, SolveDiagnostics, _dinkelbach,
+                               _solve_parametric, qopc_solve)
 from conftest import make_context, strongest_assoc
 
 
 def build_problem(ctx, assoc):
-    form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+    form = ctx.form_for(assoc.active_count)
     lc = link_coefficients(assoc.S, ctx.tensor)
     prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)
     return prob, form
 
 
-def pinned_slmdb(p0=None):
+def pinned_instance():
     """The well-posed M=4, K=2 instance the Newton-budget tests pin."""
     ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=0)
-    assoc = strongest_assoc(ctx)
-    form = build_affine_form(assoc, ctx.bs_config, ctx.system)
-    return slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings, p0=p0)
+    return ctx, strongest_assoc(ctx)
+
+
+def pinned_slmdb():
+    ctx, assoc = pinned_instance()
+    return slmdb(assoc, ctx.tensor, ctx.frame, ctx.form_for(assoc.active_count),
+                 ctx.qos, ctx.settings)
 
 
 def grid_best_scalar(prob, form, n=100001):
@@ -63,22 +68,19 @@ class TestParametricSolver:
 
     def test_feasible_point_returned(self):
         ctx = make_context(M=3, K=2, N=4, L=2, area=300.0, seed=7, r_min=15e6)
-        assoc = strongest_assoc(ctx)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        prob, _ = build_problem(ctx, strongest_assoc(ctx))
         anchor = np.full(2, 0.05)
-        p = solve_parametric(1e5, anchor, assoc, ctx.tensor, ctx.frame, form, ctx.qos)
+        sur = prob.surrogate(prob.reduce(anchor))
+        p = prob.expand(_solve_parametric(sur, 1e5, None, SolveDiagnostics()))
         assert (p >= 0).all() and (p <= 0.1).all()
-        lc = link_coefficients(assoc.S, ctx.tensor)
-        prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)
         assert (prob.residual(prob.reduce(p)) <= 1e-8).all()
 
     def test_infeasible_region_raises(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
-        assoc = strongest_assoc(ctx, per_ue=1)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        prob, _ = build_problem(ctx, strongest_assoc(ctx, per_ue=1))
+        sur = prob.surrogate(prob.reduce(np.zeros(2)))
         with pytest.raises(InfeasibleError):
-            solve_parametric(0.0, np.zeros(2), assoc, ctx.tensor, ctx.frame,
-                             form, ctx.qos)
+            _solve_parametric(sur, 0.0, None, SolveDiagnostics())
 
     def test_warm_round_lands_on_cold_solution(self):
         # a Dinkelbach round starts from the previous round's solution; damped
@@ -167,7 +169,7 @@ class TestInteriorPoint:
     def test_infeasible_targets_fall_back_to_one_lp(self, monkeypatch):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
         assoc = strongest_assoc(ctx, per_ue=1)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        form = ctx.form_for(assoc.active_count)
         solves = self.count_calls(monkeypatch, "_balanced_point")
         lps = self.count_calls(monkeypatch, "_least_power_point")
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
@@ -181,10 +183,10 @@ class TestDinkelbach:
         ctx = make_context(M=2, K=1, N=4, L=2, area=250.0, seed=3)
         assoc = strongest_assoc(ctx)
         st = SolverSettings(slm_tol=1e-9, slm_max_iter=500)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        prob, form = build_problem(ctx, assoc)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
         # re-anchor at the converged point: the ratio update is a fixed point
-        p_star, pi_star = dinkelbach(sol.p, assoc, ctx.tensor, ctx.frame, form, ctx.qos)
+        _, pi_star, _ = _dinkelbach(prob, prob.reduce(sol.p), SolveDiagnostics())
         assert pi_star == pytest.approx(sol.ee, rel=1e-4)
 
     def test_scalar_ratio_matches_grid(self):
@@ -192,7 +194,7 @@ class TestDinkelbach:
         assoc = strongest_assoc(ctx)
         prob, form = build_problem(ctx, assoc)
         anchor = np.array([0.05])
-        p, pi = dinkelbach(anchor, assoc, ctx.tensor, ctx.frame, form, ctx.qos)
+        _, pi, _ = _dinkelbach(prob, anchor, SolveDiagnostics())
         sur = prob.surrogate(anchor)
         g = np.linspace(1e-7, 0.1, 100001)
         ratios = np.array([sur.ratio(np.array([x])) for x in g[::100]])
@@ -202,7 +204,7 @@ class TestDinkelbach:
         for seed in range(20):
             ctx = make_context(M=4, K=3, N=4, L=2, area=320.0, seed=seed)
             assoc = strongest_assoc(ctx)
-            form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+            form = ctx.form_for(assoc.active_count)
             sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
             if not sol.feasible:
                 continue
@@ -216,7 +218,7 @@ class TestSlmdb:
         for seed in range(10):
             ctx = make_context(M=4, K=3, N=4, L=2, area=320.0, seed=100 + seed)
             assoc = strongest_assoc(ctx)
-            form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+            form = ctx.form_for(assoc.active_count)
             sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
             if not sol.feasible:
                 continue
@@ -224,15 +226,18 @@ class TestSlmdb:
             assert (np.diff(t) >= -1e-9 * t[:-1]).all()
 
     def test_stationary_start_single_iteration(self):
+        # one SLM round anchored at the optimum ends the loop: its EE does not
+        # rise past slm_tol, and it stays at the optimum's EE
         ctx = make_context(M=2, K=1, N=4, L=2, area=250.0, seed=3)
         assoc = strongest_assoc(ctx)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        prob, form = build_problem(ctx, assoc)
         st = SolverSettings(slm_tol=1e-8, slm_max_iter=3000)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
-        again = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos,
-                      ctx.settings, p0=sol.p)
-        assert again.diagnostics.slm_iterations == 1
-        assert again.ee == pytest.approx(sol.ee, rel=1e-6)
+        anchor = prob.reduce(sol.p)
+        p, _, _ = _dinkelbach(prob, anchor, SolveDiagnostics())
+        ee, ee_prev = prob.ee(p), prob.ee(anchor)
+        assert (ee - ee_prev) / ee_prev <= ctx.settings.slm_tol
+        assert ee == pytest.approx(sol.ee, rel=1e-6)
 
     def test_scalar_instance_matches_grid(self):
         ctx = make_context(M=1, K=1, N=4, L=1, area=200.0, seed=17)
@@ -246,7 +251,7 @@ class TestSlmdb:
     def test_infeasible_verdict_propagates(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
         assoc = strongest_assoc(ctx, per_ue=1)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        form = ctx.form_for(assoc.active_count)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
         assert not sol.feasible
         assert np.isfinite(sol.ee)
@@ -254,7 +259,7 @@ class TestSlmdb:
     def test_respects_box_and_qos(self):
         ctx = make_context(M=4, K=3, N=4, L=2, area=300.0, seed=23, r_min=15e6)
         assoc = strongest_assoc(ctx)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        form = ctx.form_for(assoc.active_count)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
         if sol.feasible:
             assert (sol.p >= 0).all() and (sol.p <= ctx.qos.p_max_w).all()
@@ -280,13 +285,17 @@ class TestSlmdb:
         assert not diag.interior_infeasible
 
     def test_swallowed_interior_failure_is_flagged(self, monkeypatch):
-        start = pinned_slmdb().p
+        # the solve starts from the QoPC point and keeps it
+        ctx, assoc = pinned_instance()
+        start, feasible = qopc_solve(link_coefficients(assoc.S, ctx.tensor), ctx.frame,
+                                     ctx.qos)
+        assert feasible
 
         def no_interior(*args, **kwargs):
             raise InfeasibleError("no strict interior")
 
         monkeypatch.setattr(powerctl, "_dinkelbach", no_interior)
-        sol = pinned_slmdb(p0=start)
+        sol = pinned_slmdb()
         assert sol.feasible and sol.diagnostics.interior_infeasible
         assert np.array_equal(sol.p, start)
 
@@ -295,7 +304,7 @@ class TestSlmdb:
         S = np.zeros((2, 2), dtype=bool)
         S[0, 0] = True   # UE 1 left unserved
         assoc = Association(S=S)
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        form = ctx.form_for(assoc.active_count)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
         assert not sol.feasible
         assert sol.p[1] == 0.0
@@ -303,7 +312,7 @@ class TestSlmdb:
     def test_empty_association_returns_at_once(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=300.0, seed=2, r_min=0.0)
         assoc = Association(S=np.zeros((2, 2), dtype=bool))
-        form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+        form = ctx.form_for(assoc.active_count)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
         assert sol.feasible and sol.ee == 0.0
         assert np.array_equal(sol.p, np.zeros(2))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from greenran import (Association, ConfigError, SubComponentSpec, SystemPowerParams,
-                      build_affine_form, component_power, edge_cloud_power,
-                      energy_efficiency, network_power, sleep_power, theta,
+                      build_affine_form, component_power, network_power, theta,
                       ubs_power)
 from greenran.powermodel import BsPowerConfig, edge_cloud_scaling, traffic_power_coefficient
 
@@ -119,12 +118,15 @@ class TestTheta:
 
 
 class TestSleepPower:
+    # one sleeping BS out of one: the form's ubs_sleep constant is its draw
     def test_zero_scale(self, system_params):
         cfg = simple_cfg(rf=[SubComponentSpec("a", 5.0, {})], sleep_scale=0.0)
-        assert sleep_power(cfg, system_params) == 0.0
+        form = build_affine_form(cfg, system_params, 1, 1, 0)
+        assert form.parts["ubs_sleep"][0] == 0.0
 
     def test_below_idle_power(self, bs_config, system_params):
-        assert sleep_power(bs_config, system_params) < ubs_power(bs_config, 0.0)
+        form = build_affine_form(bs_config, system_params, 1, 1, 0)
+        assert form.parts["ubs_sleep"][0] < ubs_power(bs_config, 0.0)
 
 
 class TestEdgeCloud:
@@ -148,7 +150,8 @@ class TestEdgeCloud:
 
     def test_kappa_zero_disables(self, bs_config):
         params = SystemPowerParams(kappa=0.0)
-        assert edge_cloud_power(bs_config, params, 4, np.full(4, 20.0)) == 0.0
+        c, alpha, delta = build_affine_form(bs_config, params, 4, 3, 2).parts["edge_cloud"]
+        assert c == 0.0 and (alpha == 0.0).all() and (delta == 0.0).all()
 
 
 class TestAffineForm:
@@ -172,7 +175,7 @@ class TestAffineForm:
             M, K = int(rng.integers(2, 7)), int(rng.integers(1, 5))
             S = rng.random((M, K)) < 0.5
             assoc = Association(S=S)
-            form = build_affine_form(assoc, bs_config, system_params)
+            form = build_affine_form(bs_config, system_params, M, K, assoc.active_count)
             P = rng.random(K) * 0.1
             rates = rng.random(K) * 60e6 * S.any(axis=0)   # traffic only when served
             direct = direct_network_power(P, rates, assoc, bs_config, system_params)
@@ -181,8 +184,7 @@ class TestAffineForm:
     def test_zero_curvature_in_rates(self, bs_config, system_params):
         rng = np.random.default_rng(9)
         S = rng.random((5, 3)) < 0.6
-        assoc = Association(S=S)
-        form = build_affine_form(assoc, bs_config, system_params)
+        form = build_affine_form(bs_config, system_params, 5, 3, int(S.any(axis=1).sum()))
         P = rng.random(3) * 0.1
         rates = rng.random(3) * 40e6
         h = 1e6
@@ -194,15 +196,13 @@ class TestAffineForm:
             assert abs(second) <= 1e-9 * abs(form.total(P, mid))
 
     def test_positive_slopes(self, bs_config, system_params):
-        assoc = Association(S=np.ones((4, 2), dtype=bool))
-        form = build_affine_form(assoc, bs_config, system_params)
+        form = build_affine_form(bs_config, system_params, 4, 2, 4)
         assert (form.alpha_per_k > 0).all()
         assert (form.delta_per_k >= 1).all()
 
     def test_all_sleeping_floor(self, bs_config, system_params):
         M, K = 4, 2
-        assoc = Association(S=np.zeros((M, K), dtype=bool))
-        form = build_affine_form(assoc, bs_config, system_params)
+        form = build_affine_form(bs_config, system_params, M, K, 0)
         kt = system_params.kappa * theta(bs_config, system_params)
         sleep_total = M * (1 - kt) * bs_config.sleep_scale * ubs_power(bs_config, 0.0)
         ec = kt * edge_cloud_scaling(system_params, M, bs_config.loss_co) \
@@ -212,35 +212,18 @@ class TestAffineForm:
 
     def test_fractional_load_exponent_rejected(self, system_params):
         cfg = simple_cfg(bbu=[SubComponentSpec("b", 1.0, {"Ld": 0.5})])
-        assoc = Association(S=np.ones((2, 1), dtype=bool))
         with pytest.raises(ConfigError):
-            build_affine_form(assoc, cfg, system_params)
+            build_affine_form(cfg, system_params, 2, 1, 2)
 
     def test_breakdown_parts_sum_to_total(self, bs_config, system_params):
         rng = np.random.default_rng(10)
         S = rng.random((5, 3)) < 0.5
-        assoc = Association(S=S)
-        form = build_affine_form(assoc, bs_config, system_params)
+        form = build_affine_form(bs_config, system_params, 5, 3, int(S.any(axis=1).sum()))
         P = rng.random(3) * 0.1
         rates = rng.random(3) * 40e6
-        b = network_power(P, rates, assoc, form)
+        b = network_power(P, rates, form)
         parts = [b.ubs_active_w, b.ubs_sleep_w, b.fronthaul_w, b.edge_cloud_w, b.ue_w]
         assert all(x >= 0 for x in parts)
         assert sum(parts) == b.total_w
         assert b.total_w == pytest.approx(form.total(P, rates), rel=1e-12)
 
-
-class TestEnergyEfficiency:
-    def test_zero_rates_zero_ee(self, bs_config, system_params):
-        assoc = Association(S=np.ones((3, 2), dtype=bool))
-        form = build_affine_form(assoc, bs_config, system_params)
-        assert energy_efficiency(np.zeros(2), np.zeros(2), form) == 0.0
-
-    def test_linear_in_rates_at_fixed_power(self, bs_config, system_params):
-        assoc = Association(S=np.ones((3, 2), dtype=bool))
-        form = build_affine_form(assoc, bs_config, system_params)
-        rates = np.array([10e6, 20e6])
-        P = np.array([0.05, 0.05])
-        denom = form.total(P, rates)
-        ee = energy_efficiency(P, rates, form)
-        assert ee == pytest.approx(np.sum(rates) / denom)

@@ -13,7 +13,7 @@ the center from any interior start.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from greenran import Association, build_affine_form, link_coefficients, slmdb
+from greenran import Association, link_coefficients, slmdb
 from greenran.powerctl import (QOS_RATE_RTOL, ReducedProblem, SolveDiagnostics,
                                _solve_parametric)
 from conftest import make_context
@@ -36,7 +36,7 @@ def instances(draw):
 
 
 def solve(ctx, assoc):
-    form = build_affine_form(assoc, ctx.bs_config, ctx.system)
+    form = ctx.form_for(assoc.active_count)
     return slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings), form
 
 

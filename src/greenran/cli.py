@@ -31,6 +31,7 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--config")
     p_oracle.add_argument("--instances", type=int, default=3)
     p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.set_defaults(drops=None, algorithm=None)
 
     args = parser.parse_args(argv)
     try:
@@ -49,10 +50,10 @@ def _common_args(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _load(args) -> harness.RunConfig:
-    """The config file, or the defaults, with the command-line overrides merged
-    in before `load_config` checks it."""
-    raw = {}
+def _load(args, raw=None) -> harness.RunConfig:
+    """The config file, else `raw` or the defaults, with the command-line
+    overrides merged in before `load_config` checks it."""
+    raw = raw or {}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh) or {}
@@ -97,18 +98,14 @@ def _run_command(args) -> int:
 
 def _oracle_check(args) -> int:
     """Tiny-instance comparison: the swap matcher must stay within the oracle."""
-    overrides = {"scenario": {"M": 3, "K": 2, "N": 2, "L": 2, "area_side": 300.0},
-                 "qos": {"r_min_bps": 10e6}}
-    if args.config:
-        config = harness.load_config(args.config)
-    else:
-        config = harness.load_config(overrides)
+    config = _load(args, {"scenario": {"M": 3, "K": 2, "N": 2, "L": 2, "area_side": 300.0},
+                          "qos": {"r_min_bps": 10e6}})
     if args.instances < 1:
         raise ConfigError("instances must be >= 1")
     worst = 1.0
     failures = 0
     for i in range(args.instances):
-        ctx = harness._make_context(config, args.seed ^ i)
+        ctx = harness._make_context(config, config.base_seed ^ i)
         oracle = exhaustive_search(ctx)
         matcher = trimsm(ctx, "slmdb")
         if oracle.infeasible and matcher.infeasible:

@@ -35,14 +35,6 @@ ALGORITHMS = ("trimsm-slmdb", "trimsm-fipc", "trimsm-qopc", "trimsm-eipc",
 
 SWEEPABLE = ("M", "K", "N", "L", "area_side", "r_min_bps")
 
-RECORD_FIELDS = (
-    "sweep_parameter", "sweep_value", "drop_index", "drop_seed", "algorithm",
-    "feasible", "ee_bits_per_joule", "sum_rate_bps", "total_power_w",
-    "ubs_active_power_w", "ubs_sleep_power_w", "fronthaul_power_w",
-    "edge_cloud_power_w", "ue_power_w", "active_ubs_count", "ue_count",
-    "qos_violation_count", "swap_count", "slm_iterations", "wall_time_ms",
-)
-
 AGGREGATE_FIELDS = (
     "sweep_parameter", "sweep_value", "algorithm", "drops", "feasible_drops",
     "infeasible_drops", "ee_mean", "ee_median", "active_ubs_mean",
@@ -72,6 +64,9 @@ class ResultRecord:
     swap_count: int
     slm_iterations: int
     wall_time_ms: float
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(ResultRecord))
 
 
 @dataclass(frozen=True)

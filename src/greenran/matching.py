@@ -18,10 +18,13 @@ Power inside the scan comes from one of the controllers (slmdb, fipc, qopc,
 eipc); any heuristic mode gets a final slmdb refinement once the matching has
 converged.
 
-An evaluation is a pure function of S, so the scan looks ahead: when a pair's
-scan starts, and after each approval, `evaluate` scores the candidates of the
-pair's remaining moves in one stacked call, bitwise as if one by one, before the
-judge takes them in order. slmdb, which gains nothing from stacking, does not.
+A pair's scan builds the candidate serving matrices of its remaining moves
+once per incumbent: when it starts, and again after each approval. The judge
+compares the incumbent with one candidate matrix and never sees the move. An
+evaluation is a pure function of S, so the scan looks ahead: `evaluate` scores
+the whole candidate list in one stacked call, bitwise as if one by one, and the
+judge then takes the same list in order. slmdb, which gains nothing from
+stacking, builds and judges one candidate at a time.
 """
 
 from dataclasses import dataclass, field
@@ -282,15 +285,15 @@ def _pair_order(K: int):
             yield i, j
 
 
-def is_swap_blocking(matching: Association, move: tuple, power_mode: str,
+def is_swap_blocking(matching: Association, swapped: np.ndarray | None, power_mode: str,
                      ctx: EvaluationContext) -> PreferenceOutcome:
-    """Approve the move iff it strictly improves (shortfall, EE) lexicographically.
+    """Approve the candidate serving matrix `swapped` (None: the move does not
+    apply) iff it strictly improves (shortfall, EE) lexicographically.
 
     With QoS currently met that reduces to: QoS stays met and EE strictly
     increases (the shared-preference reading of a blocking pair).
     """
     before = evaluate(matching.S, power_mode, ctx)
-    swapped = _moved(matching.S, move, ctx)
     if swapped is None:
         return PreferenceOutcome(approved=False)
     after = evaluate(swapped, power_mode, ctx)
@@ -306,7 +309,8 @@ def verify_stability(matching: Association, power_mode: str,
     K = matching.S.shape[1]
     for i, j in _pair_order(K):
         for move in _pair_moves(matching.S, i, j):
-            if is_swap_blocking(matching, move, power_mode, ctx).approved:
+            if is_swap_blocking(matching, _moved(matching.S, move, ctx), power_mode,
+                                ctx).approved:
                 return False
     return True
 
@@ -325,19 +329,23 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb") -> SolutionReport:
     swap_count = 0
     converged = False
     for _ in range(_MAX_SWEEPS):
-        approved_any = False
+        swaps_before = swap_count
         for i, j in _pair_order(ctx.scenario.K):
             moves = list(_pair_moves(matching.S, i, j))
-            for t, move in enumerate(moves):
-                if power_mode != "slmdb" and (t == 0 or outcome.approved):
-                    ahead = (_moved(matching.S, later, ctx) for later in moves[t:])
-                    evaluate([S for S in ahead if S is not None], power_mode, ctx)
-                outcome = is_swap_blocking(matching, move, power_mode, ctx)
-                if outcome.approved:
-                    matching = outcome.matching
-                    swap_count += 1
-                    approved_any = True
-        if not approved_any:
+            t = 0
+            while t < len(moves):    # one pass per incumbent: restart after an approval
+                candidates = (_moved(matching.S, move, ctx) for move in moves[t:])
+                if power_mode != "slmdb":    # slmdb builds each candidate as it is judged
+                    candidates = list(candidates)
+                    evaluate([S for S in candidates if S is not None], power_mode, ctx)
+                for swapped in candidates:
+                    t += 1
+                    outcome = is_swap_blocking(matching, swapped, power_mode, ctx)
+                    if outcome.approved:
+                        matching = outcome.matching
+                        swap_count += 1
+                        break
+        if swap_count == swaps_before:
             converged = True
             break
 

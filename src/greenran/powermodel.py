@@ -153,7 +153,7 @@ def ubs_power(cfg: BsPowerConfig, load_fraction: float) -> float:
     return cfg.sectors * total / cfg.loss_divisor
 
 
-def theta(cfg: BsPowerConfig, params: SystemPowerParams, M: int = 1) -> float:
+def theta(cfg: BsPowerConfig, params: SystemPowerParams) -> float:
     """Edge-cloud power share: offloaded BBU power over total BS power.
 
     Evaluated at the actual operating point. Sector counts and loss divisors

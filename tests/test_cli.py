@@ -114,6 +114,13 @@ class TestCli:
         assert main(["oracle-check", "--instances", "1"]) == 0
         assert "ratio" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_oracle_check_seed_outside_range_rejected(self, capsys, seed):
+        assert main(["oracle-check", "--instances", "1", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "base_seed" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("instances", ["0", "-2"])
     def test_oracle_check_needs_an_instance(self, capsys, instances):
         assert main(["oracle-check", "--instances", instances]) == 1

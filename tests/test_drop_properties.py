@@ -5,7 +5,8 @@ from none up to ones no association can meet. The final matching must respect
 the per-UE cap L and the per-BS cap N, and must be lexicographically no worse
 in (rate shortfall, EE) than the received-power init, both scored in the scan's
 own mode. A run on a fresh context of the same drop must give the same matching
-and EE, and the record's power parts must sum to its total power.
+and EE, the record's power parts must sum to its total power, and every number
+in the record and the power solution must be finite.
 """
 
 import numpy as np
@@ -48,3 +49,6 @@ def test_trimsm_drop_properties(config):
         parts = (r.ubs_active_power_w + r.ubs_sleep_power_w + r.fronthaul_power_w
                  + r.edge_cloud_power_w + r.ue_power_w)
         assert parts == r.total_power_w, mode
+        numeric = [v for v in vars(r).values() if isinstance(v, (int, float))]
+        assert np.isfinite(numeric).all(), mode
+        assert all(np.isfinite(x).all() for x in (rep.power.p, rep.power.rates, rep.power.ee)), mode

@@ -130,7 +130,7 @@ class TestPreferences:
         ctx = make_context(M=3, K=2, N=2, L=2, seed=3)
         matching = strongest_assoc(ctx)
         m = int(np.flatnonzero(matching.S[:, 0])[0])
-        out = is_swap_blocking(matching, (0, m, m, 1), "eipc", ctx)
+        out = is_swap_blocking(matching, _moved(matching.S, (0, m, m, 1), ctx), "eipc", ctx)
         assert not out.approved and out.matching is None
 
     def test_qos_breaking_move_not_approved(self):
@@ -148,7 +148,7 @@ class TestPreferences:
                     continue
                 after = evaluate(swapped, "fipc", ctx)
                 if after.ee > before.ee and not after.qos_ok:
-                    out = is_swap_blocking(matching, move, "fipc", ctx)
+                    out = is_swap_blocking(matching, swapped, "fipc", ctx)
                     assert not out.approved
                     checked += 1
         assert checked > 0
@@ -158,8 +158,8 @@ class TestPreferences:
         S = np.array([[1, 0], [0, 1]], dtype=bool)
         matching = Association(S=S)
         move = (0, 0, 1, 1)
-        out = is_swap_blocking(matching, move, "slmdb", ctx)
         swapped = _moved(matching.S, move, ctx)
+        out = is_swap_blocking(matching, swapped, "slmdb", ctx)
         ev_a = evaluate(matching.S, "slmdb", ctx)
         ev_b = evaluate(swapped, "slmdb", ctx)
         expect = (ev_b.qos_ok and ev_a.qos_ok and ev_b.ee > ev_a.ee) \
@@ -236,39 +236,48 @@ class TestTrimsm:
         if not np.array_equal(init.S, rep.matching.S):
             assert not verify_stability(init, "eipc", ctx)
 
-    def test_approval_commits_the_evaluated_matching(self, monkeypatch):
-        # the judge applies each scanned move once and an approval commits the
-        # serving matrix it judged: the scan builds an Association only for the
-        # init and each approval, never per scanned move
-        built, applied, approvals = [], [], []
-        moved, scan = matching_module._moved, matching_module.is_swap_blocking
+    @pytest.mark.parametrize("mode", ["slmdb", "fipc", "qopc", "eipc"])
+    def test_approval_commits_the_evaluated_matching(self, mode, monkeypatch):
+        # a pair's scan builds each candidate once per incumbent and hands that
+        # matrix to the judge; an approval commits it, so an Association is
+        # built only for the init and each approval, never per scanned move
+        built, approvals = [], []
+        seen, candidates = set(), []    # of the current pair's scan
+        pair_moves, moved = matching_module._pair_moves, matching_module._moved
+        scan = matching_module.is_swap_blocking
 
         class CountedAssociation(Association):
             def __post_init__(self):
                 built.append(1)
                 super().__post_init__()
 
-        def counted_moved(*args):
-            out = moved(*args)
-            if applied:
-                applied[-1].append(out)
+        def counted_pair_moves(*args):
+            seen.clear()
+            candidates.clear()
+            return pair_moves(*args)
+
+        def counted_moved(S, move, ctx):
+            key = (S.tobytes(), move)
+            assert key not in seen, key
+            seen.add(key)
+            out = moved(S, move, ctx)
+            candidates.append(out)
             return out
 
-        def counted_scan(*args):
-            applied.append([])
-            outcome = scan(*args)
-            judged = applied.pop()
-            assert len(judged) == 1
+        def counted_scan(matching, swapped, *args):
+            assert swapped is None or any(swapped is c for c in candidates)
+            outcome = scan(matching, swapped, *args)
             if outcome.approved:
-                assert outcome.matching.S is judged[0]
+                assert outcome.matching.S is swapped
             approvals.append(outcome.approved)
             return outcome
 
         monkeypatch.setattr(matching_module, "Association", CountedAssociation)
+        monkeypatch.setattr(matching_module, "_pair_moves", counted_pair_moves)
         monkeypatch.setattr(matching_module, "_moved", counted_moved)
         monkeypatch.setattr(matching_module, "is_swap_blocking", counted_scan)
         ctx = make_context(M=4, K=3, N=2, L=2, seed=77)
-        rep = trimsm(ctx, "eipc")
+        rep = trimsm(ctx, mode)
         assert rep.swap_count == sum(approvals) > 0
         assert len(built) == 1 + rep.swap_count < len(approvals)
 

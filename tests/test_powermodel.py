@@ -109,10 +109,6 @@ class TestTheta:
         cfg = simple_cfg(bbu=[SubComponentSpec("b", 4.0, {})])
         assert theta(cfg, SystemPowerParams(psi_d=1.0)) == pytest.approx(1.0)
 
-    def test_independent_of_bs_count(self, bs_config, system_params):
-        assert theta(bs_config, system_params, M=1) \
-            == theta(bs_config, system_params, M=16)
-
     def test_within_unit_interval(self, bs_config, system_params):
         assert 0 <= theta(bs_config, system_params) <= 1
 

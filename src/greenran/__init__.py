@@ -12,6 +12,6 @@ from .powermodel import (AffinePowerForm, BsPowerConfig, PowerBreakdown,
                          SubComponentSpec, SystemPowerParams, build_affine_form,
                          component_power, network_power, theta, ubs_power)
 from .rates import Association, link_coefficients
-from .statistics import CoefficientTensor, mmse_statistics, monte_carlo_statistics
+from .statistics import CoefficientTensor, mmse_statistics
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ A run config is a JSON document whose sections mirror the parameter
 dataclasses field-for-field (dB fields suffixed _db, watts _w). Each drop d
 derives its scenario seed as base_seed XOR d, generates a topology, builds the
 coefficient tensor once, and hands the identical tensor to every requested
-algorithm, so cross-algorithm comparisons are paired. Its per-BS rows are built
-on first use and shared across algorithms, so an unserved BS costs nothing.
+algorithm, so cross-algorithm comparisons are paired. A link's entries are built
+the first time a matching serves it and are shared across algorithms, so an
+unserved link costs nothing.
 Records are emitted in a fixed column order; identical configs produce
 byte-identical files (wall-clock timing is recorded only when `record_timing`
 is set, and is zero otherwise).

@@ -509,9 +509,10 @@ def _balanced_point(W, c, rscale, pmax):
     B, k = c.shape
     eye = np.eye(k, dtype=bool)
     ok = ((W < 0) == eye).all(axis=(1, 2))
-    if not ok.any():
+    certified = np.count_nonzero(ok)
+    if not certified:
         return np.zeros((B, k)), np.zeros(B), ok
-    neg = -W if ok.all() else np.where(ok[:, None, None], -W, eye)    # uncertified: I
+    neg = -W if certified == B else np.where(ok[:, None, None], -W, eye)    # uncertified: I
     try:
         inv = np.linalg.inv(neg)
     except np.linalg.LinAlgError:    # one singular member fails the whole stack
@@ -521,7 +522,7 @@ def _balanced_point(W, c, rscale, pmax):
                 inv[t] = np.linalg.inv(neg[t])
             except np.linalg.LinAlgError:
                 ok[t] = False
-    ok &= ~(inv < 0).any(axis=(1, 2))
+    ok[(inv < 0).any(axis=(1, 2))] = False
     a = (inv @ c[..., None])[..., 0]
     b = (inv @ rscale[..., None])[..., 0]
     b[~ok] = 1.0    # keeps the uncertified members' ratios finite
@@ -530,7 +531,7 @@ def _balanced_point(W, c, rscale, pmax):
     rows = np.arange(B)
     s = ratios[rows, j]
     p = a - s[:, None] * b
-    ok &= ~((p < 0) | (W[rows, j] == 0)).any(axis=1)    # row j* couples to every UE
+    ok[((p < 0) | (W[rows, j] == 0)).any(axis=1)] = False    # row j* couples to every UE
     return p, s, ok
 
 

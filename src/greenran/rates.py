@@ -62,7 +62,7 @@ class LinkCoefficients:
 def link_coefficients(S: np.ndarray, tensor: CoefficientTensor) -> LinkCoefficients:
     """Coefficients of a serving matrix (M, K), or stacked over them (..., M, K)."""
     Sf = S.astype(float)
-    mu, omega = tensor.rows(S)    # rows of BSs that S leaves idle may still be 0
+    mu, omega = tensor.links(S)    # links that S leaves unserved may still be 0
     mu_eff = np.einsum("...mk,mk->...k", Sf, mu)
     sum_mu2 = np.einsum("...mk,mk->...k", Sf, mu**2)
     interf = np.einsum("...mk,mkj->...kj", Sf, omega)

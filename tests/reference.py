@@ -1,0 +1,111 @@
+"""Monte Carlo estimate of the statistics that `greenran.mmse_statistics` gives in
+closed form: the validation oracle of the tests, which the program never runs."""
+
+import numpy as np
+
+from greenran import CoefficientTensor, ConfigError, CorrelationSet, FrameConfig
+
+# Samples per accumulation chunk. Chunk seeds are derived per chunk index, so
+# the merged estimate is independent of how chunks are distributed to workers.
+_CHUNK = 16384
+
+
+def monte_carlo_statistics(
+    corr: CorrelationSet,
+    frame: FrameConfig,
+    samples: int,
+    seed: int,
+) -> tuple[CoefficientTensor, np.ndarray, np.ndarray]:
+    """Sample-average coefficient tensor, with the standard errors (mu_se (M, K),
+    omega_se (M, K, K)) of its mu and omega.
+
+    Draws channel realizations, forms MMSE estimates from noisy pilot
+    observations, and combines with the empirically normalized MR combiner.
+    Deterministic for a fixed seed regardless of chunking.
+    """
+    if samples < 1:
+        raise ConfigError("samples must be >= 1")
+    R = corr.R
+    M, K, N, _ = R.shape
+    pp = frame.pilot_power_w
+    tau_p = frame.tau_p
+    sigma2 = frame.noise_power_w
+
+    # Per-link Cholesky factors of R and the estimator map
+    # h_est = sqrt(pp) * R Psi^{-1} y_despread, in R's dtype (the channel and
+    # noise draws are complex either way).
+    chol = np.zeros((M, K, N, N), dtype=np.result_type(R, 1.0))
+    est = np.zeros_like(chol)
+    eye = np.eye(N)
+    for m in range(M):
+        for k in range(K):
+            chol[m, k] = _psd_cholesky(R[m, k])
+            psi = pp * tau_p * R[m, k] + sigma2 * eye
+            est[m, k] = np.sqrt(pp) * R[m, k] @ np.linalg.inv(psi)
+
+    n_chunks = (samples + _CHUNK - 1) // _CHUNK
+    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+
+    sum_dot = np.zeros((M, K, K), dtype=complex)     # v-unnormalized c = h_est^H h_k'
+    sum_re2 = np.zeros((M, K, K))                    # Re(c)^2, for SE of mu
+    sum_abs2 = np.zeros((M, K, K))                   # |c|^2
+    sum_abs4 = np.zeros((M, K, K))                   # |c|^4, for SE of omega
+    sum_nrm = np.zeros((M, K))                       # ||h_est||^2
+    sum_nrm2 = np.zeros((M, K))                      # ||h_est||^4, for the normalizer SE
+
+    done = 0
+    for c in range(n_chunks):
+        n = min(_CHUNK, samples - done)
+        done += n
+        rng = np.random.default_rng(seeds[c])
+        for m in range(M):
+            z = _crandn(rng, (n, K, N))
+            h = np.einsum("kij,skj->ski", chol[m], z)
+            noise = np.sqrt(sigma2 * tau_p) * _crandn(rng, (n, K, N))
+            y = np.sqrt(pp) * tau_p * h + noise
+            for k in range(K):
+                h_est = y[:, k, :] @ est[m, k].T
+                dots = np.einsum("si,ski->sk", h_est.conj(), h)
+                a2 = np.abs(dots) ** 2
+                nrm2 = np.sum(np.abs(h_est) ** 2, axis=1)
+                sum_dot[m, k] += dots.sum(axis=0)
+                sum_re2[m, k] += (dots.real**2).sum(axis=0)
+                sum_abs2[m, k] += a2.sum(axis=0)
+                sum_abs4[m, k] += (a2**2).sum(axis=0)
+                sum_nrm[m, k] += float(nrm2.sum())
+                sum_nrm2[m, k] += float((nrm2**2).sum())
+
+    nrm = sum_nrm / samples                           # empirical E{||h_est||^2}
+    nrm_safe = np.where(nrm > 0, nrm, 1.0)
+    var_nrm = np.maximum(sum_nrm2 / samples - nrm**2, 0.0)
+    rel_nrm2 = var_nrm / samples / nrm_safe**2        # squared relative SE of the normalizer
+
+    mean_re = sum_dot.real / samples
+    var_re = np.maximum(sum_re2 / samples - mean_re**2, 0.0)
+    omega = sum_abs2 / samples / nrm_safe[:, :, None]
+    mean_abs2 = sum_abs2 / samples
+    var_abs2 = np.maximum(sum_abs4 / samples - mean_abs2**2, 0.0)
+    # Delta method: the estimates divide by the (noisy) empirical normalizer,
+    # which adds omega^2 * relSE(nrm)^2 (resp. a quarter of that for mu) to the
+    # variance, neglecting the covariance between numerator and normalizer.
+    omega_se = np.sqrt(var_abs2 / samples / nrm_safe[:, :, None] ** 2
+                       + omega**2 * rel_nrm2[:, :, None])
+    mu = np.einsum("mkk->mk", mean_re) / np.sqrt(nrm_safe)
+    mu_se = np.sqrt(np.einsum("mkk->mk", var_re) / samples / nrm_safe
+                    + 0.25 * mu**2 * rel_nrm2)
+    noise_coeff = np.where(nrm > 0, 1.0, 0.0)         # ||v||^2 == 1 by the empirical normalizer
+    return CoefficientTensor(mu=mu, omega=omega, noise_coeff=noise_coeff), mu_se, omega_se
+
+
+def _psd_cholesky(mat: np.ndarray) -> np.ndarray:
+    """Cholesky factor with an eigenvalue fallback for semidefinite inputs."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(mat)
+        w = np.maximum(w.real, 0.0)
+        return v * np.sqrt(w)[None, :]
+
+
+def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)

@@ -10,8 +10,7 @@ import numpy as np
 
 from greenran import (Association, FrameConfig, ScenarioParams, SolverSettings,
                       build_affine_form, build_correlation, generate_topology,
-                      link_coefficients, mmse_statistics, monte_carlo_statistics,
-                      slmdb, ubs_power)
+                      link_coefficients, mmse_statistics, slmdb, ubs_power)
 from greenran.harness import emit, load_config, run
 from greenran.matching import (evaluate, exhaustive_search, recp_init, trimsm,
                                verify_stability)
@@ -19,6 +18,7 @@ from greenran.powerctl import ReducedProblem
 from greenran.powermodel import traffic_power_coefficient
 from greenran.rates import rates_from_coeffs
 from conftest import default_bs_config, make_context, strongest_assoc
+from reference import monte_carlo_statistics
 
 
 def report(name: str, ok: bool, detail: str):
@@ -41,10 +41,10 @@ def test_closed_form_statistics_match_monte_carlo():
                               seed=int(rng.integers(0, 2**31)))
         corr = build_correlation(generate_topology(scen), frame)
         exact = mmse_statistics(corr, frame)
-        mc = monte_carlo_statistics(corr, frame, samples=100000,
-                                    seed=int(rng.integers(0, 2**31)))
-        dev_mu = np.abs(exact.mu - mc.mu) / np.maximum(mc.mu_se, 1e-30)
-        dev_om = np.abs(exact.omega - mc.omega) / np.maximum(mc.omega_se, 1e-30)
+        mc, mu_se, omega_se = monte_carlo_statistics(corr, frame, samples=100000,
+                                                     seed=int(rng.integers(0, 2**31)))
+        dev_mu = np.abs(exact.mu - mc.mu) / np.maximum(mu_se, 1e-30)
+        dev_om = np.abs(exact.omega - mc.omega) / np.maximum(omega_se, 1e-30)
         worst = max(worst, dev_mu.max(), dev_om.max())
     elapsed = time.time() - t_start
     report("statistics oracle equivalence", worst <= 3.0 and elapsed <= 120.0,

@@ -6,21 +6,25 @@ the per-UE cap L and the per-BS cap N, and must be lexicographically no worse
 in (rate shortfall, EE) than the received-power init, both scored in the scan's
 own mode. A run on a fresh context of the same drop must give the same matching
 and EE, the record's power parts must sum to its total power, and every number
-in the record and the power solution must be finite.
+in the record and the power solution must be finite. On drops with M*K <= 6 the
+exhaustive oracle, which enumerates every matching within the caps, bounds the
+slmdb matcher: feasible with EE no lower when the matcher is feasible, else with
+a rate shortfall no larger.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from greenran import harness
-from greenran.matching import POWER_MODES, evaluate, recp_init, trimsm
+from greenran.matching import POWER_MODES, evaluate, exhaustive_search, recp_init, trimsm
 
 
 @st.composite
-def drops(draw):
+def drops(draw, max_links=15):
     M = draw(st.integers(1, 5))
     return harness.load_config({
-        "scenario": {"M": M, "K": draw(st.integers(1, 3)), "N": draw(st.integers(1, 4)),
+        "scenario": {"M": M, "K": draw(st.integers(1, min(3, max_links // M))),
+                     "N": draw(st.integers(1, 4)),
                      "L": draw(st.integers(1, M)), "area_side": draw(st.floats(150.0, 600.0)),
                      "shadowing_std_db": draw(st.sampled_from([0.0, 8.0]))},
         "qos": {"r_min_bps": draw(st.one_of(st.just(0.0), st.floats(1e5, 5e8)))},
@@ -52,3 +56,17 @@ def test_trimsm_drop_properties(config):
         numeric = [v for v in vars(r).values() if isinstance(v, (int, float))]
         assert np.isfinite(numeric).all(), mode
         assert all(np.isfinite(x).all() for x in (rep.power.p, rep.power.rates, rep.power.ee)), mode
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drops(max_links=6))
+def test_exhaustive_oracle_bounds_matcher(config):
+    # the oracle scores the matcher's matching too, through the same cache, so
+    # the comparison is exact
+    ctx = harness._make_context(config, config.base_seed)
+    mine = evaluate(trimsm(ctx, "slmdb").matching.S, "slmdb", ctx)
+    best = evaluate(exhaustive_search(ctx).matching.S, "slmdb", ctx)
+    if mine.qos_ok:
+        assert best.qos_ok and best.ee >= mine.ee
+    else:
+        assert best.shortfall_bps <= mine.shortfall_bps

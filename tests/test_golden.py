@@ -81,7 +81,7 @@ def test_swap_modes_records_match_golden(tmp_path):
 
 
 def test_sparse_records_match_golden(tmp_path):
-    # M=40 with at most 15 served BSs: most tensor rows are never filled
+    # M=40 with at most 15 served BSs: most tensor links are never filled
     out = tmp_path / "sparse.csv"
     assert main(["run", "--config", str(ROOT / "configs" / "sparse.json"),
                  "--out", str(out)]) == 0

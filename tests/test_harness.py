@@ -166,20 +166,20 @@ class TestRun:
         assert np.array_equal(ctx1.tensor.mu, ctx2.tensor.mu)
         assert np.array_equal(ctx1.corr.beta, ctx2.corr.beta)
 
-    def test_drop_fills_only_served_rows_once(self):
-        # the record path of recp, llsf and tsap must read only the rows of the
-        # BSs they serve, and nos's clone must reuse rows already filled
+    def test_drop_fills_only_served_links_once(self):
+        # the record path of recp, llsf and tsap must fill only the links they
+        # serve, each once, and nos's clone must reuse links already filled
         cfg = load_config(dict(BASE, algorithm=["recp", "llsf", "tsap", "nos"], drops=1,
                                scenario={"M": 64, "K": 4, "N": 4, "L": 2}))
         ctx = harness._make_context(cfg, 11)
-        tensor, fill_row, fills = ctx.tensor, ctx.tensor.fill_row, Counter()
+        tensor, fill, fills = ctx.tensor, ctx.tensor.fill, Counter()
 
-        def counted(m):
-            fills[m] += 1
-            fill_row(m)
+        def counted(m, need):
+            fills.update((m, k) for k in np.flatnonzero(need))
+            fill(m, need)
 
-        tensor.fill_row = counted
-        served = np.zeros(64, dtype=bool)
+        tensor.fill = counted
+        served = np.zeros((64, 4), dtype=bool)
         for alg in cfg.algorithms:
             report, used = harness._dispatch(alg, ctx)
             harness._record(cfg, report, used, alg, 0, 11, 0.0, 0.0)
@@ -187,9 +187,9 @@ class TestRun:
                 assert used.tensor is tensor
                 assert tensor.ready[served].all()
             else:
-                served |= report.matching.A
+                served |= report.matching.S
                 assert np.array_equal(tensor.ready, served)
-        assert not served.all()
+        assert not served[served.any(axis=1)].all()    # a served BS has links left unfilled
         assert set(fills.values()) == {1}
 
     def test_exhaustive_guard(self):

@@ -401,24 +401,3 @@ def _emit_rows(rows: list, header, fmt: str, path) -> str:
             fh.write(text)
     return text
 
-
-def read_records(path: str) -> list:
-    """Round-trip loader for emitted CSV record files."""
-    with open(path) as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            kwargs = {}
-            for f in fields(ResultRecord):
-                raw = row[f.name]
-                tname = f.type if isinstance(f.type, str) else f.type.__name__
-                if tname == "bool":
-                    kwargs[f.name] = raw == "true"
-                elif tname == "int":
-                    kwargs[f.name] = int(raw)
-                elif tname == "float":
-                    kwargs[f.name] = float(raw)
-                else:
-                    kwargs[f.name] = raw
-            out.append(ResultRecord(**kwargs))
-    return out

@@ -211,9 +211,6 @@ class ReducedProblem:
         r = self.rates(p)
         return float(np.sum(r)) / self.power_total(p, r)
 
-    def residual(self, p: np.ndarray) -> np.ndarray:
-        return self.W @ p + self.c
-
     def margin(self, p: np.ndarray) -> float:
         """Largest normalized QoS residual over rows with a rate target, or -inf."""
         rows = self.qrows
@@ -629,8 +626,7 @@ def eipc(S: np.ndarray, corr, qos: QosSpec) -> np.ndarray:
     the cap. Unserved UEs get zero. S is a serving matrix (M, K), or a stack of
     them (B, M, K) giving (B, K).
     """
-    n_ant = corr.R.shape[-1]
-    gains = np.where(S, n_ant * corr.beta, 0.0)
+    gains = np.where(S, corr.N * corr.beta, 0.0)
     g2 = np.sum(gains**2, axis=-2)
     served = g2 > 0
     weakest = np.min(g2, axis=-1, keepdims=True, where=served, initial=np.inf)

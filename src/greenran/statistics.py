@@ -12,7 +12,8 @@ normalized maximum-ratio combiner v = h_est / sqrt(E{||h_est||^2}):
 The closed form is exact (tests/reference.py re-estimates the same quantities
 from sampled pilots and channels). It computes a link's entries the first time
 a matching that serves the link asks for them, so a link no matching serves,
-and a sleeping BS, cost nothing.
+and a sleeping BS, cost nothing. A fill reads only its BS's correlation block,
+built into one buffer that the fills share: no (M, K, N, N) array is built.
 """
 
 import numpy as np
@@ -51,23 +52,25 @@ class CoefficientTensor:
 def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTensor:
     """Closed-form coefficient tensor for all M x K links, filled per link on first use.
 
-    Runs in R's dtype: a real set takes real LAPACK/BLAS calls, a complex one
-    complex calls, on the same lines. Per BS, one batched solve gives the
-    requested links' Phi_k and one matrix product their cross traces
-    tr(R_k' Phi_k), using tr(A B) = sum_ij A_ij (B^T)_ij.
+    Runs in the set's dtype: a real set takes real LAPACK/BLAS calls, a complex
+    one complex calls, on the same lines. Per BS, the fill asks the set for the
+    BS's correlation block, then one batched solve gives the requested links'
+    Phi_k and one matrix product their cross traces tr(R_k' Phi_k), using
+    tr(A B) = sum_ij A_ij (B^T)_ij.
     """
-    R = corr.R
-    M, K, N, _ = R.shape
+    (M, K), N = corr.beta.shape, corr.N
     pp_taup = frame.pilot_power_w * frame.tau_p
     sigma2 = frame.noise_power_w
 
     mu = np.zeros((M, K))
     omega = np.zeros((M, K, K))
     eye = np.eye(N)
+    block = np.empty((K, N, N), corr.dtype)    # rewritten per fill: a new one faults anew
     # batched over one BS's links; over M too would hold (M, K, N, N) temporaries
     def fill(m, need):
+        Rm = corr.block(m, out=block)
         ks = np.flatnonzero(need)
-        Rk = R[m, ks]
+        Rk = Rm[ks]
         psi = pp_taup * Rk + sigma2 * eye
         phi = pp_taup * Rk @ np.linalg.solve(psi, Rk)
         t = np.trace(phi, axis1=1, axis2=2).real
@@ -79,7 +82,7 @@ def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTens
         # this way a link's bits do not depend on which links share its fill.
         phi_t = np.zeros((K, N * N), dtype=phi.dtype)
         phi_t[ks] = phi[live].transpose(0, 2, 1).reshape(len(ks), N * N)
-        cross = (phi_t @ R[m].reshape(K, N * N).T).real    # cross[k, k'] = tr(R_k' Phi_k)
+        cross = (phi_t @ Rm.reshape(K, N * N).T).real    # cross[k, k'] = tr(R_k' Phi_k)
         omega[m, ks] = cross[ks] / t[:, None]
         omega[m, ks, ks] += t
     return CoefficientTensor(mu=mu, omega=omega, noise_coeff=np.ones((M, K)), fill=fill)

@@ -1,9 +1,14 @@
-"""Monte Carlo estimate of the statistics that `greenran.mmse_statistics` gives in
-closed form: the validation oracle of the tests, which the program never runs."""
+"""Code that only the tests run: the Monte Carlo estimate of the statistics that
+`greenran.mmse_statistics` gives in closed form (the validation oracle), the QoS
+residual of a reduced power problem, and a loader for emitted CSV records."""
+
+import csv
+from dataclasses import fields
 
 import numpy as np
 
 from greenran import CoefficientTensor, ConfigError, CorrelationSet, FrameConfig
+from greenran.harness import ResultRecord
 
 # Samples per accumulation chunk. Chunk seeds are derived per chunk index, so
 # the merged estimate is independent of how chunks are distributed to workers.
@@ -109,3 +114,30 @@ def _psd_cholesky(mat: np.ndarray) -> np.ndarray:
 
 def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def residual(prob, p: np.ndarray) -> np.ndarray:
+    """QoS residuals W p + c of a `powerctl.ReducedProblem` (<= 0: target met)."""
+    return prob.W @ p + prob.c
+
+
+def read_records(path: str) -> list:
+    """Round-trip loader for emitted CSV record files."""
+    with open(path) as fh:
+        reader = csv.DictReader(fh)
+        out = []
+        for row in reader:
+            kwargs = {}
+            for f in fields(ResultRecord):
+                raw = row[f.name]
+                tname = f.type if isinstance(f.type, str) else f.type.__name__
+                if tname == "bool":
+                    kwargs[f.name] = raw == "true"
+                elif tname == "int":
+                    kwargs[f.name] = int(raw)
+                elif tname == "float":
+                    kwargs[f.name] = float(raw)
+                else:
+                    kwargs[f.name] = raw
+            out.append(ResultRecord(**kwargs))
+    return out

@@ -1,8 +1,9 @@
 import json
 import re
+import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from greenran import (BsPowerConfig, ConfigError, FrameConfig, ScenarioParams,
                       SolverSettings, SystemPowerParams)
 from greenran import harness
 from greenran.defaults import table3_defaults
-from greenran.harness import (aggregate, emit, emit_aggregates, load_config,
-                              read_records, run, sweep)
+from greenran.harness import aggregate, emit, emit_aggregates, load_config, run, sweep
+from reference import read_records
 
 BASE = {"scenario": {"M": 4, "K": 2, "N": 3, "L": 2, "area_side": 300.0},
         "qos": {"r_min_bps": 10e6},
@@ -191,6 +192,21 @@ class TestRun:
                 assert np.array_equal(tensor.ready, served)
         assert not served[served.any(axis=1)].all()    # a served BS has links left unfilled
         assert set(fills.values()) == {1}
+
+    def test_massive_mimo_drop_builds_no_full_correlation_array(self):
+        # M=128 K=10 N=64: the whole (M, K, N, N) correlation array is 42 MB; a
+        # drop of the fixed rules builds only the blocks of the BSs it serves
+        cfg = load_config({"scenario": {"M": 128, "K": 10, "N": 64, "L": 3},
+                           "algorithm": ["recp", "llsf", "tsap"], "drops": 1,
+                           "base_seed": 3})
+        run(cfg)    # warm-up
+        tracemalloc.start()
+        try:
+            run(replace(cfg, base_seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_exhaustive_guard(self):
         cfg = load_config(dict(BASE, algorithm="exhaustive",

@@ -4,9 +4,7 @@ A run config is a JSON document whose sections mirror the parameter
 dataclasses field-for-field (dB fields suffixed _db, watts _w). Each drop d
 derives its scenario seed as base_seed XOR d, generates a topology, builds the
 coefficient tensor once, and hands the identical tensor to every requested
-algorithm, so cross-algorithm comparisons are paired. A link's entries are built
-the first time a matching serves it and are shared across algorithms, so an
-unserved link costs nothing.
+algorithm, so cross-algorithm comparisons are paired.
 Records are emitted in a fixed column order; identical configs produce
 byte-identical files (wall-clock timing is recorded only when `record_timing`
 is set, and is zero otherwise).
@@ -376,7 +374,8 @@ def _format_cell(value) -> str:
 
 def emit(records: list, fmt: str, path=None) -> str:
     """Serialize run records (csv or json); returns the text, optionally saved."""
-    rows = [{name: getattr(r, name) for name in RECORD_FIELDS} for r in records]
+    # one row at a time: a list of row dicts would double a long run's peak memory
+    rows = ({name: getattr(r, name) for name in RECORD_FIELDS} for r in records)
     return _emit_rows(rows, RECORD_FIELDS, fmt, path)
 
 
@@ -384,7 +383,7 @@ def emit_aggregates(rows: list, fmt: str, path=None) -> str:
     return _emit_rows(rows, AGGREGATE_FIELDS, fmt, path)
 
 
-def _emit_rows(rows: list, header, fmt: str, path) -> str:
+def _emit_rows(rows, header, fmt: str, path) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -393,7 +392,7 @@ def _emit_rows(rows: list, header, fmt: str, path) -> str:
             writer.writerow([_format_cell(row[name]) for name in header])
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps(list(rows), indent=2) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     if path is not None:

@@ -1,12 +1,10 @@
-"""Network drops: uplink-BS/UE geometry and spatial-correlation channel statistics.
+"""Network drops: uplink-BS/UE geometry and the links' large-scale gains.
 
 Positions are drawn uniformly on a square with wrap-around (torus) distances,
-so there are no boundary effects. Each link gets an N x N spatial correlation
-matrix; the default model is beta * I_N with log-distance path loss and
-optional log-normal shadowing, stored as its (M, K) gains: a BS's (K, N, N)
-block is built when the statistics ask for it, and the whole (M, K, N, N)
-array only when read. Any dense real or complex set is accepted too. All gains
-are stored linear; dB enters only at the config boundary.
+so there are no boundary effects. Each link's spatial correlation is isotropic,
+R = g * I_N, with log-distance path loss and optional log-normal shadowing in
+g, so a drop stores only the (M, K) gains. All gains are stored linear; dB
+enters only at the config boundary.
 """
 
 from dataclasses import dataclass
@@ -75,42 +73,24 @@ class Topology:
 
 
 class CorrelationSet:
-    """Per-link spatial correlation matrices and their large-scale gains.
+    """Isotropic spatial correlation R[m, k] = gain[m, k] * I_N of every link.
 
-    R[m, k] is N x N Hermitian PSD (linear power gain), real or complex, and
-    beta[m, k] = trace(R[m, k])/N. A set is dense, CorrelationSet(R=R) with R
-    (M, K, N, N), or isotropic, CorrelationSet(gain=g, N=N) for
-    R[m, k] = g[m, k] * I_N, which stores only g. Either way block(m) gives
-    BS m's (K, N, N) block, and `R` the whole array (an isotropic set builds it
-    on each read). The statistics follow the blocks' dtype, so a real set runs
-    in real arithmetic.
+    Stores the (M, K) linear gains and N. beta[m, k] = trace(R[m, k])/N, which
+    at N >= 5 may differ from gain in the last bit; the association rules read
+    beta. `R` builds the whole (M, K, N, N) array on each read.
     """
 
-    def __init__(self, R: np.ndarray | None = None, *, gain: np.ndarray | None = None,
-                 N: int | None = None):
-        if (R is None) == (gain is None):
-            raise ValueError("give either R, or gain and N")
-        self._dense, self._gain = R, gain
-        if R is not None:
-            self.N, self.dtype = R.shape[-1], R.dtype
-            trace = np.einsum("mknn->mk", R).real
-        else:
-            self.N, self.dtype, self._eye = N, gain.dtype, np.eye(N)
-            # summed over a stride-0 view, as over the strided diagonal of gain * I,
-            # so beta is trace(gain * I)/N to the bit (a contiguous copy is not)
-            trace = np.einsum("mkn->mk", np.broadcast_to(gain[:, :, None], (*gain.shape, N)))
-        self.beta = trace / self.N
-
-    def block(self, m: int, out: np.ndarray | None = None) -> np.ndarray:
-        """BS m's blocks R[m] (K, N, N): a new array, or `out` rewritten."""
-        if self._dense is None:
-            return np.multiply(self._gain[m, :, None, None], self._eye, out=out)
-        return np.positive(self._dense[m], out=out)    # a copy, bit for bit
+    def __init__(self, gain: np.ndarray, N: int):
+        self.gain, self.N = gain, N
+        # summed over a stride-0 view, as over the strided diagonal of gain * I,
+        # so beta is trace(gain * I)/N to the bit (a contiguous copy is not)
+        trace = np.einsum("mkn->mk", np.broadcast_to(gain[:, :, None], (*gain.shape, N)))
+        self.beta = trace / N
 
     @property
     def R(self) -> np.ndarray:
-        """All blocks (M, K, N, N): the stored array of a dense set, else a new one."""
-        return self._gain[:, :, None, None] * self._eye if self._dense is None else self._dense
+        """All blocks (M, K, N, N), built anew."""
+        return self.gain[:, :, None, None] * np.eye(self.N)
 
 
 def _wrap_distance_matrix(ubs_xy: np.ndarray, ue_xy: np.ndarray, side: float) -> np.ndarray:
@@ -132,7 +112,7 @@ def build_correlation(topology: Topology, frame: FrameConfig) -> CorrelationSet:
     """Isotropic correlation beta * I_N from log-distance path loss.
 
     beta * I_N is real symmetric PSD, hence Hermitian PSD; the set stores the
-    float64 gains and builds a BS's blocks in real arithmetic when asked.
+    float64 gains.
     beta_dB = -intercept - 10 * exponent * log10(d) + shadowing, with the wrap
     distance floored at 1 m. Shadowing draws are seeded from the scenario seed,
     so an identical scenario reproduces the identical set.

@@ -299,23 +299,15 @@ class _Parametric:
     """u(P) = [sum Rbar - pi * P_N(P, Rhat)] / rate_scale, a concave function:
 
         u(P) = sum_k log2(af_k) + sum_k c2_k log2(ag_k) + q . P + u0
+
+    The solver needs only the weights c2 and q; the constant u0 does not move
+    the maximizer.
     """
 
     def __init__(self, sur: Surrogate, pi: float):
         prob = sur.prob
-        self.prob = prob
         self.c2 = pi * prob.alpha / prob.form.r_ref_bps
         self.q = (-sur.vg.sum(axis=0) - self.c2 @ sur.vf - (pi / prob.cr) * prob.delta)
-        self.u0 = (-float(np.sum(sur.g0 - sur.vg @ sur.anchor))
-                   - float(self.c2 @ (sur.f0 - sur.vf @ sur.anchor))
-                   - pi * prob.form.c0_w / prob.cr)
-
-    def value(self, p: np.ndarray) -> float:
-        prob = self.prob
-        af = prob.Af @ p + prob.n
-        ag = prob.Ag @ p + prob.n
-        return float(np.sum(np.log2(af)) + self.c2 @ np.log2(ag)
-                     + self.q @ p + self.u0)
 
 
 def _center(p: np.ndarray, B: np.ndarray, b: np.ndarray, pmax: float) -> np.ndarray:

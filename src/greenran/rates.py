@@ -62,10 +62,9 @@ class LinkCoefficients:
 def link_coefficients(S: np.ndarray, tensor: CoefficientTensor) -> LinkCoefficients:
     """Coefficients of a serving matrix (M, K), or stacked over them (..., M, K)."""
     Sf = S.astype(float)
-    mu, omega = tensor.links(S)    # links that S leaves unserved may still be 0
-    mu_eff = np.einsum("...mk,mk->...k", Sf, mu)
-    sum_mu2 = np.einsum("...mk,mk->...k", Sf, mu**2)
-    interf = np.einsum("...mk,mkj->...kj", Sf, omega)
+    mu_eff = np.einsum("...mk,mk->...k", Sf, tensor.mu)
+    sum_mu2 = np.einsum("...mk,mk->...k", Sf, tensor.mu**2)
+    interf = np.einsum("...mk,mkj->...kj", Sf, tensor.omega)
     ds2 = mu_eff**2
     # own-signal cross terms over distinct serving BSs: (sum mu)^2 - sum mu^2
     diag = np.arange(S.shape[-1])

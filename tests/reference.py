@@ -1,5 +1,6 @@
-"""Code that only the tests run: the Monte Carlo estimate of the statistics that
-`greenran.mmse_statistics` gives in closed form (the validation oracle), the QoS
+"""Code that only the tests run: the general-R statistics and their Monte Carlo
+estimate, which `greenran.mmse_statistics` gives in closed form for R = g * I
+(the validation oracles), the value of a parametric subproblem, the QoS
 residual of a reduced power problem, and a loader for emitted CSV records."""
 
 import csv
@@ -7,22 +8,44 @@ from dataclasses import fields
 
 import numpy as np
 
-from greenran import CoefficientTensor, ConfigError, CorrelationSet, FrameConfig
+from greenran import CoefficientTensor, ConfigError, FrameConfig
 from greenran.harness import ResultRecord
+from greenran.powerctl import _Parametric
 
 # Samples per accumulation chunk. Chunk seeds are derived per chunk index, so
 # the merged estimate is independent of how chunks are distributed to workers.
 _CHUNK = 16384
 
 
+def mmse_reference(R: np.ndarray, frame: FrameConfig) -> CoefficientTensor:
+    """The statistics of `greenran.statistics` for any correlation set R
+    (M, K, N, N) of Hermitian PSD matrices, real or complex: one solve for
+    Phi and one einsum for the cross traces tr(R_k' Phi) per link."""
+    M, K, N, _ = R.shape
+    pp_taup = frame.pilot_power_w * frame.tau_p
+    mu = np.zeros((M, K))
+    omega = np.zeros((M, K, K))
+    for m in range(M):
+        for k in range(K):
+            psi = pp_taup * R[m, k] + frame.noise_power_w * np.eye(N)
+            phi = pp_taup * R[m, k] @ np.linalg.solve(psi, R[m, k])
+            t = np.trace(phi).real
+            if t > 0.0:    # a vanishing estimate (zero pilot power) leaves 0
+                mu[m, k] = np.sqrt(t)
+                omega[m, k] = np.einsum("kij,ji->k", R[m], phi).real / t
+                omega[m, k, k] += t
+    return CoefficientTensor(mu=mu, omega=omega, noise_coeff=np.ones((M, K)))
+
+
 def monte_carlo_statistics(
-    corr: CorrelationSet,
+    R: np.ndarray,
     frame: FrameConfig,
     samples: int,
     seed: int,
 ) -> tuple[CoefficientTensor, np.ndarray, np.ndarray]:
-    """Sample-average coefficient tensor, with the standard errors (mu_se (M, K),
-    omega_se (M, K, K)) of its mu and omega.
+    """Sample-average coefficient tensor of the correlation set R (M, K, N, N),
+    with the standard errors (mu_se (M, K), omega_se (M, K, K)) of its mu and
+    omega.
 
     Draws channel realizations, forms MMSE estimates from noisy pilot
     observations, and combines with the empirically normalized MR combiner.
@@ -30,7 +53,6 @@ def monte_carlo_statistics(
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    R = corr.R
     M, K, N, _ = R.shape
     pp = frame.pilot_power_w
     tau_p = frame.tau_p
@@ -114,6 +136,18 @@ def _psd_cholesky(mat: np.ndarray) -> np.ndarray:
 
 def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def parametric_value(sur, pi: float, p: np.ndarray) -> float:
+    """u(P) of the parametric subproblem `powerctl._Parametric(sur, pi)` at the
+    powers p, with its constant u0."""
+    prob, obj = sur.prob, _Parametric(sur, pi)
+    u0 = (-float(np.sum(sur.g0 - sur.vg @ sur.anchor))
+          - float(obj.c2 @ (sur.f0 - sur.vf @ sur.anchor))
+          - pi * prob.form.c0_w / prob.cr)
+    af = prob.Af @ p + prob.n
+    ag = prob.Ag @ p + prob.n
+    return float(np.sum(np.log2(af)) + obj.c2 @ np.log2(ag) + obj.q @ p + u0)
 
 
 def residual(prob, p: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ def test_closed_form_statistics_match_monte_carlo():
                               seed=int(rng.integers(0, 2**31)))
         corr = build_correlation(generate_topology(scen), frame)
         exact = mmse_statistics(corr, frame)
-        mc, mu_se, omega_se = monte_carlo_statistics(corr, frame, samples=100000,
+        mc, mu_se, omega_se = monte_carlo_statistics(corr.R, frame, samples=100000,
                                                      seed=int(rng.integers(0, 2**31)))
         dev_mu = np.abs(exact.mu - mc.mu) / np.maximum(mu_se, 1e-30)
         dev_om = np.abs(exact.omega - mc.omega) / np.maximum(omega_se, 1e-30)

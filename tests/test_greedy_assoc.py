@@ -75,7 +75,7 @@ def instances(draw):
     gains = draw(st.lists(st.sampled_from(GAINS), min_size=M * K, max_size=M * K))
     beta = np.array(gains).reshape(M, K)
     # one antenna: beta = trace(R) / N is exactly the drawn gain
-    corr = CorrelationSet(R=beta[:, :, None, None] + 0j)
+    corr = CorrelationSet(gain=beta, N=1)
     return corr, ScenarioParams(M=M, K=K, N=N, L=L)
 
 
@@ -83,7 +83,7 @@ def instances(draw):
 @given(instances(), st.sampled_from((30.0, 80.0, 95.0, 100.0)))
 def test_rules_match_reference_loops(inst, delta_percent):
     corr, scen = inst
-    assert np.array_equal(corr.beta, corr.R[:, :, 0, 0].real)
+    assert np.array_equal(corr.beta, corr.gain)
     beta = corr.beta
     assert np.array_equal(recp_init(corr, scen, delta_percent).S,
                           ref_recp(beta, scen.N, scen.L, delta_percent))

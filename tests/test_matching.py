@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from greenran import Association, ConfigError, ScenarioParams
+from greenran import Association, ConfigError, CorrelationSet, ScenarioParams
 from greenran import matching as matching_module
 from greenran.matching import (_moved, _pair_moves, _pair_order, evaluate,
                                exhaustive_search, is_swap_blocking, llsf_assoc,
                                nos_assoc, recp_init, trimsm, tsap_assoc,
                                verify_stability)
 from conftest import make_context, strongest_assoc
-from test_statistics import scaled_identity_set
 
 
 def gains_scenario(betas, L=3, N=5):
     betas = np.asarray(betas, dtype=float)
     M, K = betas.shape
-    corr = scaled_identity_set(betas, 1)
+    corr = CorrelationSet(gain=betas, N=1)
     scen = ScenarioParams(M=M, K=K, N=N, L=min(L, M), seed=0)
     return corr, scen
 

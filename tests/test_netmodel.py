@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from greenran import (ConfigError, CorrelationSet, FrameConfig, ScenarioParams,
-                      build_correlation, generate_topology)
+from greenran import (ConfigError, FrameConfig, ScenarioParams, build_correlation,
+                      generate_topology)
 from greenran.netmodel import _wrap_distance_matrix
 
 
@@ -127,9 +127,9 @@ def _same_bits(a, b):
 
 
 class TestIsotropicSetBits:
-    # The set stores the gains and builds blocks when asked; every block, the
-    # whole array and beta must keep the bits of the dense construction
-    # R = gain * I, beta = trace(R)/N (at N >= 5 beta is not the drawn gain).
+    # The set stores the gains; the whole array and beta must keep the bits of
+    # the dense construction R = gain * I, beta = trace(R)/N (at N >= 5 beta is
+    # not the drawn gain).
     @pytest.mark.parametrize("shadowing_db", [0.0, 8.0])
     @pytest.mark.parametrize("N", [1, 2, 5, 8, 64])
     def test_matches_dense_construction(self, N, shadowing_db):
@@ -147,21 +147,6 @@ class TestIsotropicSetBits:
 
         corr = build_correlation(topo, FrameConfig())
         assert corr.N == N
+        assert _same_bits(corr.gain, gain)
         assert _same_bits(corr.beta, beta)
         assert _same_bits(corr.R, R)
-        out = np.full((p.K, N, N), np.nan)
-        for m in range(p.M):
-            assert _same_bits(corr.block(m), R[m])
-            assert corr.block(m, out=out) is out and _same_bits(out, R[m])
-
-    def test_dense_set_blocks(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
-        R = A @ A.conj().transpose(0, 1, 3, 2)
-        corr = CorrelationSet(R=R)
-        assert corr.R is R and corr.N == 4 and corr.dtype == complex
-        assert np.array_equal(corr.beta, np.einsum("mknn->mk", R).real / 4)
-        block = corr.block(1)
-        assert np.array_equal(block, R[1])
-        block[...] = 0    # a block is the caller's own copy
-        assert np.array_equal(corr.block(1), R[1])

@@ -3,11 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from greenran import (Association, ConfigError, FrameConfig, eipc, fipc,
-                      link_coefficients, make_qos)
+from greenran import (Association, ConfigError, CorrelationSet, FrameConfig, eipc,
+                      fipc, link_coefficients, make_qos)
 from greenran.powerctl import ReducedProblem, qopc_solve
 from conftest import make_context, strongest_assoc
-from test_statistics import scaled_identity_set
 from reference import residual
 
 
@@ -29,14 +28,14 @@ def test_qos_spec_rejects_a_nonfinite_cap(p_max):
 
 class TestEipc:
     def test_equal_gains_full_power(self):
-        corr = scaled_identity_set([[1e-10, 1e-10]], 2)
+        corr = CorrelationSet(gain=np.array([[1e-10, 1e-10]]), N=2)
         assoc = Association(S=np.ones((1, 2), dtype=bool))
         qos = make_qos(0.0, 2, FrameConfig(), 0.1)
         assert np.allclose(eipc(assoc.S, corr, qos), [0.1, 0.1])
 
     def test_inverse_gain_ratio(self):
         # squared serving-gain norms 1 and 4 (up to a common scale)
-        corr = scaled_identity_set([[1e-10, 2e-10]], 1)
+        corr = CorrelationSet(gain=np.array([[1e-10, 2e-10]]), N=1)
         assoc = Association(S=np.ones((1, 2), dtype=bool))
         qos = make_qos(0.0, 2, FrameConfig(), 0.1)
         p = eipc(assoc.S, corr, qos)
@@ -47,13 +46,13 @@ class TestEipc:
         ctx = make_context(M=4, K=3, N=3, L=2, seed=6)
         assoc = strongest_assoc(ctx)
         p = eipc(assoc.S, ctx.corr, ctx.qos)
-        gains = np.where(assoc.S, ctx.corr.R.shape[-1] * ctx.corr.beta, 0.0)
+        gains = np.where(assoc.S, ctx.corr.N * ctx.corr.beta, 0.0)
         g2 = (gains**2).sum(axis=0)
         assert p[np.argmin(g2)] == pytest.approx(ctx.qos.p_max_w)
         assert (p <= ctx.qos.p_max_w + 1e-15).all()
 
     def test_unserved_ue_gets_zero(self):
-        corr = scaled_identity_set([[1e-10, 2e-10]], 1)
+        corr = CorrelationSet(gain=np.array([[1e-10, 2e-10]]), N=1)
         S = np.array([[True, False]])
         assoc = Association(S=S)
         qos = make_qos(0.0, 2, FrameConfig(), 0.1)

@@ -7,7 +7,7 @@ from greenran import powerctl
 from greenran.powerctl import (ReducedProblem, SolveDiagnostics, _dinkelbach,
                                _solve_parametric, qopc_solve)
 from conftest import make_context, strongest_assoc
-from reference import residual
+from reference import parametric_value, residual
 
 
 def build_problem(ctx, assoc):
@@ -102,14 +102,14 @@ class TestParametricSolver:
         assoc = strongest_assoc(ctx)
         prob, form = build_problem(ctx, assoc)
         sur = prob.surrogate(np.full(3, 0.05))
-        from greenran.powerctl import _Parametric
-        obj = _Parametric(sur, 1e6)
+        def u(p):
+            return parametric_value(sur, 1e6, p)
         rng = np.random.default_rng(4)
         for _ in range(100):
             a = rng.random(3) * 0.1
             b = rng.random(3) * 0.1
             mid = 0.5 * (a + b)
-            assert obj.value(mid) >= 0.5 * (obj.value(a) + obj.value(b)) - 1e-9
+            assert u(mid) >= 0.5 * (u(a) + u(b)) - 1e-9
 
 
 class TestInteriorPoint:

@@ -59,7 +59,7 @@ class TestSinr:
         p = ScenarioParams(M=2, K=1, N=3, L=2, area_side=200.0, seed=31)
         frame = FrameConfig()
         corr = build_correlation(generate_topology(p), frame)
-        mc, _, _ = monte_carlo_statistics(corr, frame, samples=30000, seed=7)
+        mc, _, _ = monte_carlo_statistics(corr.R, frame, samples=30000, seed=7)
         assoc = Association(S=np.ones((2, 1), dtype=bool))
         lc = link_coefficients(assoc.S, mc)
 

@@ -1,8 +1,10 @@
 """Bundled default configuration.
 
 `table3_defaults()` returns the standard simulation parameter set used across
-the test suite and CLI: frame/noise/pilot numbers, QoS targets, loss factors,
-sleeping and centralization factors, fronthaul and UE coefficients.
+the test suite and CLI. The sections backed by a parameter dataclass (scenario,
+frame, power.bs, power.system, solver) take every value that dataclass declares
+a default for from the dataclass itself; only the fields it leaves required,
+the QoS targets and the run keys are stated here.
 
 The per-component BS tables shipped here are illustrative placeholders with
 plausible magnitudes; they are NOT calibrated against any measured hardware.
@@ -11,6 +13,11 @@ and never pins these watt values.
 """
 
 import copy
+from dataclasses import MISSING, fields
+
+from .netmodel import FrameConfig, ScenarioParams
+from .powerctl import SolverSettings
+from .powermodel import BsPowerConfig, SystemPowerParams
 
 # Sub-component tables: name, reference power (W), scaling exponents over
 # {N, B, Q, Se, Ld, St}. Load exponents must be 0/1 for the affine reduction.
@@ -31,61 +38,29 @@ _BBU_COMPONENTS = [
      "scaling_exponents": {"B": 1, "Se": 1, "Ld": 1}},
 ]
 
+
+def _section(cls, **required) -> dict:
+    """The config section of dataclass `cls`, in field order: `required` gives
+    the fields without a declared default, the rest keep theirs."""
+    return {f.name: required[f.name] if f.default is MISSING else f.default
+            for f in fields(cls)}
+
+
 _DEFAULTS = {
-    "scenario": {
-        "M": 16,
-        "K": 5,
-        "N": 5,
-        "L": 3,
-        "area_side": 500.0,
-        "pathloss_intercept_db": 30.5,
-        "pathloss_exponent": 3.67,
-        "shadowing_std_db": 0.0,
-        "seed": 0,
-    },
-    "frame": {
-        "tau_c": 190,
-        "tau_p": 10,
-        "bandwidth_hz": 20e6,
-        "noise_power_w": 10 ** (-94 / 10) * 1e-3,    # -94 dBm
-        "pilot_power_w": 0.1,                         # 100 mW
-    },
+    "scenario": _section(ScenarioParams, M=16, K=5, N=5, L=3),
+    "frame": _section(FrameConfig),
     "power": {
-        "bs": {
-            "rf_components": _RF_COMPONENTS,
-            "bbu_components": _BBU_COMPONENTS,
-            "ref_values": {"N": 1, "B": 20e6, "Q": 24, "Se": 6, "Ld": 1.0, "St": 1},
-            "act_values": {"N": 5, "B": 20e6, "Q": 24, "Se": 6, "Ld": 1.0, "St": 1},
-            "sectors": 1,
-            "loss_ms": 0.1,
-            "loss_dc": 0.05,
-            "loss_co": 0.0,
-            "sleep_scale": 0.1,
-        },
-        "system": {
-            "fronthaul_fix_w": 0.825,
-            "fronthaul_trf_w_per_bps": 0.25e-9,       # 0.25 W/Gbps
-            "kappa": 1.0,
-            "psi_d": 0.8,
-            "stacking_gain": 2.0,
-            "pooling_capacity": 5.0,
-            "pooling_power": 2.0,
-            "cooling_gain": 2.0,
-            "loss_co_ec": 0.1,
-            "ue_circuit_w": 1.31,
-            "ue_pa_slope": 2.6,
-            "r_ref_bps": 40e6,
-        },
+        "bs": _section(
+            BsPowerConfig, rf_components=_RF_COMPONENTS, bbu_components=_BBU_COMPONENTS,
+            ref_values={"N": 1, "B": 20e6, "Q": 24, "Se": 6, "Ld": 1.0, "St": 1},
+            act_values={"N": 5, "B": 20e6, "Q": 24, "Se": 6, "Ld": 1.0, "St": 1}),
+        "system": _section(SystemPowerParams),
     },
     "qos": {
         "r_min_bps": 20e6,
         "p_max_w": 0.1,
     },
-    "solver": {
-        "slm_tol": 1e-3,
-        "slm_max_iter": 100,
-        "recp_delta_percent": 95.0,
-    },
+    "solver": _section(SolverSettings),
     "algorithm": "trimsm-eipc",
     "drops": 1,
     "base_seed": 0,

@@ -4,7 +4,9 @@ A run config is a JSON document whose sections mirror the parameter
 dataclasses field-for-field (dB fields suffixed _db, watts _w). Each drop d
 derives its scenario seed as base_seed XOR d, generates a topology, builds the
 coefficient tensor once, and hands the identical tensor to every requested
-algorithm, so cross-algorithm comparisons are paired.
+algorithm, so cross-algorithm comparisons are paired. Each record is written
+from the algorithm's `SolutionReport` alone: its final `PowerSolution` carries
+the power form (and so the active-BS count) and the QoS violation count.
 Records are emitted in a fixed column order; identical configs produce
 byte-identical files (wall-clock timing is recorded only when `record_timing`
 is set, and is zero otherwise).
@@ -25,7 +27,7 @@ from .matching import (EvaluationContext, SolutionReport, evaluate, exhaustive_s
                        llsf_assoc, nos_assoc, recp_init, trimsm, tsap_assoc)
 from .netmodel import (ConfigError, FrameConfig, ScenarioParams, build_correlation,
                        generate_topology)
-from .powerctl import QOS_RATE_RTOL, SolverSettings, make_qos
+from .powerctl import SolverSettings, make_qos
 from .powermodel import (BsPowerConfig, SubComponentSpec, SystemPowerParams,
                          network_power)
 
@@ -255,14 +257,13 @@ def _make_context(config: RunConfig, drop_seed: int) -> EvaluationContext:
                              system=config.system, qos=qos, settings=config.settings)
 
 
-def _dispatch(algorithm: str, ctx: EvaluationContext) -> tuple[SolutionReport, EvaluationContext]:
+def _dispatch(algorithm: str, ctx: EvaluationContext) -> SolutionReport:
     if algorithm.startswith("trimsm-"):
-        return trimsm(ctx, algorithm.split("-", 1)[1]), ctx
+        return trimsm(ctx, algorithm.split("-", 1)[1])
     if algorithm == "nos":
-        no_sleep_ctx = ctx.clone(no_sleep=True)
-        return nos_assoc(no_sleep_ctx), no_sleep_ctx
+        return nos_assoc(ctx)
     if algorithm == "exhaustive":
-        return exhaustive_search(ctx), ctx
+        return exhaustive_search(ctx)
     if algorithm == "recp":
         assoc = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
     elif algorithm == "llsf":
@@ -272,22 +273,16 @@ def _dispatch(algorithm: str, ctx: EvaluationContext) -> tuple[SolutionReport, E
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     ev = evaluate(assoc.S, "slmdb", ctx)
-    report = SolutionReport(matching=assoc, power=ev.power, ee=ev.ee, swap_count=0,
-                            evaluation_count=1, stable=False,
-                            infeasible=not ev.qos_ok)
-    return report, ctx
+    return SolutionReport(matching=assoc, power=ev, swap_count=0, evaluation_count=1,
+                          stable=False, infeasible=not ev.qos_ok)
 
 
-def _record(config: RunConfig, report: SolutionReport, ctx: EvaluationContext,
-            algorithm: str, drop_index: int, drop_seed: int,
-            sweep_value: float, wall_ms: float) -> ResultRecord:
-    form = ctx.form_for(report.matching.active_count)
-    breakdown = network_power(report.power.p, report.power.rates, form)
-    sum_rate = float(np.sum(report.power.rates))
-    qos = ctx.qos
-    slack = QOS_RATE_RTOL * qos.r_min_bps
-    violations = int(np.sum(report.power.rates < qos.r_min_bps - slack))
-    active = ctx.scenario.M if ctx.no_sleep else report.matching.active_count
+def _record(config: RunConfig, report: SolutionReport, algorithm: str, drop_index: int,
+            drop_seed: int, sweep_value: float, wall_ms: float) -> ResultRecord:
+    """One record, written from the report's final scored matching alone."""
+    power = report.power
+    breakdown = network_power(power.p, power.rates, power.form)
+    sum_rate = float(np.sum(power.rates))
     return ResultRecord(
         sweep_parameter=config.sweep_parameter or "",
         sweep_value=float(sweep_value) if config.sweep_parameter else 0.0,
@@ -299,10 +294,10 @@ def _record(config: RunConfig, report: SolutionReport, ctx: EvaluationContext,
         ubs_sleep_power_w=breakdown.ubs_sleep_w,
         fronthaul_power_w=breakdown.fronthaul_w,
         edge_cloud_power_w=breakdown.edge_cloud_w, ue_power_w=breakdown.ue_w,
-        active_ubs_count=active, ue_count=ctx.scenario.K,
-        qos_violation_count=violations,
+        active_ubs_count=power.form.n_active, ue_count=config.scenario.K,
+        qos_violation_count=power.qos_violations,
         swap_count=report.swap_count,
-        slm_iterations=report.power.diagnostics.slm_iterations,
+        slm_iterations=power.diagnostics.slm_iterations,
         wall_time_ms=wall_ms if config.record_timing else 0.0)
 
 
@@ -314,10 +309,10 @@ def run(config: RunConfig, sweep_value: float = 0.0) -> list:
         ctx = _make_context(config, drop_seed)
         for algorithm in config.algorithms:
             t0 = time.perf_counter()
-            report, used_ctx = _dispatch(algorithm, ctx)
+            report = _dispatch(algorithm, ctx)
             wall_ms = (time.perf_counter() - t0) * 1e3
-            records.append(_record(config, report, used_ctx, algorithm, d,
-                                   drop_seed, sweep_value, wall_ms))
+            records.append(_record(config, report, algorithm, d, drop_seed, sweep_value,
+                                   wall_ms))
     return records
 
 

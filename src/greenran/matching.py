@@ -16,7 +16,10 @@ matching space.
 
 Power inside the scan comes from one of the controllers (slmdb, fipc, qopc,
 eipc); any heuristic mode gets a final slmdb refinement once the matching has
-converged.
+converged. Every scored matching is one `PowerSolution`: it carries the power
+form it was scored under (all M BSs active under no-sleeping, which only this
+module reads) and its QoS shortfall and violation count, so a report's final
+solution is all a record needs.
 
 A pair's scan builds the candidate serving matrices of its remaining moves
 once per incumbent: when it starts, and again after each approval. The judge
@@ -33,8 +36,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .netmodel import ConfigError, CorrelationSet, FrameConfig, ScenarioParams
-from .powerctl import (QOS_RATE_RTOL, PowerSolution, QosSpec, SolveDiagnostics,
-                       SolverSettings, eipc, fipc, qopc_solve, slmdb_solve)
+from .powerctl import (PowerSolution, QosSpec, SolveDiagnostics, SolverSettings, eipc,
+                       fipc, qopc_solve, qos_deficits, slmdb_solve)
 from .powermodel import (AffinePowerForm, BsPowerConfig, SystemPowerParams,
                          build_affine_form)
 from .rates import Association, link_coefficients, rates_from_coeffs
@@ -76,14 +79,6 @@ class EvaluationContext:
         return self._forms[n_active]
 
 
-@dataclass(frozen=True, slots=True)
-class EvalResult:
-    ee: float
-    qos_ok: bool
-    shortfall_bps: float         # sum of per-UE rate deficits (0 exactly iff qos_ok)
-    power: PowerSolution
-
-
 @dataclass(frozen=True)
 class PreferenceOutcome:
     approved: bool
@@ -93,12 +88,15 @@ class PreferenceOutcome:
 @dataclass(frozen=True)
 class SolutionReport:
     matching: Association
-    power: PowerSolution
-    ee: float
+    power: PowerSolution         # the final matching, scored by slmdb
     swap_count: int
     evaluation_count: int
     stable: bool
     infeasible: bool
+
+    @property
+    def ee(self) -> float:
+        return self.power.ee
 
 
 # ---------------------------------------------------------------------------
@@ -187,41 +185,35 @@ def evaluate(S, power_mode: str, ctx: EvaluationContext):
 
 
 def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext) -> list:
-    """EvalResults of the serving matrices stacked (B, M, K), one per member."""
+    """PowerSolutions of the serving matrices stacked (B, M, K), one per member."""
     qos = ctx.qos
     active = S.any(axis=2).sum(axis=1)
     forms = [ctx.form_for(n) for n in active.tolist()]
     if power_mode == "slmdb":    # solved one by one, so nothing is stacked
-        sols = [slmdb_solve(link_coefficients(s, ctx.tensor), ctx.frame, form, qos,
+        return [slmdb_solve(link_coefficients(s, ctx.tensor), ctx.frame, form, qos,
                             ctx.settings) for s, form in zip(S, forms)]
-        rates = np.array([sol.rates for sol in sols])
+    lc = link_coefficients(S, ctx.tensor)
+    verdict = None
+    if power_mode == "fipc":
+        p = np.broadcast_to(fipc(ctx.scenario.K, qos), lc.ns.shape)
+    elif power_mode == "eipc":
+        p = eipc(S, ctx.corr, qos)
     else:
-        lc = link_coefficients(S, ctx.tensor)
-        verdict = None
-        if power_mode == "fipc":
-            p = np.broadcast_to(fipc(ctx.scenario.K, qos), lc.ns.shape)
-        elif power_mode == "eipc":
-            p = eipc(S, ctx.corr, qos)
-        else:
-            p, verdict = qopc_solve(lc, ctx.frame, qos)
-        rates = rates_from_coeffs(p, lc, ctx.frame)
-        ee = np.sum(rates, axis=1)
-        for n in set(active.tolist()):    # one power form per active count
-            rows = np.flatnonzero(active == n)
-            ee[rows] /= forms[rows[0]].total(p[rows], rates[rows])
-
-    slack = QOS_RATE_RTOL * qos.r_min_bps
-    shortfall = np.sum(np.maximum(0.0, qos.r_min_bps - rates - slack), axis=1).tolist()
-    if power_mode == "slmdb":
-        return [EvalResult(ee=sol.ee, qos_ok=short == 0.0 and sol.feasible,
-                           shortfall_bps=short, power=sol)
-                for sol, short in zip(sols, shortfall)]
+        p, verdict = qopc_solve(lc, ctx.frame, qos)
+    rates = rates_from_coeffs(p, lc, ctx.frame)
+    ee = np.sum(rates, axis=1)
+    for n in set(active.tolist()):    # one power form per active count
+        rows = np.flatnonzero(active == n)
+        ee[rows] /= forms[rows[0]].total(p[rows], rates[rows])
+    deficits = qos_deficits(rates, qos)
+    shortfall = np.sum(deficits, axis=1).tolist()
+    violations = np.count_nonzero(deficits, axis=1).tolist()
     # feasible is the QoPC LP's own verdict, else the rate check; rows are copied
     # so that a cached result does not keep the stack alive
-    return [EvalResult(ee=e, qos_ok=short == 0.0, shortfall_bps=short, power=PowerSolution(
-                p=p[b].copy(), ee=e, rates=rates[b].copy(), diagnostics=_NO_SOLVE,
-                feasible=short == 0.0 if verdict is None else bool(verdict[b])))
-            for b, (e, short) in enumerate(zip(ee.tolist(), shortfall))]
+    return [PowerSolution(p=p[b].copy(), ee=e, rates=rates[b].copy(), diagnostics=_NO_SOLVE,
+                          feasible=short == 0.0 if verdict is None else bool(verdict[b]),
+                          form=forms[b], shortfall_bps=short, qos_violations=v)
+            for b, (e, short, v) in enumerate(zip(ee.tolist(), shortfall, violations))]
 
 
 def _eval_count(ctx: EvaluationContext, power_mode: str) -> int:
@@ -352,8 +344,7 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb") -> SolutionReport:
     # a sweep that approves nothing has scanned every move from this matching
     final = evaluate(matching.S, "slmdb", ctx)
     return SolutionReport(
-        matching=matching, power=final.power, ee=final.ee,
-        swap_count=swap_count,
+        matching=matching, power=final, swap_count=swap_count,
         evaluation_count=_eval_count(ctx, power_mode) + (_eval_count(ctx, "slmdb")
                                                          if power_mode != "slmdb" else 0),
         stable=converged, infeasible=(not final.qos_ok) or structural_gap)
@@ -422,6 +413,6 @@ def exhaustive_search(ctx: EvaluationContext) -> SolutionReport:
             best = (rank, matching, res)
 
     rank, chosen, res = best
-    return SolutionReport(matching=chosen, power=res.power, ee=res.ee,
-                          swap_count=0, evaluation_count=_eval_count(ctx, "slmdb"),
-                          stable=True, infeasible=rank[0] == 1)
+    return SolutionReport(matching=chosen, power=res, swap_count=0,
+                          evaluation_count=_eval_count(ctx, "slmdb"), stable=True,
+                          infeasible=rank[0] == 1)

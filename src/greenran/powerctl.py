@@ -52,7 +52,7 @@ from .statistics import CoefficientTensor
 
 _LN2 = np.log(2.0)
 
-QOS_RATE_RTOL = 1e-6     # rate slack when flagging QoS violations
+QOS_RATE_RTOL = 1e-6     # rate slack, relative to the target, before a UE misses QoS
 _FEAS_TOL = 1e-9         # normalized QoS residual accepted as feasible
 
 
@@ -83,6 +83,12 @@ def gamma_thresholds(r_min_bps: np.ndarray, frame: FrameConfig) -> np.ndarray:
 def make_qos(r_min_bps, K: int, frame: FrameConfig, p_max_w: float) -> QosSpec:
     r = np.broadcast_to(np.asarray(r_min_bps, dtype=float), (K,)).copy()
     return QosSpec(r_min_bps=r, gamma=gamma_thresholds(r, frame), p_max_w=p_max_w)
+
+
+def qos_deficits(rates: np.ndarray, qos: QosSpec) -> np.ndarray:
+    """Per-UE rate deficit below the target, rates (..., K): 0 where the rate
+    meets it to within QOS_RATE_RTOL, else the shortfall past that slack."""
+    return np.maximum(0.0, qos.r_min_bps - rates - QOS_RATE_RTOL * qos.r_min_bps)
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,19 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True, slots=True)
 class PowerSolution:
+    """A matching scored under one controller: powers, rates, EE and QoS verdict."""
     p: np.ndarray
     ee: float
     rates: np.ndarray
-    feasible: bool
+    feasible: bool               # the controller's verdict (QoPC LP, slmdb) or the rate check
     diagnostics: SolveDiagnostics
+    form: AffinePowerForm        # the network-power form the EE was taken under
+    shortfall_bps: float         # sum of the per-UE qos_deficits
+    qos_violations: int          # UEs with a nonzero deficit
+
+    @property
+    def qos_ok(self) -> bool:
+        return self.shortfall_bps == 0.0 and self.feasible
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +164,6 @@ class ReducedProblem:
 
     def __init__(self, lc: LinkCoefficients, frame: FrameConfig,
                  form: AffinePowerForm | None, qos: QosSpec):
-        self.frame = frame
         self.form = form
         self.qos = qos
         self.K = len(lc.ns)
@@ -220,11 +233,15 @@ class ReducedProblem:
 
     def solution(self, p_full: np.ndarray, feasible: bool,
                  diag: SolveDiagnostics) -> PowerSolution:
-        """Rates and EE at `p_full`, network power from the form over full vectors."""
+        """Rates, EE and QoS deficits at `p_full`, network power from the form
+        over full vectors."""
         rates = self.expand(self.rates(self.reduce(p_full)))
         ee = float(np.sum(rates)) / self.form.total(p_full, rates)
+        deficits = qos_deficits(rates, self.qos)
         return PowerSolution(p=p_full, ee=ee, rates=rates, feasible=feasible,
-                             diagnostics=diag)
+                             diagnostics=diag, form=self.form,
+                             shortfall_bps=float(np.sum(deficits)),
+                             qos_violations=int(np.count_nonzero(deficits)))
 
     def box_feasible(self, p: np.ndarray, tol: float = 0.0) -> bool:
         return bool((p >= -tol).all() and (p <= self.pmax + tol).all())
@@ -438,15 +455,11 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
     prob = ReducedProblem(lc, frame, form, qos)
     diag = SolveDiagnostics()
 
-    p_red0, feasible, _ = _qopc_on_problem(prob)
-    p_start = prob.expand(p_red0)
-    if not feasible:
-        return prob.solution(p_start, False, diag)
-    if len(prob.idx) == 0:
-        # no served UE: nothing to optimize and the EE stays 0
-        return prob.solution(np.zeros(prob.K), True, diag)
+    p_red, feasible, _ = _qopc_on_problem(prob)
+    if not feasible or len(prob.idx) == 0:
+        # nothing to optimize: no served UE (the EE stays 0), or no feasible power
+        return prob.solution(prob.expand(p_red), feasible, diag)
 
-    p_red = prob.reduce(p_start)
     ee_prev = prob.ee(p_red)
     diag.ee_trace.append(ee_prev)
     try:

@@ -107,6 +107,7 @@ class AffinePowerForm:
     alpha_per_k: np.ndarray
     delta_per_k: np.ndarray
     r_ref_bps: float
+    n_active: int                # BSs counted as active (all M under no-sleeping)
     # per-category (constant, per-rate-unit, per-watt) triples for the breakdown
     parts: dict = field(default_factory=dict, repr=False)
 
@@ -231,7 +232,7 @@ def build_affine_form(cfg: BsPowerConfig, params: SystemPowerParams, M: int, K: 
         raise ConfigError("traffic coefficients must be positive; check the component "
                           "table and the fronthaul traffic slope")
     return AffinePowerForm(c0_w=float(c0), alpha_per_k=alpha, delta_per_k=delta,
-                           r_ref_bps=rref, parts=parts)
+                           r_ref_bps=rref, n_active=n_active, parts=parts)
 
 
 def network_power(P: np.ndarray, rates: np.ndarray, form: AffinePowerForm) -> PowerBreakdown:

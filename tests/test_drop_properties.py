@@ -6,7 +6,9 @@ the per-UE cap L and the per-BS cap N, and must be lexicographically no worse
 in (rate shortfall, EE) than the received-power init, both scored in the scan's
 own mode. A run on a fresh context of the same drop must give the same matching
 and EE, the record's power parts must sum to its total power, and every number
-in the record and the power solution must be finite. On drops with M*K <= 6 the
+in the record and the power solution must be finite. The record's QoS violation
+count and active-BS count are the final solution's, a feasible record violates
+no target, and a zero count goes with a zero shortfall. On drops with M*K <= 6 the
 exhaustive oracle, which enumerates every matching within the caps, bounds the
 slmdb matcher: feasible with EE no lower when the matcher is feasible, else with
 a rate shortfall no larger.
@@ -49,13 +51,28 @@ def test_trimsm_drop_properties(config):
         again = trimsm(harness._make_context(config, seed), mode)
         assert np.array_equal(again.matching.S, S) and again.ee == rep.ee, mode
 
-        r = harness._record(config, rep, ctx, f"trimsm-{mode}", 0, seed, 0.0, 0.0)
+        r = harness._record(config, rep, f"trimsm-{mode}", 0, seed, 0.0, 0.0)
         parts = (r.ubs_active_power_w + r.ubs_sleep_power_w + r.fronthaul_power_w
                  + r.edge_cloud_power_w + r.ue_power_w)
         assert parts == r.total_power_w, mode
         numeric = [v for v in vars(r).values() if isinstance(v, (int, float))]
         assert np.isfinite(numeric).all(), mode
         assert all(np.isfinite(x).all() for x in (rep.power.p, rep.power.rates, rep.power.ee)), mode
+
+        assert r.qos_violation_count == rep.power.qos_violations, mode
+        assert not r.feasible or r.qos_violation_count == 0, mode
+        assert (r.qos_violation_count == 0) == (rep.power.shortfall_bps == 0.0), mode
+        assert r.active_ubs_count == rep.power.form.n_active == rep.matching.active_count, mode
+
+
+def test_nos_record_counts_every_bs_active():
+    # K * L = 4 < M, so the no-sleeping matching leaves BSs unserved, yet its
+    # power form, and so its record, keeps all M BSs on
+    config = harness.load_config({"scenario": {"M": 8, "K": 2, "N": 2, "L": 2},
+                                  "algorithm": ["nos", "trimsm-eipc"], "base_seed": 5})
+    nos, swap = harness.run(config)
+    assert nos.active_ubs_count == config.scenario.M
+    assert swap.active_ubs_count < config.scenario.M
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -2,7 +2,7 @@ import json
 import re
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -46,6 +46,16 @@ class TestConfig:
         for key in path:
             section = section[key]
         assert set(section) == {f.name for f in fields(cls)}
+
+    @pytest.mark.parametrize("attr, cls", [
+        ("scenario", ScenarioParams), ("frame", FrameConfig), ("bs_config", BsPowerConfig),
+        ("system", SystemPowerParams), ("settings", SolverSettings)])
+    def test_default_sections_keep_dataclass_defaults(self, attr, cls):
+        # tests build contexts from FrameConfig(), SystemPowerParams() and
+        # SolverSettings(), and must see the values a default run uses
+        built = getattr(load_config({}), attr)
+        declared = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        assert declared and {name: getattr(built, name) for name in declared} == declared
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):

@@ -181,16 +181,16 @@ class TestPreferences:
         for mode in ("qopc", "fipc", "eipc"):
             res = evaluate(matching.S, mode, ctx)
             assert not res.qos_ok and res.shortfall_bps > 0
-            assert not res.power.feasible, mode
+            assert not res.feasible, mode
 
     def test_heuristic_verdicts_pass_on_reachable_targets(self):
         ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=0)
         matching = strongest_assoc(ctx)
         qopc_res = evaluate(matching.S, "qopc", ctx)
-        assert qopc_res.qos_ok and qopc_res.power.feasible
+        assert qopc_res.qos_ok and qopc_res.feasible
         for mode in ("fipc", "eipc"):
             res = evaluate(matching.S, mode, ctx)
-            assert res.power.feasible == res.qos_ok, mode
+            assert res.feasible == (res.shortfall_bps == 0.0), mode
 
     def test_slmdb_never_below_fipc(self):
         wins = 0

@@ -47,16 +47,23 @@ def assert_same(got, alone):
     assert np.array_equal(got.ee, alone.ee, equal_nan=True)
     assert got.shortfall_bps == alone.shortfall_bps
     assert got.qos_ok == alone.qos_ok
-    assert np.array_equal(got.power.p, alone.power.p, equal_nan=True)
-    assert np.array_equal(got.power.rates, alone.power.rates, equal_nan=True)
-    assert got.power.feasible == alone.power.feasible
+    assert got.qos_violations == alone.qos_violations
+    assert np.array_equal(got.p, alone.p, equal_nan=True)
+    assert np.array_equal(got.rates, alone.rates, equal_nan=True)
+    assert got.feasible == alone.feasible
 
 
 def assert_stacked_equals_alone(ctx, mode, matchings):
-    together = evaluate(matchings, mode, ctx.clone())
+    # each member is scored under the one form its context holds for its active count
+    stacked = ctx.clone()
+    together = evaluate(matchings, mode, stacked)
     assert len(together) == len(matchings)
     for S, got in zip(matchings, together):
-        assert_same(got, evaluate(S, mode, ctx.clone()))
+        alone = ctx.clone()
+        one = evaluate(S, mode, alone)
+        assert_same(got, one)
+        n_active = int(S.any(axis=1).sum())
+        assert got.form is stacked.form_for(n_active) and one.form is alone.form_for(n_active)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

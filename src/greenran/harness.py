@@ -23,8 +23,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .defaults import table3_defaults
-from .matching import (EvaluationContext, SolutionReport, evaluate, exhaustive_search,
-                       llsf_assoc, nos_assoc, recp_init, trimsm, tsap_assoc)
+from .matching import (EvaluationContext, SolutionReport, check_exhaustive_size, evaluate,
+                       exhaustive_search, llsf_assoc, nos_assoc, recp_init, trimsm,
+                       tsap_assoc)
 from .netmodel import (ConfigError, FrameConfig, ScenarioParams, build_correlation,
                        generate_topology)
 from .powerctl import SolverSettings, make_qos
@@ -187,7 +188,7 @@ def load_config(source) -> RunConfig:
     base_seed = _number(merged["base_seed"], "base_seed", int)
     if not 0 <= base_seed < 2**64:    # drop seeds base_seed ^ d must stay seeds
         raise ConfigError("base_seed must lie in [0, 2**64)")
-    _check_pilots(scenario, frame)
+    _check_point(scenario, frame, algorithms)
 
     sweep_parameter = None
     sweep_values = ()
@@ -214,7 +215,7 @@ def load_config(source) -> RunConfig:
     for i, value in enumerate(sweep_values):
         with _section(f"sweep.values[{i}]"):
             point = _apply_sweep(config, value)
-            _check_pilots(point.scenario, point.frame)
+            _check_point(point.scenario, point.frame, algorithms)
             make_qos(point.r_min_bps, point.scenario.K, point.frame, point.p_max_w)
     return config
 
@@ -238,14 +239,17 @@ def _check_algorithms(algorithms) -> None:
             raise ConfigError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
 
 
-def _check_pilots(scenario: ScenarioParams, frame: FrameConfig) -> None:
+def _check_point(scenario: ScenarioParams, frame: FrameConfig, algorithms) -> None:
+    """What a run of one parameter point rejects before its first drop."""
     if scenario.K > frame.tau_p:
         raise ConfigError(
             f"K={scenario.K} exceeds tau_p={frame.tau_p}; orthogonal pilots need K <= tau_p")
+    if "exhaustive" in algorithms:
+        check_exhaustive_size(scenario)
 
 
 def _make_context(config: RunConfig, drop_seed: int) -> EvaluationContext:
-    _check_pilots(config.scenario, config.frame)
+    _check_point(config.scenario, config.frame, config.algorithms)
     scen = replace(config.scenario, seed=drop_seed)
     topo = generate_topology(scen)
     corr = build_correlation(topo, config.frame)

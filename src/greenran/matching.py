@@ -4,9 +4,9 @@ A matching is the binary serving matrix under the per-UE cap L and per-BS cap
 N; BSs with no UE sleep. Starting from a received-power initialization, the
 swap phase repeatedly scans candidate moves and commits every move that all
 affected players weakly prefer with one strict improvement. A move is the
-tuple (i, m, n, j): UE i leaves BS m and enters BS n (None when that side has
-no BS), and when j is set UE j moves from n to m. So add is (i, None, n, None),
-remove (i, m, None, None), replace (i, m, n, None) and exchange (i, m, n, j).
+tuple (i, m, n, j): UE i leaves BS m and enters BS n (-1 when that side has no
+BS), and when j is set UE j moves from n to m. So add is (i, -1, n, -1),
+remove (i, m, -1, -1), replace (i, m, n, -1) and exchange (i, m, n, j).
 Because every player shares the network-wide objective, a move is approved
 exactly when it keeps QoS satisfied and strictly raises EE; from a
 QoS-violating state the preference is lexicographic (total rate shortfall
@@ -21,13 +21,14 @@ form it was scored under (all M BSs active under no-sleeping, which only this
 module reads) and its QoS shortfall and violation count, so a report's final
 solution is all a record needs.
 
-A pair's scan builds the candidate serving matrices of its remaining moves
-once per incumbent: when it starts, and again after each approval. The judge
-compares the incumbent with one candidate matrix and never sees the move. An
-evaluation is a pure function of S, so the scan looks ahead: `evaluate` scores
-the whole candidate list in one stacked call, bitwise as if one by one, and the
-judge then takes the same list in order. slmdb, which gains nothing from
-stacking, builds and judges one candidate at a time.
+A pair's moves are int arrays (i, m, n, j). Once per incumbent (when the
+pair's scan starts, and after each approval) its remaining moves become one
+stack of candidate matrices built by index flips, with the mask of the moves
+that apply taken from the incumbent's row and column counts. `evaluate` scores
+the stack's cache misses in one stacked call, bitwise as if one by one, and a
+member's `PowerSolution` is built and cached only when the judge reaches it.
+The judge compares the incumbent's result with one member's; the first member
+approved is committed. slmdb solves each member when it is reached.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +62,6 @@ class EvaluationContext:
     settings: SolverSettings
     no_sleep: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
-    _ahead: dict = field(default_factory=dict, repr=False)    # per mode, see evaluate
     _forms: dict = field(default_factory=dict, repr=False)
 
     def clone(self, **overrides) -> "EvaluationContext":
@@ -82,7 +82,6 @@ class EvaluationContext:
 @dataclass(frozen=True)
 class PreferenceOutcome:
     approved: bool
-    matching: Association | None = None    # the matching after an approved move
 
 
 @dataclass(frozen=True)
@@ -161,37 +160,43 @@ def tsap_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> Association:
 # Evaluation with caching
 # ---------------------------------------------------------------------------
 
-def evaluate(S, power_mode: str, ctx: EvaluationContext):
-    """Score the matching with serving matrix S: run the selected controller,
-    compute rates and EE. A list of serving matrices (the swap scan's lookahead)
-    gives a list of results, every cache miss among them scored in one stacked
-    call. They wait outside the cache until their matching is asked for alone,
-    and the next list drops the rest, so the cache, and evaluation_count, hold
-    only the matchings asked for alone."""
+def evaluate(S: np.ndarray, power_mode: str, ctx: EvaluationContext, applies=None):
+    """Score the matching with serving matrix S (M, K): run the selected
+    controller, compute rates and EE, and cache the result per mode. A stack S
+    (B, M, K), with the mask `applies` of the members to score, gives a
+    generator of their results in order, None where a member does not apply.
+    The closed-form controllers score every cache miss now, in one stacked call
+    and bitwise as if one by one; slmdb solves a member when it is reached. A
+    result is built and cached only when it is reached, so the cache, and
+    evaluation_count, hold only the matchings asked for."""
     if power_mode not in POWER_MODES:
         raise ConfigError(f"unknown power mode {power_mode!r}")
     mode_cache = ctx._cache.setdefault(power_mode, {})
-    if isinstance(S, list):
-        keys = [s.tobytes() for s in S]
-        misses = {key: s for key, s in zip(keys, S) if key not in mode_cache}
-        ctx._ahead[power_mode] = ahead = dict(zip(misses, _score(
-            np.array([*misses.values()]), power_mode, ctx) if misses else []))
-        return [mode_cache.get(key) or ahead[key] for key in keys]
+    if S.ndim == 3:
+        if power_mode == "slmdb":
+            return (evaluate(s, power_mode, ctx) if ok else None for s, ok in zip(S, applies))
+        keys = [s.tobytes() if ok else None for s, ok in zip(S, applies.tolist())]
+        misses = [b for b, key in enumerate(keys) if key is not None and key not in mode_cache]
+        member = _score(S[misses], power_mode, ctx) if misses else None
+        row = dict(zip(misses, range(len(misses))))    # a miss's index among those scored
+        return (None if key is None else mode_cache.get(key)
+                or mode_cache.setdefault(key, member(row[b])) for b, key in enumerate(keys))
     key = S.tobytes()
     if key not in mode_cache:
-        held = ctx._ahead.get(power_mode, {}).pop(key, None)
-        mode_cache[key] = held or _score(S[None], power_mode, ctx)[0]
+        mode_cache[key] = _score(S[None], power_mode, ctx)(0)
     return mode_cache[key]
 
 
-def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext) -> list:
-    """PowerSolutions of the serving matrices stacked (B, M, K), one per member."""
+def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext):
+    """Scores of the serving matrices stacked (B, M, K), as a function of the
+    member index that gives the member's PowerSolution."""
     qos = ctx.qos
     active = S.any(axis=2).sum(axis=1)
-    forms = [ctx.form_for(n) for n in active.tolist()]
+    counts = active.tolist()
+    forms = {n: ctx.form_for(n) for n in set(counts)}    # one power form per active count
     if power_mode == "slmdb":    # solved one by one, so nothing is stacked
-        return [slmdb_solve(link_coefficients(s, ctx.tensor), ctx.frame, form, qos,
-                            ctx.settings) for s, form in zip(S, forms)]
+        return [slmdb_solve(link_coefficients(s, ctx.tensor), ctx.frame, forms[n], qos,
+                            ctx.settings) for s, n in zip(S, counts)].__getitem__
     lc = link_coefficients(S, ctx.tensor)
     verdict = None
     if power_mode == "fipc":
@@ -202,18 +207,20 @@ def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext) -> list:
         p, verdict = qopc_solve(lc, ctx.frame, qos)
     rates = rates_from_coeffs(p, lc, ctx.frame)
     ee = np.sum(rates, axis=1)
-    for n in set(active.tolist()):    # one power form per active count
+    for n, form in forms.items():
         rows = np.flatnonzero(active == n)
-        ee[rows] /= forms[rows[0]].total(p[rows], rates[rows])
+        ee[rows] /= form.total(p[rows], rates[rows])
     deficits = qos_deficits(rates, qos)
-    shortfall = np.sum(deficits, axis=1).tolist()
+    ee, shortfall = ee.tolist(), np.sum(deficits, axis=1).tolist()
     violations = np.count_nonzero(deficits, axis=1).tolist()
-    # feasible is the QoPC LP's own verdict, else the rate check; rows are copied
-    # so that a cached result does not keep the stack alive
-    return [PowerSolution(p=p[b].copy(), ee=e, rates=rates[b].copy(), diagnostics=_NO_SOLVE,
-                          feasible=short == 0.0 if verdict is None else bool(verdict[b]),
-                          form=forms[b], shortfall_bps=short, qos_violations=v)
-            for b, (e, short, v) in enumerate(zip(ee.tolist(), shortfall, violations))]
+    # feasible is the QoPC LP's own verdict, else the rate check
+    feasible = [short == 0.0 for short in shortfall] if verdict is None else verdict.tolist()
+
+    def member(b: int) -> PowerSolution:    # rows copied: a cached result keeps no stack
+        return PowerSolution(p=p[b].copy(), ee=ee[b], rates=rates[b].copy(),
+                             diagnostics=_NO_SOLVE, feasible=feasible[b], form=forms[counts[b]],
+                             shortfall_bps=shortfall[b], qos_violations=violations[b])
+    return member
 
 
 def _eval_count(ctx: EvaluationContext, power_mode: str) -> int:
@@ -224,87 +231,97 @@ def _eval_count(ctx: EvaluationContext, power_mode: str) -> int:
 # Moves
 # ---------------------------------------------------------------------------
 
-def _moved(S: np.ndarray, move: tuple, ctx: EvaluationContext) -> np.ndarray | None:
-    """Serving matrix after the move (i, m, n, j), or None when it does not apply.
+def _moves(S: np.ndarray, i: int, j: int | None) -> np.ndarray:
+    """Candidate moves for the ordered pair (UE i, UE j) against S, as the int
+    rows (i, m, n, j) of a (4, T) array with -1 for none: with j None every add,
+    then remove, then replace; else every exchange."""
+    col = S[:, i]
+    if j is None:
+        free, held = np.flatnonzero(~col), np.flatnonzero(col)
+        F, H = len(free), len(held)
+        moves = np.full((4, F + H + H * F), -1)
+        moves[2, :F] = free
+        moves[1, F:F + H] = held
+        moves[1, F + H:] = held.repeat(F)    # replaces: each held BS to each free one
+        moves[2, F + H:].reshape(H, F)[:] = free
+    else:
+        other = S[:, j]
+        m, n = np.nonzero((col & ~other)[:, None] & (other & ~col))
+        moves = np.full((4, len(m)), j)
+        moves[1], moves[2] = m, n
+    moves[0] = i
+    return moves
+
+
+def _candidates(S: np.ndarray, moves: np.ndarray, ctx: EvaluationContext):
+    """The serving matrices after each of one pair's moves (i, m, n, j) from S,
+    stacked (T, M, K), and the mask of the moves that apply; a member that
+    does not apply is undefined.
 
     The vacated slots must be held and the entered slots free. A move without
     j that enters n must leave UE i within L and BS n within N; an exchange
     keeps every count. No move may put a serving BS to sleep under no_sleep.
     """
-    i, m, n, j = move
-    leave = [] if m is None else [(m, i)]
-    enter = [] if n is None else [(n, i)]
-    if j is not None:
-        leave.append((n, j))
-        enter.append((m, j))
-    if not all(S[c] for c in leave) or any(S[c] for c in enter):
-        return None
-    new = S.copy()
-    for c in leave:
-        new[c] = False
-    for c in enter:
-        new[c] = True
-    if j is None and n is not None and (np.count_nonzero(new[:, i]) > ctx.scenario.L
-                                        or np.count_nonzero(new[n]) > ctx.scenario.N):
-        return None
-    if ctx.no_sleep and S.any(axis=1)[~new.any(axis=1)].any():
-        return None    # move would put a serving BS to sleep
-    return new
-
-
-def _pair_moves(S: np.ndarray, i: int, j: int | None):
-    """Candidate moves for the ordered pair (UE i, UE j) against the current S:
-    with j None every add, then remove, then replace; else every exchange."""
-    M = S.shape[0]
-    held = [int(m) for m in np.flatnonzero(S[:, i])]
-    if j is None:
-        free = [n for n in range(M) if not S[n, i]]
-        yield from ((i, None, n, None) for n in free)
-        yield from ((i, m, None, None) for m in held)
-        yield from ((i, m, n, None) for m in held for n in free)
+    (i, j), m, n = moves[::3, 0], moves[1], moves[2]    # a pair's moves share i and j
+    M = len(S)
+    pad = np.zeros((M + 1, S.shape[1]), dtype=bool)    # row M serves no UE and takes
+    pad[:M] = S                                        # the -1 of a missing m or n
+    col, stack, b = pad[:, i], np.repeat(pad[None], len(m), axis=0), np.arange(len(m))
+    if j < 0:
+        alone, per_bs = m < 0, pad.sum(axis=1)
+        applies = (col[m] | alone) & ~col[n] & ((n < 0) | (
+            (np.count_nonzero(col) + alone <= ctx.scenario.L) & (per_bs[n] < ctx.scenario.N)))
+        if ctx.no_sleep:    # the move must not take a BS's one UE
+            applies &= alone | (per_bs[m] > 1)
     else:
-        for m in held:
-            for n in np.flatnonzero(S[:, j]):
-                if not S[n, i] and not S[m, j]:
-                    yield i, m, int(n), j
+        other = pad[:, j]
+        applies = col[m] & other[n] & ~col[n] & ~other[m]
+        stack[b, n, j] = False
+        stack[b, m, j] = True
+    stack[b, m, i] = False
+    stack[b, n, i] = True
+    return stack[:, :M], applies
 
 
 def _pair_order(K: int):
-    for i in range(K):
-        for j in list(range(K)) + [None]:
-            if j == i:
-                continue
-            yield i, j
+    return ((i, j) for i in range(K) for j in [*range(K), None] if j != i)
 
 
-def is_swap_blocking(matching: Association, swapped: np.ndarray | None, power_mode: str,
-                     ctx: EvaluationContext) -> PreferenceOutcome:
-    """Approve the candidate serving matrix `swapped` (None: the move does not
-    apply) iff it strictly improves (shortfall, EE) lexicographically.
+_APPROVED, _REJECTED = PreferenceOutcome(approved=True), PreferenceOutcome(approved=False)
+
+
+def is_swap_blocking(before: PowerSolution, after: PowerSolution | None) -> PreferenceOutcome:
+    """Approve the candidate scored `after` (None: the move does not apply)
+    over the incumbent scored `before` iff it strictly improves (shortfall, EE)
+    lexicographically.
 
     With QoS currently met that reduces to: QoS stays met and EE strictly
     increases (the shared-preference reading of a blocking pair).
     """
-    before = evaluate(matching.S, power_mode, ctx)
-    if swapped is None:
-        return PreferenceOutcome(approved=False)
-    after = evaluate(swapped, power_mode, ctx)
-    if (after.shortfall_bps < before.shortfall_bps
-            or (after.shortfall_bps == before.shortfall_bps and after.ee > before.ee)):
-        return PreferenceOutcome(approved=True, matching=Association(S=swapped))
-    return PreferenceOutcome(approved=False)
+    if after is not None and (after.shortfall_bps < before.shortfall_bps
+                              or (after.shortfall_bps == before.shortfall_bps
+                                  and after.ee > before.ee)):
+        return _APPROVED
+    return _REJECTED
+
+
+def _scan(S: np.ndarray, moves: np.ndarray, power_mode: str, ctx: EvaluationContext):
+    """Judge the candidates of `moves` from the incumbent S in order, up to the
+    first approved one: (moves judged, the approved serving matrix or None)."""
+    stack, applies = _candidates(S, moves, ctx)
+    before = evaluate(S, power_mode, ctx)
+    for b, after in enumerate(evaluate(stack, power_mode, ctx, applies)):
+        if is_swap_blocking(before, after).approved:
+            return b + 1, stack[b].copy()
+    return moves.shape[1], None
 
 
 def verify_stability(matching: Association, power_mode: str,
                      ctx: EvaluationContext) -> bool:
     """True iff no candidate move is approved from this matching."""
-    K = matching.S.shape[1]
-    for i, j in _pair_order(K):
-        for move in _pair_moves(matching.S, i, j):
-            if is_swap_blocking(matching, _moved(matching.S, move, ctx), power_mode,
-                                ctx).approved:
-                return False
-    return True
+    S = matching.S
+    pairs = (_moves(S, i, j) for i, j in _pair_order(S.shape[1]))
+    return all(_scan(S, moves, power_mode, ctx)[1] is None for moves in pairs if moves.size)
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +340,13 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb") -> SolutionReport:
     for _ in range(_MAX_SWEEPS):
         swaps_before = swap_count
         for i, j in _pair_order(ctx.scenario.K):
-            moves = list(_pair_moves(matching.S, i, j))
-            t = 0
-            while t < len(moves):    # one pass per incumbent: restart after an approval
-                candidates = (_moved(matching.S, move, ctx) for move in moves[t:])
-                if power_mode != "slmdb":    # slmdb builds each candidate as it is judged
-                    candidates = list(candidates)
-                    evaluate([S for S in candidates if S is not None], power_mode, ctx)
-                for swapped in candidates:
-                    t += 1
-                    outcome = is_swap_blocking(matching, swapped, power_mode, ctx)
-                    if outcome.approved:
-                        matching = outcome.matching
-                        swap_count += 1
-                        break
+            moves = _moves(matching.S, i, j)
+            while moves.size:    # one stack per incumbent: rebuilt after an approval
+                judged, approved = _scan(matching.S, moves, power_mode, ctx)
+                moves = moves[:, judged:]
+                if approved is not None:
+                    matching = Association(S=approved)
+                    swap_count += 1
         if swap_count == swaps_before:
             converged = True
             break
@@ -386,16 +396,20 @@ def _repair_empty_bs(matching: Association, ctx: EvaluationContext):
     return Association(S=S, max_per_ue=L, max_per_bs=Ncap), gap
 
 
+def check_exhaustive_size(scenario: ScenarioParams) -> None:
+    """The exhaustive oracle's guard: it enumerates only scenarios with M*K <= 16."""
+    if scenario.M * scenario.K > 16:
+        raise ConfigError(f"exhaustive search guard: M*K = {scenario.M * scenario.K} exceeds 16")
+
+
 def exhaustive_search(ctx: EvaluationContext) -> SolutionReport:
     """Enumerate every admissible matching and keep the best feasible one.
 
     Ties break toward fewer active BSs, then the lexicographically smallest
     matrix. Guarded to M*K <= 16.
     """
-    M, K = ctx.scenario.M, ctx.scenario.K
-    if M * K > 16:
-        raise ConfigError(f"exhaustive search guard: M*K = {M * K} exceeds 16")
-    L, Ncap = ctx.scenario.L, ctx.scenario.N
+    check_exhaustive_size(ctx.scenario)
+    M, K, L, Ncap = ctx.scenario.M, ctx.scenario.K, ctx.scenario.L, ctx.scenario.N
     choices = [c for size in range(L + 1) for c in combinations(range(M), size)]
 
     best = None          # (rank, matching, result); feasible matchings rank first

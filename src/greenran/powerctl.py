@@ -354,10 +354,12 @@ def _solve_parametric(sur: Surrogate, pi: float, start: np.ndarray | None,
         return np.zeros(0)
     obj = _Parametric(sur, pi)
     B, b = prob.barrier_stack
+    BT = B.T
     p = start
-    if p is None or not (B @ p + b > 0).all():
+    z = None if p is None else B @ p + b
+    if z is None or not (z > 0).all():
         p = _center(prob.interior_point(), B, b, prob.pmax)
-    z = B @ p + b
+        z = B @ p + b
 
     # barrier = w . log z + t q . P at the one weight t whose duality-gap proxy
     # m / t sits well below the target in rate-scale units and, since the gap
@@ -372,8 +374,8 @@ def _solve_parametric(sur: Surrogate, pi: float, start: np.ndarray | None,
     tq = t * obj.q
     for _ in range(_NEWTON_MAX_ITER):
         wz = w / z
-        grad = B.T @ wz + tq
-        neg_hess = (B.T * (wz / z)) @ B
+        grad = BT @ wz + tq
+        neg_hess = (BT * (wz / z)) @ B
         try:
             step = np.linalg.solve(neg_hess, grad)
         except np.linalg.LinAlgError:
@@ -414,15 +416,14 @@ _DINKELBACH_MAX_ITER = 50
 _STALL_ROUNDS = 3        # non-increasing ratio updates that end the rounds
 
 
-def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, diag: SolveDiagnostics):
-    """Maximize the fractional surrogate anchored at `anchor`.
-
-    The first parametric solve starts at the anchor. Returns (p, pi_star,
-    pi_trace); pi is the surrogate ratio and is nondecreasing along the
-    iterations.
-    """
+def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, anchor_ee: float,
+                diag: SolveDiagnostics):
+    """Maximize the fractional surrogate anchored at `anchor`, starting from its
+    ratio there, which is bitwise the anchor's EE `anchor_ee`. The first
+    parametric solve starts at the anchor. Returns (p, pi_star, pi_trace); pi is
+    the surrogate ratio and is nondecreasing along the iterations."""
     sur = prob.surrogate(anchor)
-    pi = max(sur.ratio(anchor), 0.0)
+    pi = max(anchor_ee, 0.0)
     pi_trace = [pi]
     p = anchor
     stall = 0
@@ -465,7 +466,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
     try:
         for n in range(1, settings.slm_max_iter + 1):
             diag.slm_iterations = n
-            p_new, _, _ = _dinkelbach(prob, p_red, diag)
+            p_new, _, _ = _dinkelbach(prob, p_red, ee_prev, diag)
             ee = prob.ee(p_new)
             diag.ee_trace.append(ee)
             if not ee > ee_prev:

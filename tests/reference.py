@@ -1,14 +1,17 @@
 """Code that only the tests run: the general-R statistics and their Monte Carlo
 estimate, which `greenran.mmse_statistics` gives in closed form for R = g * I
 (the validation oracles), the value of a parametric subproblem, the QoS
-residual of a reduced power problem, and a loader for emitted CSV records."""
+residual of a reduced power problem, the swap scan one move at a time, which
+`greenran.matching` runs on stacks of candidates, and a loader for emitted CSV
+records."""
 
 import csv
 from dataclasses import fields
 
 import numpy as np
 
-from greenran import CoefficientTensor, ConfigError, FrameConfig
+from greenran import Association, CoefficientTensor, ConfigError, FrameConfig
+from greenran import matching
 from greenran.harness import ResultRecord
 from greenran.powerctl import _Parametric
 
@@ -153,6 +156,83 @@ def parametric_value(sur, pi: float, p: np.ndarray) -> float:
 def residual(prob, p: np.ndarray) -> np.ndarray:
     """QoS residuals W p + c of a `powerctl.ReducedProblem` (<= 0: target met)."""
     return prob.W @ p + prob.c
+
+
+def moved(S: np.ndarray, move: tuple, ctx) -> np.ndarray | None:
+    """Serving matrix after the move (i, m, n, j), or None when it does not apply.
+
+    The vacated slots must be held and the entered slots free. A move without
+    j that enters n must leave UE i within L and BS n within N; an exchange
+    keeps every count. No move may put a serving BS to sleep under no_sleep.
+    """
+    i, m, n, j = move
+    leave = [] if m is None else [(m, i)]
+    enter = [] if n is None else [(n, i)]
+    if j is not None:
+        leave.append((n, j))
+        enter.append((m, j))
+    if not all(S[c] for c in leave) or any(S[c] for c in enter):
+        return None
+    new = S.copy()
+    for c in leave:
+        new[c] = False
+    for c in enter:
+        new[c] = True
+    if j is None and n is not None and (np.count_nonzero(new[:, i]) > ctx.scenario.L
+                                        or np.count_nonzero(new[n]) > ctx.scenario.N):
+        return None
+    if ctx.no_sleep and S.any(axis=1)[~new.any(axis=1)].any():
+        return None    # move would put a serving BS to sleep
+    return new
+
+
+def pair_moves(S: np.ndarray, i: int, j: int | None):
+    """Candidate moves for the ordered pair (UE i, UE j) against the current S:
+    with j None every add, then remove, then replace; else every exchange."""
+    M = S.shape[0]
+    held = [int(m) for m in np.flatnonzero(S[:, i])]
+    if j is None:
+        free = [n for n in range(M) if not S[n, i]]
+        yield from ((i, None, n, None) for n in free)
+        yield from ((i, m, None, None) for m in held)
+        yield from ((i, m, n, None) for m in held for n in free)
+    else:
+        for m in held:
+            for n in np.flatnonzero(S[:, j]):
+                if not S[n, i] and not S[m, j]:
+                    yield i, m, int(n), j
+
+
+def move_by_move_trimsm(ctx, power_mode: str) -> matching.SolutionReport:
+    """`matching.trimsm` judging one move at a time: each candidate is built by
+    `moved` from the incumbent when its turn comes, scored alone through
+    `matching.evaluate` and judged by `matching.is_swap_blocking`, so the
+    cache holds exactly the matchings judged."""
+    m = matching
+    current = m.recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
+    gap = False
+    if ctx.no_sleep:
+        current, gap = m._repair_empty_bs(current, ctx)
+    swap_count, converged = 0, False
+    for _ in range(m._MAX_SWEEPS):
+        swaps_before = swap_count
+        for i, j in m._pair_order(ctx.scenario.K):
+            for move in list(pair_moves(current.S, i, j)):
+                swapped = moved(current.S, move, ctx)
+                before = m.evaluate(current.S, power_mode, ctx)
+                after = None if swapped is None else m.evaluate(swapped, power_mode, ctx)
+                if m.is_swap_blocking(before, after).approved:
+                    current = Association(S=swapped)
+                    swap_count += 1
+        if swap_count == swaps_before:
+            converged = True
+            break
+    final = m.evaluate(current.S, "slmdb", ctx)
+    count = m._eval_count(ctx, power_mode)
+    return m.SolutionReport(
+        matching=current, power=final, swap_count=swap_count,
+        evaluation_count=count + (m._eval_count(ctx, "slmdb") if power_mode != "slmdb" else 0),
+        stable=converged, infeasible=(not final.qos_ok) or gap)
 
 
 def read_records(path: str) -> list:

@@ -110,6 +110,21 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("cfg", [
+        {"algorithm": ["llsf", "exhaustive"], "drops": 1},
+        dict(BASE, algorithm=["exhaustive"], scenario={"M": 4, "K": 2, "N": 2, "L": 2},
+             sweep={"parameter": "M", "values": [4, 9]})])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, cfg):
+        # the default M*K = 80 and the sweep point M = 9 (M*K = 18) both exceed
+        # the exhaustive search guard
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("validate-config", "run"):
+            assert main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+            assert "exhaustive search guard" in captured.err and captured.out == ""
+
     def test_oracle_check(self, capsys):
         assert main(["oracle-check", "--instances", "1"]) == 0
         assert "ratio" in capsys.readouterr().out

@@ -192,10 +192,10 @@ class TestRun:
         assert peak < 4e6
 
     def test_exhaustive_guard(self):
-        cfg = load_config(dict(BASE, algorithm="exhaustive",
-                               scenario={"M": 6, "K": 3, "N": 3, "L": 2}))
-        with pytest.raises(ConfigError):
-            run(cfg)
+        # the guard fails the config at load, before any drop runs
+        with pytest.raises(ConfigError, match="exhaustive search guard"):
+            load_config(dict(BASE, algorithm="exhaustive",
+                             scenario={"M": 6, "K": 3, "N": 3, "L": 2}))
 
     def test_wall_time_zero_without_timing_flag(self):
         cfg = load_config(BASE)

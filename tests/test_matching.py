@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from greenran import Association, ConfigError, CorrelationSet, ScenarioParams
+from greenran import Association, ConfigError, CorrelationSet, PowerSolution, ScenarioParams
 from greenran import matching as matching_module
-from greenran.matching import (_moved, _pair_moves, _pair_order, evaluate,
+from greenran.matching import (_candidates, _moves, _pair_order, evaluate,
                                exhaustive_search, is_swap_blocking, llsf_assoc,
                                nos_assoc, recp_init, trimsm, tsap_assoc,
                                verify_stability)
 from conftest import make_context, strongest_assoc
+
+
+def candidate(S, move, ctx):
+    """The serving matrix after the move (i, m, n, j), None for none, from a
+    candidate stack of one; None when the move does not apply."""
+    stack, applies = _candidates(S, np.array([[-1 if v is None else v] for v in move]), ctx)
+    return stack[0].copy() if applies[0] else None
 
 
 def gains_scenario(betas, L=3, N=5):
@@ -88,22 +95,22 @@ class TestMoves:
 
     def test_exchange_involution(self):
         S = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
-        S1 = _moved(S, (0, 0, 1, 1), self.ctx)
-        S2 = _moved(S1, (0, 1, 0, 1), self.ctx)
+        S1 = candidate(S, (0, 0, 1, 1), self.ctx)
+        S2 = candidate(S1, (0, 1, 0, 1), self.ctx)
         assert np.array_equal(S2, S)
 
     def test_add_respects_caps(self):
         S = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
         # BS 0 already serves N=2 UEs: add must fail
-        assert _moved(S, (2, None, 0, None), self.ctx) is None
-        got = _moved(S, (2, None, 1, None), self.ctx)
+        assert candidate(S, (2, None, 0, None), self.ctx) is None
+        got = candidate(S, (2, None, 1, None), self.ctx)
         assert got[1, 2]
 
     def test_remove_and_replace(self):
         S = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
-        removed = _moved(S, (0, 0, None, None), self.ctx)
+        removed = candidate(S, (0, 0, None, None), self.ctx)
         assert not removed[:, 0].any()
-        replaced = _moved(S, (0, 0, 3, None), self.ctx)
+        replaced = candidate(S, (0, 0, 3, None), self.ctx)
         assert replaced[3, 0] and not replaced[0, 0]
 
     def test_constraints_preserved_under_random_moves(self):
@@ -116,7 +123,7 @@ class TestMoves:
             i = int(rng.integers(0, 3))
             m = int(rng.integers(0, 4)) if kind != "add" else None
             n = int(rng.integers(0, 4)) if kind != "remove" else None
-            got = _moved(matching.S, (i, m, n, None), ctx)
+            got = candidate(matching.S, (i, m, n, None), ctx)
             if got is not None:
                 matching = Association(S=got)
             assert (matching.S.sum(axis=0) <= ctx.scenario.L).all()
@@ -129,8 +136,9 @@ class TestPreferences:
         ctx = make_context(M=3, K=2, N=2, L=2, seed=3)
         matching = strongest_assoc(ctx)
         m = int(np.flatnonzero(matching.S[:, 0])[0])
-        out = is_swap_blocking(matching, _moved(matching.S, (0, m, m, 1), ctx), "eipc", ctx)
-        assert not out.approved and out.matching is None
+        # UE 1 would enter the slot UE 0 holds: the move does not apply
+        assert candidate(matching.S, (0, m, m, 1), ctx) is None
+        assert not is_swap_blocking(evaluate(matching.S, "eipc", ctx), None).approved
 
     def test_qos_breaking_move_not_approved(self):
         # removing a serving BS under full power saves energy (EE rises) but
@@ -141,14 +149,13 @@ class TestPreferences:
         assert before.qos_ok
         checked = 0
         for i, j in _pair_order(3):
-            for move in _pair_moves(matching.S, i, j):
-                swapped = _moved(matching.S, move, ctx)
-                if swapped is None:
-                    continue
-                after = evaluate(swapped, "fipc", ctx)
-                if after.ee > before.ee and not after.qos_ok:
-                    out = is_swap_blocking(matching, swapped, "fipc", ctx)
-                    assert not out.approved
+            moves = _moves(matching.S, i, j)
+            if not moves.size:
+                continue
+            stack, applies = _candidates(matching.S, moves, ctx)
+            for after in evaluate(stack, "fipc", ctx, applies):
+                if after is not None and after.ee > before.ee and not after.qos_ok:
+                    assert not is_swap_blocking(before, after).approved
                     checked += 1
         assert checked > 0
 
@@ -157,16 +164,14 @@ class TestPreferences:
         S = np.array([[1, 0], [0, 1]], dtype=bool)
         matching = Association(S=S)
         move = (0, 0, 1, 1)
-        swapped = _moved(matching.S, move, ctx)
-        out = is_swap_blocking(matching, swapped, "slmdb", ctx)
+        swapped = candidate(matching.S, move, ctx)
         ev_a = evaluate(matching.S, "slmdb", ctx)
         ev_b = evaluate(swapped, "slmdb", ctx)
+        out = is_swap_blocking(ev_a, ev_b)
         expect = (ev_b.qos_ok and ev_a.qos_ok and ev_b.ee > ev_a.ee) \
             or (ev_b.shortfall_bps < ev_a.shortfall_bps) \
             or (ev_b.shortfall_bps == ev_a.shortfall_bps and ev_b.ee > ev_a.ee)
         assert out.approved == expect
-        if expect:
-            assert np.array_equal(out.matching.S, swapped)
 
     def test_evaluation_cached(self):
         ctx = make_context(M=3, K=2, N=2, L=2, seed=5)
@@ -237,60 +242,65 @@ class TestTrimsm:
 
     @pytest.mark.parametrize("mode", ["slmdb", "fipc", "qopc", "eipc"])
     def test_approval_commits_the_evaluated_matching(self, mode, monkeypatch):
-        # a pair's scan builds each candidate once per incumbent and hands that
-        # matrix to the judge; an approval commits it, so an Association is
-        # built only for the init and each approval, never per scanned move
-        built, approvals = [], []
-        seen, candidates = set(), []    # of the current pair's scan
-        pair_moves, moved = matching_module._pair_moves, matching_module._moved
-        scan = matching_module.is_swap_blocking
+        # a pair's scan builds its candidates as one stack per incumbent and the
+        # judge sees each member's result; an approval commits that member, so
+        # the next judge call's incumbent is the very result approved, and an
+        # Association is built only for the init and each approval, never per
+        # scanned move
+        built, stacks, judged = [], [], []
+        candidates, judge = matching_module._candidates, matching_module.is_swap_blocking
 
         class CountedAssociation(Association):
             def __post_init__(self):
                 built.append(1)
                 super().__post_init__()
 
-        def counted_pair_moves(*args):
-            seen.clear()
-            candidates.clear()
-            return pair_moves(*args)
+        def counted_candidates(S, moves, ctx):
+            stacks.append((tuple(moves[::3, 0]), S.tobytes()))
+            return candidates(S, moves, ctx)
 
-        def counted_moved(S, move, ctx):
-            key = (S.tobytes(), move)
-            assert key not in seen, key
-            seen.add(key)
-            out = moved(S, move, ctx)
-            candidates.append(out)
-            return out
-
-        def counted_scan(matching, swapped, *args):
-            assert swapped is None or any(swapped is c for c in candidates)
-            outcome = scan(matching, swapped, *args)
-            if outcome.approved:
-                assert outcome.matching.S is swapped
-            approvals.append(outcome.approved)
+        def counted_judge(before, after):
+            outcome = judge(before, after)
+            judged.append((before, after, outcome.approved))
             return outcome
 
         monkeypatch.setattr(matching_module, "Association", CountedAssociation)
-        monkeypatch.setattr(matching_module, "_pair_moves", counted_pair_moves)
-        monkeypatch.setattr(matching_module, "_moved", counted_moved)
-        monkeypatch.setattr(matching_module, "is_swap_blocking", counted_scan)
+        monkeypatch.setattr(matching_module, "_candidates", counted_candidates)
+        monkeypatch.setattr(matching_module, "is_swap_blocking", counted_judge)
         ctx = make_context(M=4, K=3, N=2, L=2, seed=77)
         rep = trimsm(ctx, mode)
-        assert rep.swap_count == sum(approvals) > 0
-        assert len(built) == 1 + rep.swap_count < len(approvals)
+        approved = [after for _, after, ok in judged if ok]
+        assert rep.swap_count == len(approved) > 0
+        assert len(built) == 1 + rep.swap_count < len(judged)
+        for (_, after, ok), (before, _, _) in zip(judged, judged[1:]):
+            if ok:
+                assert before is after
+        assert evaluate(rep.matching.S, mode, ctx) is approved[-1]
+        # a pair's stack is rebuilt only for a new incumbent
+        for (pair, S), (next_pair, next_S) in zip(stacks, stacks[1:]):
+            assert pair != next_pair or S != next_S
 
     @pytest.mark.parametrize("mode, count", [("fipc", 91), ("qopc", 82), ("eipc", 83),
                                              ("slmdb", 106)])
     def test_evaluation_count_is_matchings_judged(self, mode, count, monkeypatch):
-        # the lookahead scores matchings that no judge asks about once an
-        # earlier move is approved; the count is of the judged ones alone
+        # a stack's stacked scoring scores members that no judge reaches once
+        # an earlier move is approved; the count is of the judged ones alone
         scored, score = [], matching_module._score
         monkeypatch.setattr(matching_module, "_score",
                             lambda S, *args: scored.append(len(S)) or score(S, *args))
         rep = trimsm(make_context(M=6, K=3, N=3, L=2, seed=13), mode)
         assert rep.evaluation_count == count
         assert sum(scored) > count if mode != "slmdb" else sum(scored) == count
+
+    @pytest.mark.parametrize("mode", ["eipc", "qopc"])
+    def test_power_solutions_built_only_for_judged_matchings(self, mode, monkeypatch):
+        # the stacked scoring scores members that no judge reaches, yet builds a
+        # PowerSolution only for each matching judged and the final slmdb one
+        built, init = [], PowerSolution.__init__
+        monkeypatch.setattr(PowerSolution, "__init__",
+                            lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+        rep = trimsm(make_context(M=6, K=3, N=3, L=2, seed=13), mode)
+        assert len(built) == rep.evaluation_count == {"eipc": 83, "qopc": 82}[mode]
 
     def test_hybrid_final_refinement_runs_slmdb(self):
         ctx = make_context(M=3, K=2, N=2, L=2, seed=13)

@@ -187,7 +187,8 @@ class TestDinkelbach:
         prob, form = build_problem(ctx, assoc)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
         # re-anchor at the converged point: the ratio update is a fixed point
-        _, pi_star, _ = _dinkelbach(prob, prob.reduce(sol.p), SolveDiagnostics())
+        _, pi_star, _ = _dinkelbach(prob, prob.reduce(sol.p), prob.ee(prob.reduce(sol.p)),
+                                     SolveDiagnostics())
         assert pi_star == pytest.approx(sol.ee, rel=1e-4)
 
     def test_scalar_ratio_matches_grid(self):
@@ -195,7 +196,7 @@ class TestDinkelbach:
         assoc = strongest_assoc(ctx)
         prob, form = build_problem(ctx, assoc)
         anchor = np.array([0.05])
-        _, pi, _ = _dinkelbach(prob, anchor, SolveDiagnostics())
+        _, pi, _ = _dinkelbach(prob, anchor, prob.ee(anchor), SolveDiagnostics())
         sur = prob.surrogate(anchor)
         g = np.linspace(1e-7, 0.1, 100001)
         ratios = np.array([sur.ratio(np.array([x])) for x in g[::100]])
@@ -235,7 +236,7 @@ class TestSlmdb:
         st = SolverSettings(slm_tol=1e-8, slm_max_iter=3000)
         sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
         anchor = prob.reduce(sol.p)
-        p, _, _ = _dinkelbach(prob, anchor, SolveDiagnostics())
+        p, _, _ = _dinkelbach(prob, anchor, prob.ee(anchor), SolveDiagnostics())
         ee, ee_prev = prob.ee(p), prob.ee(anchor)
         assert (ee - ee_prev) / ee_prev <= ctx.settings.slm_tol
         assert ee == pytest.approx(sol.ee, rel=1e-6)

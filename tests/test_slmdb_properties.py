@@ -3,8 +3,10 @@
 Instances span M 1-4, K 1-3, N 1-4, L <= M, shadowing 0-8 dB, and rate targets
 from none up to ones no association can meet. A feasible result must improve
 on its start, keep its EE trace nondecreasing, respect the power box and the
-rate targets, and come back bitwise the same on a re-run; the parametric
-solver must land on the same point from a cold start and from its own answer.
+rate targets, and come back bitwise the same on a re-run. The surrogate ratio
+at its anchor must be bitwise the anchor's EE, which the solver hands each
+Dinkelbach loop as its start, and the parametric solver must land on the same
+point from a cold start and from its own answer.
 No solve may end at the Newton step cap, with an exhausted line search, or on a
 least-squares Newton step: damped Newton at the one barrier weight must reach
 the center from any interior start.
@@ -68,6 +70,7 @@ def test_feasible_slmdb_properties(instance):
         return
     prob = ReducedProblem(link_coefficients(assoc.S, ctx.tensor), ctx.frame, form, ctx.qos)
     sur = prob.surrogate(prob.reduce(sol.p))
+    assert sur.ratio(sur.anchor) == prob.ee(sur.anchor)    # what _dinkelbach starts from
     pi = max(sur.ratio(sur.anchor), 0.0)
     cold_diag, warm_diag = SolveDiagnostics(), SolveDiagnostics()
     cold = _solve_parametric(sur, pi, None, cold_diag)

@@ -1,6 +1,6 @@
 """One stacked scoring call against scoring each matching alone.
 
-`evaluate` on a list scores every cache miss among the matchings in one call:
+`evaluate` on a stack scores every cache miss among the matchings in one call:
 link coefficients, powers, rates and EE are stacked, and QoPC's closed form is
 stacked per served set. Every member must come back bitwise the result of
 scoring it alone in a fresh cache, in every power mode. Generated drops span
@@ -56,7 +56,7 @@ def assert_same(got, alone):
 def assert_stacked_equals_alone(ctx, mode, matchings):
     # each member is scored under the one form its context holds for its active count
     stacked = ctx.clone()
-    together = evaluate(matchings, mode, stacked)
+    together = list(evaluate(np.array(matchings), mode, stacked, np.ones(len(matchings), bool)))
     assert len(together) == len(matchings)
     for S, got in zip(matchings, together):
         alone = ctx.clone()

@@ -1,11 +1,18 @@
-"""The swap scan's move tuples against the earlier kind-tagged moves.
+"""The swap scan's candidate stacks against the earlier kind-tagged moves, and
+the whole scan against the scan one move at a time.
 
 The earlier `SwapMove` generator and its four-branch move application
 (`ref_apply_move`) are kept below as the reference. Over generated small
 matchings, every pair of `_pair_order` must give the same moves in the same
-order, and each move must give the same serving matrix (or None) from `_moved`
-on the matching at the start of the pair and on the matching after the moves
-already committed in that pair.
+order from `_moves`, and each member of the `_candidates` stack must equal the
+reference's matching for its move, or be masked where the reference gives
+None: on the matching at the start of the pair, and on each stack the scan
+rebuilds from the remaining moves after a commit.
+
+On generated small drops, in every power mode and with and without
+no-sleeping, `trimsm` must judge the same results in the same order as
+`reference.move_by_move_trimsm`, which builds and scores each candidate alone
+when its turn comes, and end with the same matching and counts.
 """
 
 from dataclasses import dataclass
@@ -14,8 +21,10 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from greenran import Association, ConfigError, ScenarioParams
-from greenran.matching import _moved, _pair_moves, _pair_order
+from greenran import Association, ConfigError, ScenarioParams, harness
+from greenran import matching as matching_module
+from greenran.matching import POWER_MODES, _candidates, _moves, _pair_order, trimsm
+from reference import move_by_move_trimsm
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,8 @@ def ref_pair_moves(S, i, j):
 
 
 def as_tuple(move: SwapMove) -> tuple:
-    return move.ue_i, move.bs_m, move.bs_n, move.ue_j
+    """The move as `_moves` gives it: (i, m, n, j) with -1 for none."""
+    return tuple(-1 if v is None else v for v in (move.ue_i, move.bs_m, move.bs_n, move.ue_j))
 
 
 def same(got, want) -> bool:
@@ -140,12 +150,63 @@ def test_tuple_moves_match_kind_moves(case):
     rng = np.random.default_rng(seed)
     for i, j in _pair_order(ctx.scenario.K):
         start = matching
-        moves = list(_pair_moves(start.S, i, j))
+        moves = _moves(start.S, i, j)
         ref_moves = list(ref_pair_moves(start.S, i, j))
-        assert moves == [as_tuple(mv) for mv in ref_moves]
-        for move, ref in zip(moves, ref_moves):
-            assert same(_moved(start.S, move, ctx), ref_apply_move(start, ref, ctx))
-            got = _moved(matching.S, move, ctx)
+        assert [tuple(mv) for mv in moves.T.tolist()] == [as_tuple(mv) for mv in ref_moves]
+        if not ref_moves:
+            continue
+        stack, applies = _candidates(start.S, moves, ctx)
+        for member, ok, ref in zip(stack, applies, ref_moves):
+            assert same(member if ok else None, ref_apply_move(start, ref, ctx))
+        first = 0    # the move the current stack starts at
+        for t, ref in enumerate(ref_moves):
+            got = stack[t - first] if applies[t - first] else None
             assert same(got, ref_apply_move(matching, ref, ctx))
             if got is not None and rng.random() < 0.4:
-                matching = Association(S=got)    # as if approved: later moves see it
+                matching, first = Association(S=got.copy()), t + 1    # as if approved
+                if first < len(ref_moves):    # the scan rebuilds the rest from it
+                    stack, applies = _candidates(matching.S, moves[:, first:], ctx)
+
+
+@st.composite
+def drops(draw):
+    M = draw(st.integers(1, 5))
+    config = harness.load_config({
+        "scenario": {"M": M, "K": draw(st.integers(1, 3)), "N": draw(st.integers(1, 4)),
+                     "L": draw(st.integers(1, M)), "area_side": draw(st.floats(150.0, 600.0)),
+                     "shadowing_std_db": draw(st.sampled_from([0.0, 8.0]))},
+        "qos": {"r_min_bps": draw(st.one_of(st.just(0.0), st.floats(1e5, 5e8)))},
+        "drops": 1, "base_seed": draw(st.integers(0, 2**16))})
+    return config, draw(st.booleans())
+
+
+def judged_run(scan, config, no_sleep, mode):
+    """`scan`'s report on a fresh context of the drop, and every judge call's
+    incumbent and candidate (shortfall, EE) in float hex with its verdict."""
+    ctx = harness._make_context(config, config.base_seed).clone(no_sleep=no_sleep)
+    calls, judge = [], matching_module.is_swap_blocking
+
+    def logged(before, after):
+        outcome = judge(before, after)
+        calls.append(tuple(None if r is None else (r.shortfall_bps.hex(), r.ee.hex())
+                           for r in (before, after)) + (outcome.approved,))
+        return outcome
+
+    matching_module.is_swap_blocking = logged
+    try:
+        return scan(ctx, mode), calls
+    finally:
+        matching_module.is_swap_blocking = judge
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drops())
+def test_array_scan_matches_move_by_move_scan(drop):
+    config, no_sleep = drop
+    for mode in POWER_MODES:
+        rep, calls = judged_run(trimsm, config, no_sleep, mode)
+        ref, ref_calls = judged_run(move_by_move_trimsm, config, no_sleep, mode)
+        assert calls == ref_calls, mode    # approvals in order, and the judge's call count
+        assert (rep.swap_count, rep.evaluation_count, rep.stable, rep.infeasible) == (
+            ref.swap_count, ref.evaluation_count, ref.stable, ref.infeasible), mode
+        assert np.array_equal(rep.matching.S, ref.matching.S) and rep.ee == ref.ee, mode

@@ -66,6 +66,7 @@ _DEFAULTS = {
     "base_seed": 0,
     "record_timing": False,
 }
+del _DEFAULTS["scenario"]["seed"]    # drop d's seed is base_seed XOR d
 
 
 def table3_defaults() -> dict:

@@ -4,9 +4,11 @@ A run config is a JSON document whose sections mirror the parameter
 dataclasses field-for-field (dB fields suffixed _db, watts _w). Each drop d
 derives its scenario seed as base_seed XOR d, generates a topology, builds the
 coefficient tensor once, and hands the identical tensor to every requested
-algorithm, so cross-algorithm comparisons are paired. Each record is written
-from the algorithm's `SolutionReport` alone: its final `PowerSolution` carries
-the power form (and so the active-BS count) and the QoS violation count.
+algorithm, so cross-algorithm comparisons are paired. Each algorithm starts
+from an empty evaluation cache, so its counts do not depend on which ran
+before it. Each record is written from the algorithm's `SolutionReport` alone:
+its final `PowerSolution` carries the power form (and so the active-BS count)
+and the QoS violation count.
 Records are emitted in a fixed column order; identical configs produce
 byte-identical files (wall-clock timing is recorded only when `record_timing`
 is set, and is zero otherwise).
@@ -30,7 +32,7 @@ from .netmodel import (ConfigError, FrameConfig, ScenarioParams, build_correlati
                        generate_topology)
 from .powerctl import SolverSettings, make_qos
 from .powermodel import (BsPowerConfig, SubComponentSpec, SystemPowerParams,
-                         network_power)
+                         build_affine_form, network_power)
 
 ALGORITHMS = ("trimsm-slmdb", "trimsm-fipc", "trimsm-qopc", "trimsm-eipc",
               "recp", "llsf", "tsap", "nos", "exhaustive")
@@ -95,7 +97,8 @@ def _merge(base: dict, overrides: dict, path: str = "") -> dict:
     for key, val in overrides.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
+            hint = "; drop d takes the seed base_seed XOR d" if where == "scenario.seed" else ""
+            raise ConfigError(f"unknown config key {where!r}{hint}")
         if isinstance(base[key], dict):
             out[key] = _merge(base[key], val, where)
         else:
@@ -179,6 +182,8 @@ def load_config(source) -> RunConfig:
     p_max_w = float(_number(merged["qos"]["p_max_w"], "qos.p_max_w"))
     with _section("qos", ("r_min_bps", "p_max_w")):
         make_qos(r_min_bps, scenario.K, frame, p_max_w)    # QosSpec checks the values
+    with _section("power"):    # the checks of the tables that a drop's power form makes
+        build_affine_form(bs_config, system, scenario.M, scenario.K, scenario.M)
     timing = merged["record_timing"]
     if not isinstance(timing, bool):
         raise ConfigError(f"record_timing must be true or false, not {timing!r}")
@@ -217,6 +222,8 @@ def load_config(source) -> RunConfig:
             point = _apply_sweep(config, value)
             _check_point(point.scenario, point.frame, algorithms)
             make_qos(point.r_min_bps, point.scenario.K, point.frame, point.p_max_w)
+            build_affine_form(bs_config, system, point.scenario.M, point.scenario.K,
+                              point.scenario.M)
     return config
 
 
@@ -269,15 +276,15 @@ def _dispatch(algorithm: str, ctx: EvaluationContext) -> SolutionReport:
     if algorithm == "exhaustive":
         return exhaustive_search(ctx)
     if algorithm == "recp":
-        assoc = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
+        S = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
     elif algorithm == "llsf":
-        assoc = llsf_assoc(ctx.corr, ctx.scenario)
+        S = llsf_assoc(ctx.corr, ctx.scenario)
     elif algorithm == "tsap":
-        assoc = tsap_assoc(ctx.corr, ctx.scenario)
+        S = tsap_assoc(ctx.corr, ctx.scenario)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    ev = evaluate(assoc.S, "slmdb", ctx)
-    return SolutionReport(matching=assoc, power=ev, swap_count=0, evaluation_count=1,
+    ev = evaluate(S, "slmdb", ctx)
+    return SolutionReport(S=S, power=ev, swap_count=0, evaluation_count=1,
                           stable=False, infeasible=not ev.qos_ok)
 
 
@@ -313,7 +320,7 @@ def run(config: RunConfig, sweep_value: float = 0.0) -> list:
         ctx = _make_context(config, drop_seed)
         for algorithm in config.algorithms:
             t0 = time.perf_counter()
-            report = _dispatch(algorithm, ctx)
+            report = _dispatch(algorithm, replace(ctx))    # a cache of its own
             wall_ms = (time.perf_counter() - t0) * 1e3
             records.append(_record(config, report, algorithm, d, drop_seed, sweep_value,
                                    wall_ms))

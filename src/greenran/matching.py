@@ -31,7 +31,7 @@ The judge compares the incumbent's result with one member's; the first member
 approved is committed. slmdb solves each member when it is reached.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -41,7 +41,7 @@ from .powerctl import (PowerSolution, QosSpec, SolveDiagnostics, SolverSettings,
                        fipc, qopc_solve, qos_deficits, slmdb_solve)
 from .powermodel import (AffinePowerForm, BsPowerConfig, SystemPowerParams,
                          build_affine_form)
-from .rates import Association, link_coefficients, rates_from_coeffs
+from .rates import link_coefficients, rates_from_coeffs
 from .statistics import CoefficientTensor
 
 POWER_MODES = ("slmdb", "fipc", "qopc", "eipc")
@@ -51,7 +51,8 @@ _NO_SOLVE = SolveDiagnostics()    # shared by the cached closed-form results; ne
 
 @dataclass
 class EvaluationContext:
-    """Everything needed to score a matching, plus the per-mode result cache."""
+    """Everything needed to score a matching, plus the per-mode result cache.
+    `dataclasses.replace` gives a copy with empty caches."""
     scenario: ScenarioParams
     frame: FrameConfig
     corr: CorrelationSet
@@ -61,15 +62,8 @@ class EvaluationContext:
     qos: QosSpec
     settings: SolverSettings
     no_sleep: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
-    _forms: dict = field(default_factory=dict, repr=False)
-
-    def clone(self, **overrides) -> "EvaluationContext":
-        kw = dict(scenario=self.scenario, frame=self.frame, corr=self.corr,
-                  tensor=self.tensor, bs_config=self.bs_config, system=self.system,
-                  qos=self.qos, settings=self.settings, no_sleep=self.no_sleep)
-        kw.update(overrides)
-        return EvaluationContext(**kw)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False)
 
     def form_for(self, active_count: int) -> AffinePowerForm:
         n_active = self.scenario.M if self.no_sleep else active_count
@@ -86,7 +80,7 @@ class PreferenceOutcome:
 
 @dataclass(frozen=True)
 class SolutionReport:
-    matching: Association
+    S: np.ndarray                # the final serving matrix (M, K)
     power: PowerSolution         # the final matching, scored by slmdb
     swap_count: int
     evaluation_count: int
@@ -103,7 +97,7 @@ class SolutionReport:
 # ---------------------------------------------------------------------------
 
 def _greedy_assoc(corr: CorrelationSet, scenario: ScenarioParams,
-                  floor: np.ndarray, target: np.ndarray) -> Association:
+                  floor: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Capacity-respecting greedy selection, UEs in index order.
 
     Each UE walks the BSs by descending gain (ties to the lowest index),
@@ -128,11 +122,11 @@ def _greedy_assoc(corr: CorrelationSet, scenario: ScenarioParams,
             taken += 1
             if cum >= target[k] * (1 - 1e-12) or taken >= scenario.L:
                 break
-    return Association(S=S, max_per_ue=scenario.L, max_per_bs=scenario.N)
+    return S
 
 
 def recp_init(corr: CorrelationSet, scenario: ScenarioParams,
-              delta_percent: float) -> Association:
+              delta_percent: float) -> np.ndarray:
     """Received-power prefix selection: the minimal prefix whose cumulative
     gain reaches delta% of the UE's total, truncated to L."""
     if not 0 < delta_percent <= 100:
@@ -143,13 +137,13 @@ def recp_init(corr: CorrelationSet, scenario: ScenarioParams,
                          delta_percent / 100.0 * totals)
 
 
-def llsf_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> Association:
+def llsf_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> np.ndarray:
     """Single strongest-gain BS per UE, ties to the lowest index."""
     K = corr.beta.shape[1]
     return _greedy_assoc(corr, scenario, np.zeros(K), np.zeros(K))
 
 
-def tsap_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> Association:
+def tsap_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> np.ndarray:
     """Neighborhood selection: every BS within 30% of the UE's best gain
     (inclusive), strongest L kept, capacity respected."""
     K = corr.beta.shape[1]
@@ -316,10 +310,8 @@ def _scan(S: np.ndarray, moves: np.ndarray, power_mode: str, ctx: EvaluationCont
     return moves.shape[1], None
 
 
-def verify_stability(matching: Association, power_mode: str,
-                     ctx: EvaluationContext) -> bool:
-    """True iff no candidate move is approved from this matching."""
-    S = matching.S
+def verify_stability(S: np.ndarray, power_mode: str, ctx: EvaluationContext) -> bool:
+    """True iff no candidate move is approved from the serving matrix S."""
     pairs = (_moves(S, i, j) for i, j in _pair_order(S.shape[1]))
     return all(_scan(S, moves, power_mode, ctx)[1] is None for moves in pairs if moves.size)
 
@@ -330,31 +322,31 @@ def verify_stability(matching: Association, power_mode: str,
 
 def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb") -> SolutionReport:
     """Initialization + swap phase + (for heuristic modes) final slmdb pass."""
-    matching = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
+    S = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
     structural_gap = False
     if ctx.no_sleep:
-        matching, structural_gap = _repair_empty_bs(matching, ctx)
+        S, structural_gap = _repair_empty_bs(S, ctx)
 
     swap_count = 0
     converged = False
     for _ in range(_MAX_SWEEPS):
         swaps_before = swap_count
         for i, j in _pair_order(ctx.scenario.K):
-            moves = _moves(matching.S, i, j)
+            moves = _moves(S, i, j)
             while moves.size:    # one stack per incumbent: rebuilt after an approval
-                judged, approved = _scan(matching.S, moves, power_mode, ctx)
+                judged, approved = _scan(S, moves, power_mode, ctx)
                 moves = moves[:, judged:]
                 if approved is not None:
-                    matching = Association(S=approved)
+                    S = approved
                     swap_count += 1
         if swap_count == swaps_before:
             converged = True
             break
 
     # a sweep that approves nothing has scanned every move from this matching
-    final = evaluate(matching.S, "slmdb", ctx)
+    final = evaluate(S, "slmdb", ctx)
     return SolutionReport(
-        matching=matching, power=final, swap_count=swap_count,
+        S=S, power=final, swap_count=swap_count,
         evaluation_count=_eval_count(ctx, power_mode) + (_eval_count(ctx, "slmdb")
                                                          if power_mode != "slmdb" else 0),
         stable=converged, infeasible=(not final.qos_ok) or structural_gap)
@@ -362,16 +354,15 @@ def trimsm(ctx: EvaluationContext, power_mode: str = "slmdb") -> SolutionReport:
 
 def nos_assoc(ctx: EvaluationContext) -> SolutionReport:
     """No-sleeping variant: every BS must keep at least one UE; A is all ones."""
-    no_sleep_ctx = ctx if ctx.no_sleep else ctx.clone(no_sleep=True)
-    return trimsm(no_sleep_ctx, "eipc")
+    return trimsm(replace(ctx, no_sleep=True), "eipc")
 
 
-def _repair_empty_bs(matching: Association, ctx: EvaluationContext):
-    """Give every empty BS a UE when capacity allows; returns (matching, gap)."""
-    S = matching.S.copy()
+def _repair_empty_bs(S: np.ndarray, ctx: EvaluationContext):
+    """Give every empty BS a UE when capacity allows; returns (S, gap)."""
+    S = S.copy()
     beta = ctx.corr.beta
     M, K = S.shape
-    L, Ncap = ctx.scenario.L, ctx.scenario.N
+    L = ctx.scenario.L
     for m in range(M):
         if S[m].any():
             continue
@@ -392,8 +383,7 @@ def _repair_empty_bs(matching: Association, ctx: EvaluationContext):
                     S[m, k] = True
                     placed = True
                     break
-    gap = bool((~S.any(axis=1)).any())
-    return Association(S=S, max_per_ue=L, max_per_bs=Ncap), gap
+    return S, bool((~S.any(axis=1)).any())
 
 
 def check_exhaustive_size(scenario: ScenarioParams) -> None:
@@ -412,21 +402,20 @@ def exhaustive_search(ctx: EvaluationContext) -> SolutionReport:
     M, K, L, Ncap = ctx.scenario.M, ctx.scenario.K, ctx.scenario.L, ctx.scenario.N
     choices = [c for size in range(L + 1) for c in combinations(range(M), size)]
 
-    best = None          # (rank, matching, result); feasible matchings rank first
+    best = None          # (rank, S, result); feasible matchings rank first
     for subsets in product(choices, repeat=K):
         S = np.zeros((M, K), dtype=bool)
         for k, subset in enumerate(subsets):
             S[list(subset), k] = True
         if (S.sum(axis=1) > Ncap).any():
             continue
-        matching = Association(S=S, max_per_ue=L, max_per_bs=Ncap)
-        res = evaluate(matching.S, "slmdb", ctx)
-        rank = ((0, -res.ee, matching.active_count, S.tobytes()) if res.qos_ok
+        res = evaluate(S, "slmdb", ctx)
+        rank = ((0, -res.ee, np.count_nonzero(S.any(axis=1)), S.tobytes()) if res.qos_ok
                 else (1, res.shortfall_bps, -res.ee, S.tobytes()))
         if best is None or rank < best[0]:
-            best = (rank, matching, res)
+            best = (rank, S, res)
 
     rank, chosen, res = best
-    return SolutionReport(matching=chosen, power=res, swap_count=0,
+    return SolutionReport(S=chosen, power=res, swap_count=0,
                           evaluation_count=_eval_count(ctx, "slmdb"), stable=True,
                           infeasible=rank[0] == 1)

@@ -47,8 +47,7 @@ import numpy as np
 
 from .netmodel import ConfigError, FrameConfig
 from .powermodel import AffinePowerForm
-from .rates import Association, LinkCoefficients, link_coefficients
-from .statistics import CoefficientTensor
+from .rates import LinkCoefficients
 
 _LN2 = np.log(2.0)
 
@@ -639,12 +638,3 @@ def eipc(S: np.ndarray, corr, qos: QosSpec) -> np.ndarray:
     p = np.zeros(g2.shape)
     p[served] = np.broadcast_to(weakest, g2.shape)[served] / g2[served] * qos.p_max_w
     return p
-
-
-# ---------------------------------------------------------------------------
-# Library entry point on an Association
-# ---------------------------------------------------------------------------
-
-def slmdb(assoc: Association, tensor: CoefficientTensor, frame: FrameConfig,
-          form: AffinePowerForm, qos: QosSpec, settings: SolverSettings) -> PowerSolution:
-    return slmdb_solve(link_coefficients(assoc.S, tensor), frame, form, qos, settings)

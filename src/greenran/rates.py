@@ -1,4 +1,7 @@
-"""Association matrix, effective SINR, and the ergodic uplink rate.
+"""Effective SINR and the ergodic uplink rate of a serving matrix.
+
+A matching is its binary serving matrix S (M, K): S[m, k] is set when BS m
+serves UE k, and a BS whose row is empty sleeps.
 
 The rate uses only channel statistics (use-and-then-forget style lower bound):
 
@@ -9,37 +12,16 @@ The rate uses only channel statistics (use-and-then-forget style lower bound):
 with the expectations assembled from the per-link coefficient tensor. Signals
 combined across serving BSs add coherently in the mean (mu terms) while the
 per-BS second moments add directly; BS-to-BS cross terms survive only for the
-UE's own signal.
+UE's own signal. The normalized combiner has E{||v||^2} = 1 on every link, so
+E{NS_k} is the number of BSs serving UE k.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ConfigError, FrameConfig
+from .netmodel import FrameConfig
 from .statistics import CoefficientTensor
-
-
-@dataclass(frozen=True)
-class Association:
-    """Binary serving matrix S (M x K) with the derived BS activity vector A."""
-    S: np.ndarray
-    A: np.ndarray = field(init=False)
-    max_per_ue: int | None = None    # L cap, validated when given
-    max_per_bs: int | None = None    # N cap, validated when given
-
-    def __post_init__(self):
-        S = np.asarray(self.S, dtype=bool)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "A", S.any(axis=1))
-        if self.max_per_ue is not None and (S.sum(axis=0) > self.max_per_ue).any():
-            raise ConfigError(f"a UE exceeds the per-UE cap L={self.max_per_ue}")
-        if self.max_per_bs is not None and (S.sum(axis=1) > self.max_per_bs).any():
-            raise ConfigError(f"a BS exceeds the per-BS cap N={self.max_per_bs}")
-
-    @property
-    def active_count(self) -> int:
-        return int(self.A.sum())
 
 
 @dataclass(frozen=True)
@@ -48,7 +30,7 @@ class LinkCoefficients:
 
     ds2[k]           |E{DS_k}|^2
     interf[k, k']    E{|IS_kk'|^2} (diagonal includes the cross-BS mu products)
-    ns[k]            E{NS_k}; zero exactly when UE k has no serving BS
+    ns[k]            E{NS_k}, the number of BSs serving UE k
     """
     ds2: np.ndarray
     interf: np.ndarray
@@ -69,7 +51,7 @@ def link_coefficients(S: np.ndarray, tensor: CoefficientTensor) -> LinkCoefficie
     # own-signal cross terms over distinct serving BSs: (sum mu)^2 - sum mu^2
     diag = np.arange(S.shape[-1])
     interf[..., diag, diag] += ds2 - sum_mu2
-    ns = np.einsum("...mk,mk->...k", Sf, tensor.noise_coeff)
+    ns = Sf.sum(axis=-2)
     return LinkCoefficients(ds2=ds2, interf=interf, ns=ns)
 
 

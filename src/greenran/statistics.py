@@ -27,11 +27,10 @@ from .netmodel import CorrelationSet, FrameConfig
 
 @dataclass(frozen=True)
 class CoefficientTensor:
-    """mu (M, K) >= 0; omega (M, K, K) >= 0, omega[m, k, k'] = E{|v_mk^H h_mk'|^2};
-    noise_coeff (M, K) = E{||v||^2}, 1 under the normalized combiner."""
+    """mu (M, K) >= 0; omega (M, K, K) >= 0, omega[m, k, k'] = E{|v_mk^H h_mk'|^2}.
+    E{||v||^2} = 1 needs no entry: `link_coefficients` counts serving BSs."""
     mu: np.ndarray
     omega: np.ndarray
-    noise_coeff: np.ndarray
 
 
 def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTensor:
@@ -48,4 +47,4 @@ def mmse_statistics(corr: CorrelationSet, frame: FrameConfig) -> CoefficientTens
     omega = np.where(t[:, :, None] > 0.0, g[:, None, :], 0.0)
     K = g.shape[1]
     omega[:, np.arange(K), np.arange(K)] += t
-    return CoefficientTensor(mu=np.sqrt(t), omega=omega, noise_coeff=np.ones(g.shape))
+    return CoefficientTensor(mu=np.sqrt(t), omega=omega)

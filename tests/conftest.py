@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from greenran import (Association, BsPowerConfig, FrameConfig, ScenarioParams,
+from greenran import (BsPowerConfig, FrameConfig, ScenarioParams,
                       SolverSettings, SubComponentSpec, SystemPowerParams,
                       build_correlation, generate_topology, make_qos,
                       mmse_statistics)
@@ -33,7 +33,12 @@ def make_context(M=4, K=3, N=3, L=2, area=350.0, seed=0, r_min=10e6,
         settings=settings or SolverSettings())
 
 
-def strongest_assoc(ctx, per_ue=None) -> Association:
+def active_count(S) -> int:
+    """BSs awake under the serving matrix S: those serving a UE."""
+    return np.count_nonzero(S.any(axis=1))
+
+
+def strongest_assoc(ctx, per_ue=None) -> np.ndarray:
     """Each UE takes its strongest BSs up to L (ignores the per-BS cap)."""
     beta = ctx.corr.beta
     M, K = beta.shape
@@ -41,7 +46,7 @@ def strongest_assoc(ctx, per_ue=None) -> Association:
     S = np.zeros((M, K), dtype=bool)
     for k in range(K):
         S[np.argsort(-beta[:, k])[:per_ue], k] = True
-    return Association(S=S)
+    return S
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from greenran import Association, CoefficientTensor, ConfigError, FrameConfig
+from greenran import CoefficientTensor, ConfigError, FrameConfig
 from greenran import matching
 from greenran.harness import ResultRecord
 from greenran.powerctl import _Parametric
@@ -37,7 +37,7 @@ def mmse_reference(R: np.ndarray, frame: FrameConfig) -> CoefficientTensor:
                 mu[m, k] = np.sqrt(t)
                 omega[m, k] = np.einsum("kij,ji->k", R[m], phi).real / t
                 omega[m, k, k] += t
-    return CoefficientTensor(mu=mu, omega=omega, noise_coeff=np.ones((M, K)))
+    return CoefficientTensor(mu=mu, omega=omega)
 
 
 def monte_carlo_statistics(
@@ -123,8 +123,11 @@ def monte_carlo_statistics(
     mu = np.einsum("mkk->mk", mean_re) / np.sqrt(nrm_safe)
     mu_se = np.sqrt(np.einsum("mkk->mk", var_re) / samples / nrm_safe
                     + 0.25 * mu**2 * rel_nrm2)
-    noise_coeff = np.where(nrm > 0, 1.0, 0.0)         # ||v||^2 == 1 by the empirical normalizer
-    return CoefficientTensor(mu=mu, omega=omega, noise_coeff=noise_coeff), mu_se, omega_se
+    # E{||v||^2} = 1 on every live link, which `link_coefficients` assumes
+    # when it takes E{NS_k} as the serving count
+    live = nrm > 0
+    assert np.allclose(sum_nrm[live] / samples / nrm[live], 1.0, rtol=1e-12, atol=0.0)
+    return CoefficientTensor(mu=mu, omega=omega), mu_se, omega_se
 
 
 def _psd_cholesky(mat: np.ndarray) -> np.ndarray:
@@ -209,28 +212,28 @@ def move_by_move_trimsm(ctx, power_mode: str) -> matching.SolutionReport:
     `matching.evaluate` and judged by `matching.is_swap_blocking`, so the
     cache holds exactly the matchings judged."""
     m = matching
-    current = m.recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
+    S = m.recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
     gap = False
     if ctx.no_sleep:
-        current, gap = m._repair_empty_bs(current, ctx)
+        S, gap = m._repair_empty_bs(S, ctx)
     swap_count, converged = 0, False
     for _ in range(m._MAX_SWEEPS):
         swaps_before = swap_count
         for i, j in m._pair_order(ctx.scenario.K):
-            for move in list(pair_moves(current.S, i, j)):
-                swapped = moved(current.S, move, ctx)
-                before = m.evaluate(current.S, power_mode, ctx)
+            for move in list(pair_moves(S, i, j)):
+                swapped = moved(S, move, ctx)
+                before = m.evaluate(S, power_mode, ctx)
                 after = None if swapped is None else m.evaluate(swapped, power_mode, ctx)
                 if m.is_swap_blocking(before, after).approved:
-                    current = Association(S=swapped)
+                    S = swapped
                     swap_count += 1
         if swap_count == swaps_before:
             converged = True
             break
-    final = m.evaluate(current.S, "slmdb", ctx)
+    final = m.evaluate(S, "slmdb", ctx)
     count = m._eval_count(ctx, power_mode)
     return m.SolutionReport(
-        matching=current, power=final, swap_count=swap_count,
+        S=S, power=final, swap_count=swap_count,
         evaluation_count=count + (m._eval_count(ctx, "slmdb") if power_mode != "slmdb" else 0),
         stable=converged, infeasible=(not final.qos_ok) or gap)
 

@@ -5,19 +5,20 @@ complete. Every tolerance is pinned here; nothing is calibrated at runtime.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from greenran import (Association, FrameConfig, ScenarioParams, SolverSettings,
-                      build_affine_form, build_correlation, generate_topology,
-                      link_coefficients, mmse_statistics, slmdb, ubs_power)
+from greenran import (FrameConfig, ScenarioParams, SolverSettings, build_affine_form,
+                      build_correlation, generate_topology, link_coefficients,
+                      mmse_statistics, ubs_power)
 from greenran.harness import emit, load_config, run
 from greenran.matching import (evaluate, exhaustive_search, recp_init, trimsm,
                                verify_stability)
-from greenran.powerctl import ReducedProblem
+from greenran.powerctl import ReducedProblem, slmdb_solve
 from greenran.powermodel import traffic_power_coefficient
 from greenran.rates import rates_from_coeffs
-from conftest import default_bs_config, make_context, strongest_assoc
+from conftest import active_count, default_bs_config, make_context, strongest_assoc
 from reference import monte_carlo_statistics, residual
 
 
@@ -79,8 +80,8 @@ def test_network_power_zero_curvature():
     worst = 0.0
     for _ in range(20):
         M, K = int(rng.integers(2, 8)), int(rng.integers(1, 5))
-        assoc = Association(S=rng.random((M, K)) < 0.5)
-        form = build_affine_form(cfg, params, M, K, assoc.active_count)
+        assoc = rng.random((M, K)) < 0.5
+        form = build_affine_form(cfg, params, M, K, active_count(assoc))
         P = rng.random(K) * 0.1
         rates = rng.random(K) * 50e6
         base = form.total(P, rates)
@@ -104,8 +105,8 @@ def test_surrogate_is_global_lower_bound():
     for seed in range(10):
         ctx = make_context(M=4, K=3, N=4, L=2, area=350.0, seed=seed)
         assoc = strongest_assoc(ctx)
-        form = ctx.form_for(assoc.active_count)
-        lc = link_coefficients(assoc.S, ctx.tensor)
+        form = ctx.form_for(active_count(assoc))
+        lc = link_coefficients(assoc, ctx.tensor)
         prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)    # every UE is served
         for _ in range(100):
             p = rng.random(3) * 0.1
@@ -135,7 +136,7 @@ def test_qos_residual_sign_equivalence():
     for seed in range(10):
         ctx = make_context(M=4, K=3, N=4, L=2, area=400.0, seed=50 + seed,
                            r_min=20e6)
-        lc = link_coefficients(strongest_assoc(ctx).S, ctx.tensor)
+        lc = link_coefficients(strongest_assoc(ctx), ctx.tensor)
         prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)    # every UE is served
         for _ in range(100):
             p = rng.random(3) * 0.1
@@ -162,9 +163,9 @@ def test_single_ue_solver_matches_grid_search():
         ctx = make_context(M=M, K=1, N=4, L=M, area=250.0, seed=1000 + seed,
                            r_min=10e6, settings=st)
         assoc = strongest_assoc(ctx, per_ue=M)
-        form = ctx.form_for(assoc.active_count)
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
-        prob = ReducedProblem(link_coefficients(assoc.S, ctx.tensor), ctx.frame,
+        form = ctx.form_for(active_count(assoc))
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
+        prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame,
                               form, ctx.qos)
         g = np.linspace(0.0, 0.1, 100001)[1:]
         af = prob.Af[0, 0] * g + prob.n[0]
@@ -190,8 +191,9 @@ def test_monotone_solver_traces():
     for seed in range(100):
         ctx = make_context(M=8, K=4, N=5, L=3, area=500.0, seed=seed, r_min=20e6)
         assoc = strongest_assoc(ctx)
-        form = ctx.form_for(assoc.active_count)
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+        form = ctx.form_for(active_count(assoc))
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
+                          ctx.settings)
         if not sol.feasible:
             continue
         instances += 1
@@ -225,7 +227,7 @@ def test_swap_matching_reaches_stability():
                            r_min=20e6)
         rep = trimsm(ctx, "eipc")
         swaps.append(rep.swap_count)
-        stable_count += rep.stable and verify_stability(rep.matching, "eipc", ctx)
+        stable_count += rep.stable and verify_stability(rep.S, "eipc", ctx)
     mean_swaps = float(np.mean(swaps))
     ok = stable_count == 50 and mean_swaps <= 60.0
     report("swap matching stability", ok,
@@ -238,7 +240,7 @@ def _oracle_instance(seed: int):
     oracle = exhaustive_search(ctx)
     rep = trimsm(ctx, "slmdb")          # shares the evaluation cache
     init = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
-    base = evaluate(init.S, "slmdb", ctx)
+    base = evaluate(init, "slmdb", ctx)
     if oracle.infeasible or rep.infeasible:
         return None
     init_ok = (not base.qos_ok) or rep.ee >= base.ee * (1 - 1e-9)
@@ -285,7 +287,7 @@ def test_sleeping_beats_always_on():
         ctx = make_context(M=8, K=3, N=5, L=3, area=500.0, seed=4000 + seed,
                            r_min=20e6)
         sleeping = trimsm(ctx, "eipc")
-        nos = trimsm(ctx.clone(no_sleep=True), "eipc")
+        nos = trimsm(replace(ctx, no_sleep=True), "eipc")
         if sleeping.infeasible or nos.infeasible:
             continue
         pairs += 1
@@ -301,7 +303,7 @@ def test_hybrid_controller_ordering():
         ctx = make_context(M=6, K=3, N=5, L=2, area=450.0, seed=5000 + seed,
                            r_min=20e6)
         full = trimsm(ctx, "slmdb")
-        heur = trimsm(ctx.clone(), "eipc")
+        heur = trimsm(replace(ctx), "eipc")
         if full.infeasible or heur.infeasible:
             continue
         ratios.append(heur.ee / full.ee)

@@ -12,6 +12,21 @@ BASE = {"scenario": {"M": 4, "K": 2, "N": 3, "L": 2, "area_side": 300.0},
         "algorithm": "trimsm-eipc",
         "drops": 1, "base_seed": 3}
 
+# configs that `run` rejects, and the error each must fail with: the default
+# M*K = 80 and the sweep point M = 9 (M*K = 18) exceed the exhaustive search
+# guard, and the three power tables fail their affine form
+REJECTED_AT_RUN = [
+    ({"algorithm": ["llsf", "exhaustive"], "drops": 1}, "exhaustive search guard"),
+    (dict(BASE, algorithm=["exhaustive"], scenario={"M": 4, "K": 2, "N": 2, "L": 2},
+          sweep={"parameter": "M", "values": [4, 9]}), "exhaustive search guard"),
+    ({"power": {"bs": {"rf_components": [
+        {"name": "x", "p_ref_w": 1, "scaling_exponents": {"Ld": 2}}]}}},
+     "load exponent 2 unsupported"),
+    ({"power": {"bs": {"rf_components": [], "bbu_components": []}}}, "theta undefined"),
+    ({"power": {"system": {"fronthaul_trf_w_per_bps": -1}}},
+     "traffic coefficients must be positive"),
+]
+
 
 @pytest.fixture
 def cfg_path(tmp_path):
@@ -110,20 +125,16 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 1
 
-    @pytest.mark.parametrize("cfg", [
-        {"algorithm": ["llsf", "exhaustive"], "drops": 1},
-        dict(BASE, algorithm=["exhaustive"], scenario={"M": 4, "K": 2, "N": 2, "L": 2},
-             sweep={"parameter": "M", "values": [4, 9]})])
-    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, cfg):
-        # the default M*K = 80 and the sweep point M = 9 (M*K = 18) both exceed
-        # the exhaustive search guard
+    @pytest.mark.parametrize("cfg, message", REJECTED_AT_RUN,
+                             ids=[f"cfg{i}" for i in range(len(REJECTED_AT_RUN))])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, cfg, message):
         path = tmp_path / "x.json"
         path.write_text(json.dumps(cfg))
         for command in ("validate-config", "run"):
             assert main([command, "--config", str(path)]) == 1
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-            assert "exhaustive search guard" in captured.err and captured.out == ""
+            assert message in captured.err and captured.out == ""
 
     def test_oracle_check(self, capsys):
         assert main(["oracle-check", "--instances", "1"]) == 0

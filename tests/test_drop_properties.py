@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from greenran import harness
 from greenran.matching import POWER_MODES, evaluate, exhaustive_search, recp_init, trimsm
+from conftest import active_count
 
 
 @st.composite
@@ -41,15 +42,15 @@ def test_trimsm_drop_properties(config):
     for mode in POWER_MODES:
         ctx = harness._make_context(config, seed)
         rep = trimsm(ctx, mode)
-        S = rep.matching.S
+        S = rep.S
         assert (S.sum(axis=0) <= scen.L).all() and (S.sum(axis=1) <= scen.N).all()
 
         init = recp_init(ctx.corr, ctx.scenario, ctx.settings.recp_delta_percent)
-        start, end = evaluate(init.S, mode, ctx), evaluate(S, mode, ctx)
+        start, end = evaluate(init, mode, ctx), evaluate(S, mode, ctx)
         assert (end.shortfall_bps, -end.ee) <= (start.shortfall_bps, -start.ee), mode
 
         again = trimsm(harness._make_context(config, seed), mode)
-        assert np.array_equal(again.matching.S, S) and again.ee == rep.ee, mode
+        assert np.array_equal(again.S, S) and again.ee == rep.ee, mode
 
         r = harness._record(config, rep, f"trimsm-{mode}", 0, seed, 0.0, 0.0)
         parts = (r.ubs_active_power_w + r.ubs_sleep_power_w + r.fronthaul_power_w
@@ -62,7 +63,7 @@ def test_trimsm_drop_properties(config):
         assert r.qos_violation_count == rep.power.qos_violations, mode
         assert not r.feasible or r.qos_violation_count == 0, mode
         assert (r.qos_violation_count == 0) == (rep.power.shortfall_bps == 0.0), mode
-        assert r.active_ubs_count == rep.power.form.n_active == rep.matching.active_count, mode
+        assert r.active_ubs_count == rep.power.form.n_active == active_count(rep.S), mode
 
 
 def test_nos_record_counts_every_bs_active():
@@ -81,8 +82,8 @@ def test_exhaustive_oracle_bounds_matcher(config):
     # the oracle scores the matcher's matching too, through the same cache, so
     # the comparison is exact
     ctx = harness._make_context(config, config.base_seed)
-    mine = evaluate(trimsm(ctx, "slmdb").matching.S, "slmdb", ctx)
-    best = evaluate(exhaustive_search(ctx).matching.S, "slmdb", ctx)
+    mine = evaluate(trimsm(ctx, "slmdb").S, "slmdb", ctx)
+    best = evaluate(exhaustive_search(ctx).S, "slmdb", ctx)
     if mine.qos_ok:
         assert best.qos_ok and best.ee >= mine.ee
     else:

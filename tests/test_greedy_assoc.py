@@ -85,7 +85,7 @@ def test_rules_match_reference_loops(inst, delta_percent):
     corr, scen = inst
     assert np.array_equal(corr.beta, corr.gain)
     beta = corr.beta
-    assert np.array_equal(recp_init(corr, scen, delta_percent).S,
+    assert np.array_equal(recp_init(corr, scen, delta_percent),
                           ref_recp(beta, scen.N, scen.L, delta_percent))
-    assert np.array_equal(llsf_assoc(corr, scen).S, ref_llsf(beta, scen.N))
-    assert np.array_equal(tsap_assoc(corr, scen).S, ref_tsap(beta, scen.N, scen.L))
+    assert np.array_equal(llsf_assoc(corr, scen), ref_llsf(beta, scen.N))
+    assert np.array_equal(tsap_assoc(corr, scen), ref_tsap(beta, scen.N, scen.L))

@@ -41,11 +41,12 @@ class TestConfig:
         (("power", "bs"), BsPowerConfig), (("power", "system"), SystemPowerParams),
         (("solver",), SolverSettings)])
     def test_schema_matches_dataclass(self, path, cls):
-        # a field with no default key cannot be set from a config
+        # a field with no default key cannot be set from a config; the scenario
+        # seed is not a key, since base_seed XOR d sets it for drop d
         section = table3_defaults()
         for key in path:
             section = section[key]
-        assert set(section) == {f.name for f in fields(cls)}
+        assert set(section) == {f.name for f in fields(cls)} - {"seed"}
 
     @pytest.mark.parametrize("attr, cls", [
         ("scenario", ScenarioParams), ("frame", FrameConfig), ("bs_config", BsPowerConfig),
@@ -135,6 +136,12 @@ class TestConfig:
         assert cfg.base_seed == 2**64 - 1
         assert harness._make_context(cfg, cfg.base_seed ^ 1).scenario.seed == 2**64 - 2
 
+    def test_scenario_seed_rejected(self):
+        # base_seed XOR d is drop d's seed, so a scenario seed would be ignored
+        with pytest.raises(ConfigError, match=r"'scenario\.seed'.*base_seed"):
+            load_config(dict(BASE, scenario=dict(BASE["scenario"], seed=12345)))
+        assert "seed" not in table3_defaults()["scenario"]
+
     def test_non_object_config_rejected(self):
         with pytest.raises(ConfigError, match="config must be an object"):
             load_config([1])
@@ -175,6 +182,27 @@ class TestRun:
         ctx2 = harness._make_context(cfg, 11)
         assert np.array_equal(ctx1.tensor.mu, ctx2.tensor.mu)
         assert np.array_equal(ctx1.corr.beta, ctx2.corr.beta)
+
+    def test_evaluation_count_does_not_depend_on_earlier_algorithms(self, monkeypatch):
+        # the desk.json drop of seed 42; each algorithm of a drop starts from an
+        # empty cache, so its report counts the same matchings as when it runs alone
+        reports, record = [], harness._record
+        monkeypatch.setattr(harness, "_record", lambda config, report, algorithm, *args: (
+            reports.append((algorithm, report.evaluation_count))
+            or record(config, report, algorithm, *args)))
+
+        def counts(*algorithms):
+            reports.clear()
+            run(load_config({"scenario": {"M": 6, "K": 3, "N": 3, "L": 2, "area_side": 350.0},
+                             "qos": {"r_min_bps": 10e6}, "algorithm": list(algorithms),
+                             "drops": 1, "base_seed": 42}))
+            return dict(reports)
+
+        after_rules = counts("recp", "llsf", "tsap", "trimsm-slmdb")
+        assert after_rules["trimsm-slmdb"] == counts("trimsm-slmdb")["trimsm-slmdb"]
+        after_qopc = counts("trimsm-qopc", "trimsm-eipc")
+        assert after_qopc["trimsm-eipc"] == counts("trimsm-eipc")["trimsm-eipc"]
+        assert after_qopc["trimsm-qopc"] == counts("trimsm-qopc")["trimsm-qopc"]
 
     def test_massive_mimo_drop_builds_no_full_correlation_array(self):
         # M=128 K=10 N=64: the whole (M, K, N, N) correlation array is 42 MB; a

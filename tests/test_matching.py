@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from greenran import Association, ConfigError, CorrelationSet, PowerSolution, ScenarioParams
+from greenran import ConfigError, CorrelationSet, PowerSolution, ScenarioParams
 from greenran import matching as matching_module
 from greenran.matching import (_candidates, _moves, _pair_order, evaluate,
                                exhaustive_search, is_swap_blocking, llsf_assoc,
@@ -29,23 +31,23 @@ class TestRecpInit:
     def test_cumulative_prefix_rule(self):
         corr, scen = gains_scenario([[0.5], [0.3], [0.15], [0.05]], L=3)
         m = recp_init(corr, scen, 95.0)
-        assert m.S[:, 0].tolist() == [True, True, True, False]
+        assert m[:, 0].tolist() == [True, True, True, False]
 
     def test_full_share_selects_all_up_to_l(self):
         corr, scen = gains_scenario([[0.4], [0.35], [0.25]], L=3)
         m = recp_init(corr, scen, 100.0)
-        assert m.S[:, 0].all()
+        assert m[:, 0].all()
 
     def test_l_one_takes_strongest(self):
         corr, scen = gains_scenario([[0.2], [0.7], [0.1]], L=1)
         m = recp_init(corr, scen, 95.0)
-        assert m.S[:, 0].tolist() == [False, True, False]
+        assert m[:, 0].tolist() == [False, True, False]
 
     def test_capacity_skips_full_bs(self):
         # one BS, one antenna: only the first UE can take it
         corr, scen = gains_scenario([[0.9, 0.9]], L=1, N=1)
         m = recp_init(corr, scen, 95.0)
-        assert m.S[0].tolist() == [True, False]
+        assert m[0].tolist() == [True, False]
 
     def test_delta_bounds(self):
         corr, scen = gains_scenario([[1.0]])
@@ -59,34 +61,34 @@ class TestBaselineRules:
     def test_llsf_unique_argmax(self):
         corr, scen = gains_scenario([[0.2], [0.7], [0.1]])
         m = llsf_assoc(corr, scen)
-        assert m.S[:, 0].tolist() == [False, True, False]
+        assert m[:, 0].tolist() == [False, True, False]
 
     def test_llsf_tie_lowest_index(self):
         corr, scen = gains_scenario([[0.5], [0.5]], L=2)
         m = llsf_assoc(corr, scen)
-        assert m.S[:, 0].tolist() == [True, False]
+        assert m[:, 0].tolist() == [True, False]
 
     def test_llsf_full_bs_falls_to_next(self):
         corr, scen = gains_scenario([[0.9, 0.8], [0.1, 0.2]], L=2, N=1)
         m = llsf_assoc(corr, scen)
-        assert m.S[:, 0].tolist() == [True, False]
-        assert m.S[:, 1].tolist() == [False, True]
+        assert m[:, 0].tolist() == [True, False]
+        assert m[:, 1].tolist() == [False, True]
 
     def test_tsap_single_dominant(self):
         corr, scen = gains_scenario([[1.0], [0.2], [0.1]])
         m = tsap_assoc(corr, scen)
-        assert m.S[:, 0].tolist() == [True, False, False]
+        assert m[:, 0].tolist() == [True, False, False]
 
     def test_tsap_equal_gains_truncates_to_l(self):
         corr, scen = gains_scenario([[0.3], [0.3], [0.3], [0.3]], L=2)
         m = tsap_assoc(corr, scen)
-        assert m.S[:, 0].sum() == 2
-        assert m.S[:2, 0].all()
+        assert m[:, 0].sum() == 2
+        assert m[:2, 0].all()
 
     def test_tsap_boundary_inclusive(self):
         corr, scen = gains_scenario([[1.0], [0.3], [0.29]], L=3)
         m = tsap_assoc(corr, scen)
-        assert m.S[:, 0].tolist() == [True, True, False]
+        assert m[:, 0].tolist() == [True, True, False]
 
 
 class TestMoves:
@@ -123,36 +125,35 @@ class TestMoves:
             i = int(rng.integers(0, 3))
             m = int(rng.integers(0, 4)) if kind != "add" else None
             n = int(rng.integers(0, 4)) if kind != "remove" else None
-            got = candidate(matching.S, (i, m, n, None), ctx)
+            got = candidate(matching, (i, m, n, None), ctx)
             if got is not None:
-                matching = Association(S=got)
-            assert (matching.S.sum(axis=0) <= ctx.scenario.L).all()
-            assert (matching.S.sum(axis=1) <= ctx.scenario.N).all()
-            assert np.array_equal(matching.A, matching.S.any(axis=1))
+                matching = got
+            assert (matching.sum(axis=0) <= ctx.scenario.L).all()
+            assert (matching.sum(axis=1) <= ctx.scenario.N).all()
 
 
 class TestPreferences:
     def test_self_swap_not_approved(self):
         ctx = make_context(M=3, K=2, N=2, L=2, seed=3)
         matching = strongest_assoc(ctx)
-        m = int(np.flatnonzero(matching.S[:, 0])[0])
+        m = int(np.flatnonzero(matching[:, 0])[0])
         # UE 1 would enter the slot UE 0 holds: the move does not apply
-        assert candidate(matching.S, (0, m, m, 1), ctx) is None
-        assert not is_swap_blocking(evaluate(matching.S, "eipc", ctx), None).approved
+        assert candidate(matching, (0, m, m, 1), ctx) is None
+        assert not is_swap_blocking(evaluate(matching, "eipc", ctx), None).approved
 
     def test_qos_breaking_move_not_approved(self):
         # removing a serving BS under full power saves energy (EE rises) but
         # drops the UE below target: the move must not be approved
         ctx = make_context(M=5, K=3, N=2, L=2, area=400.0, seed=3, r_min=20e6)
         matching = recp_init(ctx.corr, ctx.scenario, 95.0)
-        before = evaluate(matching.S, "fipc", ctx)
+        before = evaluate(matching, "fipc", ctx)
         assert before.qos_ok
         checked = 0
         for i, j in _pair_order(3):
-            moves = _moves(matching.S, i, j)
+            moves = _moves(matching, i, j)
             if not moves.size:
                 continue
-            stack, applies = _candidates(matching.S, moves, ctx)
+            stack, applies = _candidates(matching, moves, ctx)
             for after in evaluate(stack, "fipc", ctx, applies):
                 if after is not None and after.ee > before.ee and not after.qos_ok:
                     assert not is_swap_blocking(before, after).approved
@@ -162,10 +163,9 @@ class TestPreferences:
     def test_two_ue_toy_agrees_with_direct_comparison(self):
         ctx = make_context(M=2, K=2, N=1, L=1, seed=21)
         S = np.array([[1, 0], [0, 1]], dtype=bool)
-        matching = Association(S=S)
         move = (0, 0, 1, 1)
-        swapped = candidate(matching.S, move, ctx)
-        ev_a = evaluate(matching.S, "slmdb", ctx)
+        swapped = candidate(S, move, ctx)
+        ev_a = evaluate(S, "slmdb", ctx)
         ev_b = evaluate(swapped, "slmdb", ctx)
         out = is_swap_blocking(ev_a, ev_b)
         expect = (ev_b.qos_ok and ev_a.qos_ok and ev_b.ee > ev_a.ee) \
@@ -176,25 +176,25 @@ class TestPreferences:
     def test_evaluation_cached(self):
         ctx = make_context(M=3, K=2, N=2, L=2, seed=5)
         matching = strongest_assoc(ctx)
-        first = evaluate(matching.S, "eipc", ctx)
-        second = evaluate(matching.S, "eipc", ctx)
+        first = evaluate(matching, "eipc", ctx)
+        second = evaluate(matching, "eipc", ctx)
         assert first is second
 
     def test_heuristic_verdicts_surface_infeasibility(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
         matching = strongest_assoc(ctx, per_ue=1)
         for mode in ("qopc", "fipc", "eipc"):
-            res = evaluate(matching.S, mode, ctx)
+            res = evaluate(matching, mode, ctx)
             assert not res.qos_ok and res.shortfall_bps > 0
             assert not res.feasible, mode
 
     def test_heuristic_verdicts_pass_on_reachable_targets(self):
         ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=0)
         matching = strongest_assoc(ctx)
-        qopc_res = evaluate(matching.S, "qopc", ctx)
+        qopc_res = evaluate(matching, "qopc", ctx)
         assert qopc_res.qos_ok and qopc_res.feasible
         for mode in ("fipc", "eipc"):
-            res = evaluate(matching.S, mode, ctx)
+            res = evaluate(matching, mode, ctx)
             assert res.feasible == (res.shortfall_bps == 0.0), mode
 
     def test_slmdb_never_below_fipc(self):
@@ -202,8 +202,8 @@ class TestPreferences:
         for seed in range(6):
             ctx = make_context(M=4, K=2, N=3, L=2, seed=40 + seed)
             matching = strongest_assoc(ctx)
-            fi = evaluate(matching.S, "fipc", ctx)
-            sl = evaluate(matching.S, "slmdb", ctx)
+            fi = evaluate(matching, "fipc", ctx)
+            sl = evaluate(matching, "slmdb", ctx)
             if fi.qos_ok:
                 assert sl.ee >= fi.ee * (1 - 1e-9)
                 wins += 1
@@ -221,7 +221,7 @@ class TestTrimsm:
         for seed in (0, 1, 2):
             ctx = make_context(M=4, K=3, N=2, L=2, seed=60 + seed)
             init = recp_init(ctx.corr, ctx.scenario, 95.0)
-            base = evaluate(init.S, "slmdb", ctx)
+            base = evaluate(init, "slmdb", ctx)
             rep = trimsm(ctx, "slmdb")
             if base.qos_ok:
                 assert rep.ee >= base.ee * (1 - 1e-9)
@@ -230,30 +230,24 @@ class TestTrimsm:
         ctx = make_context(M=4, K=3, N=2, L=2, seed=77)
         rep = trimsm(ctx, "eipc")
         assert rep.stable
-        assert verify_stability(rep.matching, "eipc", ctx)
+        assert verify_stability(rep.S, "eipc", ctx)
 
     def test_unstable_matching_detected(self):
         ctx = make_context(M=4, K=3, N=2, L=2, seed=77)
         rep = trimsm(ctx, "eipc")
         # any non-converged matching with an approved move must fail the check
         init = recp_init(ctx.corr, ctx.scenario, 95.0)
-        if not np.array_equal(init.S, rep.matching.S):
+        if not np.array_equal(init, rep.S):
             assert not verify_stability(init, "eipc", ctx)
 
     @pytest.mark.parametrize("mode", ["slmdb", "fipc", "qopc", "eipc"])
     def test_approval_commits_the_evaluated_matching(self, mode, monkeypatch):
         # a pair's scan builds its candidates as one stack per incumbent and the
         # judge sees each member's result; an approval commits that member, so
-        # the next judge call's incumbent is the very result approved, and an
-        # Association is built only for the init and each approval, never per
-        # scanned move
-        built, stacks, judged = [], [], []
+        # the next judge call's incumbent is the very result approved, and the
+        # stacks are built from the init and each approved matching alone
+        stacks, judged = [], []
         candidates, judge = matching_module._candidates, matching_module.is_swap_blocking
-
-        class CountedAssociation(Association):
-            def __post_init__(self):
-                built.append(1)
-                super().__post_init__()
 
         def counted_candidates(S, moves, ctx):
             stacks.append((tuple(moves[::3, 0]), S.tobytes()))
@@ -264,18 +258,17 @@ class TestTrimsm:
             judged.append((before, after, outcome.approved))
             return outcome
 
-        monkeypatch.setattr(matching_module, "Association", CountedAssociation)
         monkeypatch.setattr(matching_module, "_candidates", counted_candidates)
         monkeypatch.setattr(matching_module, "is_swap_blocking", counted_judge)
         ctx = make_context(M=4, K=3, N=2, L=2, seed=77)
         rep = trimsm(ctx, mode)
         approved = [after for _, after, ok in judged if ok]
         assert rep.swap_count == len(approved) > 0
-        assert len(built) == 1 + rep.swap_count < len(judged)
+        assert len({S for _, S in stacks}) == 1 + rep.swap_count < len(judged)
         for (_, after, ok), (before, _, _) in zip(judged, judged[1:]):
             if ok:
                 assert before is after
-        assert evaluate(rep.matching.S, mode, ctx) is approved[-1]
+        assert evaluate(rep.S, mode, ctx) is approved[-1]
         # a pair's stack is rebuilt only for a new incumbent
         for (pair, S), (next_pair, next_S) in zip(stacks, stacks[1:]):
             assert pair != next_pair or S != next_S
@@ -312,7 +305,7 @@ class TestNoSleep:
     def test_all_bs_active(self):
         ctx = make_context(M=4, K=3, N=3, L=2, seed=30)
         rep = nos_assoc(ctx)
-        assert rep.matching.S.any(axis=1).all()
+        assert rep.S.any(axis=1).all()
 
     def test_structurally_infeasible_when_m_exceeds_kl(self):
         ctx = make_context(M=6, K=2, N=3, L=2, seed=31)   # M > K*L = 4
@@ -323,7 +316,7 @@ class TestNoSleep:
         # sleeping TriMSM should usually win; direction checked in acceptance
         ctx = make_context(M=5, K=2, N=3, L=2, seed=32)
         sleeping = trimsm(ctx, "eipc")
-        nos = nos_assoc(ctx.clone())
+        nos = nos_assoc(replace(ctx))
         assert np.isfinite(nos.ee) and np.isfinite(sleeping.ee)
 
 
@@ -332,7 +325,7 @@ class TestExhaustive:
         ctx = make_context(M=1, K=1, N=1, L=1, area=200.0, seed=1)
         rep = exhaustive_search(ctx)
         assert not rep.infeasible
-        assert rep.matching.S[0, 0]
+        assert rep.S[0, 0]
 
     def test_guard_rejects_large_instances(self):
         ctx = make_context(M=6, K=3, N=3, L=2, seed=0)

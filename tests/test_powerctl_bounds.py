@@ -4,7 +4,7 @@ import pytest
 from greenran import FrameConfig, gamma_thresholds, link_coefficients, make_qos
 from greenran.powerctl import ReducedProblem
 from greenran.rates import rates_from_coeffs
-from conftest import strongest_assoc
+from conftest import active_count, strongest_assoc
 from reference import residual
 
 
@@ -26,13 +26,13 @@ class TestGammaThresholds:
 class TestQosResidual:
     # strongest_assoc serves both UEs, so reduced and full power vectors agree
     def test_zero_gamma_always_satisfied(self, small_ctx):
-        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         qos = make_qos(0.0, 2, small_ctx.frame, 0.1)
         r = residual(ReducedProblem(lc, small_ctx.frame, None, qos), np.array([0.05, 0.01]))
         assert (r <= 0).all()
 
     def test_affine_in_power(self, small_ctx):
-        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -44,7 +44,7 @@ class TestQosResidual:
             assert np.allclose(r2 - 2 * r1 + r0, 0.0, atol=1e-18)
 
     def test_sign_matches_rate_deficit(self, small_ctx):
-        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         qos = small_ctx.qos
         prob = ReducedProblem(lc, small_ctx.frame, None, qos)
         rng = np.random.default_rng(1)
@@ -62,7 +62,7 @@ class TestTaylorBounds:
     # (Rhat, Rbar) of the surrogate at an anchor inside the power box
 
     def test_equality_at_anchor(self, small_ctx):
-        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         anchor = np.array([0.03, 0.07])
         rates = rates_from_coeffs(anchor, lc, small_ctx.frame)
@@ -71,7 +71,7 @@ class TestTaylorBounds:
         assert np.allclose(lo, rates, rtol=1e-10)
 
     def test_sandwich_everywhere(self, small_ctx):
-        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -84,7 +84,7 @@ class TestTaylorBounds:
 
     def test_upper_bound_gradient_matches_rate_gradient(self, small_ctx):
         # at the anchor the tangent of the concave log reproduces the slope
-        lc = link_coefficients(strongest_assoc(small_ctx).S, small_ctx.tensor)
+        lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         anchor = np.array([0.04, 0.06])
         sur = prob.surrogate(anchor)
@@ -108,8 +108,8 @@ class TestSurrogateEe:
 
     def test_global_lower_bound(self, small_ctx):
         assoc = strongest_assoc(small_ctx)
-        lc = link_coefficients(assoc.S, small_ctx.tensor)
-        form = small_ctx.form_for(assoc.active_count)
+        lc = link_coefficients(assoc, small_ctx.tensor)
+        form = small_ctx.form_for(active_count(assoc))
         prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -122,8 +122,8 @@ class TestSurrogateEe:
 
     def test_tight_at_anchor(self, small_ctx):
         assoc = strongest_assoc(small_ctx)
-        lc = link_coefficients(assoc.S, small_ctx.tensor)
-        form = small_ctx.form_for(assoc.active_count)
+        lc = link_coefficients(assoc, small_ctx.tensor)
+        form = small_ctx.form_for(active_count(assoc))
         prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
         p = np.array([0.02, 0.09])
         at = prob.surrogate(p).ratio(p)
@@ -134,8 +134,8 @@ class TestSurrogateEe:
     def test_gradient_consistency_at_anchor(self, small_ctx):
         # surrogate and true EE share first-order behavior at the anchor
         assoc = strongest_assoc(small_ctx)
-        lc = link_coefficients(assoc.S, small_ctx.tensor)
-        form = small_ctx.form_for(assoc.active_count)
+        lc = link_coefficients(assoc, small_ctx.tensor)
+        form = small_ctx.form_for(active_count(assoc))
         prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
         anchor = np.array([0.05, 0.04])
         sur = prob.surrogate(anchor)

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from greenran import (Association, ConfigError, CorrelationSet, FrameConfig, eipc,
+from greenran import (ConfigError, CorrelationSet, FrameConfig, eipc,
                       fipc, link_coefficients, make_qos)
 from greenran.powerctl import ReducedProblem, qopc_solve
 from conftest import make_context, strongest_assoc
@@ -29,24 +29,24 @@ def test_qos_spec_rejects_a_nonfinite_cap(p_max):
 class TestEipc:
     def test_equal_gains_full_power(self):
         corr = CorrelationSet(gain=np.array([[1e-10, 1e-10]]), N=2)
-        assoc = Association(S=np.ones((1, 2), dtype=bool))
+        assoc = np.ones((1, 2), dtype=bool)
         qos = make_qos(0.0, 2, FrameConfig(), 0.1)
-        assert np.allclose(eipc(assoc.S, corr, qos), [0.1, 0.1])
+        assert np.allclose(eipc(assoc, corr, qos), [0.1, 0.1])
 
     def test_inverse_gain_ratio(self):
         # squared serving-gain norms 1 and 4 (up to a common scale)
         corr = CorrelationSet(gain=np.array([[1e-10, 2e-10]]), N=1)
-        assoc = Association(S=np.ones((1, 2), dtype=bool))
+        assoc = np.ones((1, 2), dtype=bool)
         qos = make_qos(0.0, 2, FrameConfig(), 0.1)
-        p = eipc(assoc.S, corr, qos)
+        p = eipc(assoc, corr, qos)
         assert p[0] == pytest.approx(0.1)
         assert p[1] == pytest.approx(0.1 / 4)
 
     def test_weakest_served_ue_gets_cap(self):
         ctx = make_context(M=4, K=3, N=3, L=2, seed=6)
         assoc = strongest_assoc(ctx)
-        p = eipc(assoc.S, ctx.corr, ctx.qos)
-        gains = np.where(assoc.S, ctx.corr.N * ctx.corr.beta, 0.0)
+        p = eipc(assoc, ctx.corr, ctx.qos)
+        gains = np.where(assoc, ctx.corr.N * ctx.corr.beta, 0.0)
         g2 = (gains**2).sum(axis=0)
         assert p[np.argmin(g2)] == pytest.approx(ctx.qos.p_max_w)
         assert (p <= ctx.qos.p_max_w + 1e-15).all()
@@ -54,9 +54,8 @@ class TestEipc:
     def test_unserved_ue_gets_zero(self):
         corr = CorrelationSet(gain=np.array([[1e-10, 2e-10]]), N=1)
         S = np.array([[True, False]])
-        assoc = Association(S=S)
         qos = make_qos(0.0, 2, FrameConfig(), 0.1)
-        p = eipc(assoc.S, corr, qos)
+        p = eipc(S, corr, qos)
         assert p[1] == 0.0 and p[0] == pytest.approx(0.1)
 
 
@@ -93,7 +92,7 @@ def feasibility_by_vertex_enumeration(prob):
 class TestQopc:
     def test_zero_gamma_feasible(self):
         ctx = make_context(M=3, K=2, N=3, L=2, seed=4, r_min=0.0)
-        lc = link_coefficients(strongest_assoc(ctx).S, ctx.tensor)
+        lc = link_coefficients(strongest_assoc(ctx), ctx.tensor)
         p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
         assert ok
         prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
@@ -107,8 +106,8 @@ class TestQopc:
         for trial in range(40):
             ctx = make_context(M=1, K=1, N=4, L=1, area=300.0,
                                seed=500 + trial, r_min=(10 + trial) * 1e6)
-            assoc = Association(S=np.ones((1, 1), dtype=bool))
-            lc = link_coefficients(assoc.S, ctx.tensor)
+            assoc = np.ones((1, 1), dtype=bool)
+            lc = link_coefficients(assoc, ctx.tensor)
             gam = ctx.qos.gamma[0]
             denom = (1 + gam) * lc.ds2[0] - gam * lc.interf[0, 0]
             sigma2 = ctx.frame.noise_power_w
@@ -130,7 +129,7 @@ class TestQopc:
             ctx = make_context(M=4, K=K, N=3, L=2, area=700.0,
                                seed=900 + trial, r_min=30e6)
             assoc = strongest_assoc(ctx)
-            lc = link_coefficients(assoc.S, ctx.tensor)
+            lc = link_coefficients(assoc, ctx.tensor)
             p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
             prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
             oracle = feasibility_by_vertex_enumeration(prob)
@@ -142,7 +141,7 @@ class TestQopc:
     def test_returned_point_attains_min_max_residual(self):
         ctx = make_context(M=3, K=2, N=3, L=2, seed=14, r_min=20e6)
         assoc = strongest_assoc(ctx)
-        lc = link_coefficients(assoc.S, ctx.tensor)
+        lc = link_coefficients(assoc, ctx.tensor)
         p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
         prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
         attained = np.max(residual(prob, prob.reduce(p)) / prob.rscale)

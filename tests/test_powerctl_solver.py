@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from greenran import (Association, InfeasibleError, SolverSettings, link_coefficients,
-                      slmdb)
+from greenran import InfeasibleError, SolverSettings, link_coefficients
 from greenran import powerctl
 from greenran.powerctl import (ReducedProblem, SolveDiagnostics, _dinkelbach,
-                               _solve_parametric, qopc_solve)
-from conftest import make_context, strongest_assoc
+                               _solve_parametric, qopc_solve, slmdb_solve)
+from conftest import active_count, make_context, strongest_assoc
 from reference import parametric_value, residual
 
 
 def build_problem(ctx, assoc):
-    form = ctx.form_for(assoc.active_count)
-    lc = link_coefficients(assoc.S, ctx.tensor)
+    form = ctx.form_for(active_count(assoc))
+    lc = link_coefficients(assoc, ctx.tensor)
     prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)
     return prob, form
 
@@ -25,8 +24,8 @@ def pinned_instance():
 
 def pinned_slmdb():
     ctx, assoc = pinned_instance()
-    return slmdb(assoc, ctx.tensor, ctx.frame, ctx.form_for(assoc.active_count),
-                 ctx.qos, ctx.settings)
+    return slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame,
+                       ctx.form_for(active_count(assoc)), ctx.qos, ctx.settings)
 
 
 def grid_best_scalar(prob, form, n=100001):
@@ -134,7 +133,7 @@ class TestInteriorPoint:
         # the one point P = p_max, feasible but without an interior
         ctx = make_context(M=1, K=1, N=4, L=1, area=300.0, seed=500, r_min=10e6)
         assoc = strongest_assoc(ctx, per_ue=1)
-        lc = link_coefficients(assoc.S, ctx.tensor)
+        lc = link_coefficients(assoc, ctx.tensor)
         gam = ctx.qos.gamma[0]
         denom = (1 + gam) * lc.ds2[0] - gam * lc.interf[0, 0]
         assert denom > 0
@@ -170,10 +169,11 @@ class TestInteriorPoint:
     def test_infeasible_targets_fall_back_to_one_lp(self, monkeypatch):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
         assoc = strongest_assoc(ctx, per_ue=1)
-        form = ctx.form_for(assoc.active_count)
+        form = ctx.form_for(active_count(assoc))
         solves = self.count_calls(monkeypatch, "_balanced_point")
         lps = self.count_calls(monkeypatch, "_least_power_point")
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
+                          ctx.settings)
         assert not sol.feasible
         assert len(solves) == 1
         assert len(lps) == 1
@@ -185,7 +185,7 @@ class TestDinkelbach:
         assoc = strongest_assoc(ctx)
         st = SolverSettings(slm_tol=1e-9, slm_max_iter=500)
         prob, form = build_problem(ctx, assoc)
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
         # re-anchor at the converged point: the ratio update is a fixed point
         _, pi_star, _ = _dinkelbach(prob, prob.reduce(sol.p), prob.ee(prob.reduce(sol.p)),
                                      SolveDiagnostics())
@@ -206,8 +206,9 @@ class TestDinkelbach:
         for seed in range(20):
             ctx = make_context(M=4, K=3, N=4, L=2, area=320.0, seed=seed)
             assoc = strongest_assoc(ctx)
-            form = ctx.form_for(assoc.active_count)
-            sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+            form = ctx.form_for(active_count(assoc))
+            sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
+                              ctx.settings)
             if not sol.feasible:
                 continue
             for trace in sol.diagnostics.pi_traces:
@@ -220,8 +221,9 @@ class TestSlmdb:
         for seed in range(10):
             ctx = make_context(M=4, K=3, N=4, L=2, area=320.0, seed=100 + seed)
             assoc = strongest_assoc(ctx)
-            form = ctx.form_for(assoc.active_count)
-            sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+            form = ctx.form_for(active_count(assoc))
+            sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
+                              ctx.settings)
             if not sol.feasible:
                 continue
             t = np.asarray(sol.diagnostics.ee_trace)
@@ -234,7 +236,7 @@ class TestSlmdb:
         assoc = strongest_assoc(ctx)
         prob, form = build_problem(ctx, assoc)
         st = SolverSettings(slm_tol=1e-8, slm_max_iter=3000)
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
         anchor = prob.reduce(sol.p)
         p, _, _ = _dinkelbach(prob, anchor, prob.ee(anchor), SolveDiagnostics())
         ee, ee_prev = prob.ee(p), prob.ee(anchor)
@@ -246,23 +248,25 @@ class TestSlmdb:
         assoc = strongest_assoc(ctx, per_ue=1)
         st = SolverSettings(slm_tol=1e-8, slm_max_iter=3000)
         prob, form = build_problem(ctx, assoc)
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, st)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
         best, arg = grid_best_scalar(prob, form)
         assert sol.ee == pytest.approx(best, rel=1e-3)
 
     def test_infeasible_verdict_propagates(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
         assoc = strongest_assoc(ctx, per_ue=1)
-        form = ctx.form_for(assoc.active_count)
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+        form = ctx.form_for(active_count(assoc))
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
+                          ctx.settings)
         assert not sol.feasible
         assert np.isfinite(sol.ee)
 
     def test_respects_box_and_qos(self):
         ctx = make_context(M=4, K=3, N=4, L=2, area=300.0, seed=23, r_min=15e6)
         assoc = strongest_assoc(ctx)
-        form = ctx.form_for(assoc.active_count)
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+        form = ctx.form_for(active_count(assoc))
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
+                          ctx.settings)
         if sol.feasible:
             assert (sol.p >= 0).all() and (sol.p <= ctx.qos.p_max_w).all()
             assert (sol.rates >= ctx.qos.r_min_bps * (1 - 1e-6)).all()
@@ -289,7 +293,7 @@ class TestSlmdb:
     def test_swallowed_interior_failure_is_flagged(self, monkeypatch):
         # the solve starts from the QoPC point and keeps it
         ctx, assoc = pinned_instance()
-        start, feasible = qopc_solve(link_coefficients(assoc.S, ctx.tensor), ctx.frame,
+        start, feasible = qopc_solve(link_coefficients(assoc, ctx.tensor), ctx.frame,
                                      ctx.qos)
         assert feasible
 
@@ -305,17 +309,18 @@ class TestSlmdb:
         ctx = make_context(M=2, K=2, N=3, L=1, area=300.0, seed=2, r_min=10e6)
         S = np.zeros((2, 2), dtype=bool)
         S[0, 0] = True   # UE 1 left unserved
-        assoc = Association(S=S)
-        form = ctx.form_for(assoc.active_count)
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+        form = ctx.form_for(active_count(S))
+        sol = slmdb_solve(link_coefficients(S, ctx.tensor), ctx.frame, form, ctx.qos,
+                          ctx.settings)
         assert not sol.feasible
         assert sol.p[1] == 0.0
 
     def test_empty_association_returns_at_once(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=300.0, seed=2, r_min=0.0)
-        assoc = Association(S=np.zeros((2, 2), dtype=bool))
-        form = ctx.form_for(assoc.active_count)
-        sol = slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings)
+        assoc = np.zeros((2, 2), dtype=bool)
+        form = ctx.form_for(active_count(assoc))
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
+                          ctx.settings)
         assert sol.feasible and sol.ee == 0.0
         assert np.array_equal(sol.p, np.zeros(2))
         assert sol.diagnostics.slm_iterations == 0

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from greenran import (Association, ConfigError, SubComponentSpec, SystemPowerParams,
+from greenran import (ConfigError, SubComponentSpec, SystemPowerParams,
                       build_affine_form, component_power, network_power, theta,
                       ubs_power)
 from greenran.powermodel import BsPowerConfig, edge_cloud_scaling, traffic_power_coefficient
+from conftest import active_count
 
 UNIT_VALUES = {"N": 1, "B": 1, "Q": 1, "Se": 1, "Ld": 1.0, "St": 1}
 
@@ -16,7 +17,7 @@ def simple_cfg(rf=(), bbu=(), **kw):
     return BsPowerConfig(rf_components=tuple(rf), bbu_components=tuple(bbu), **defaults)
 
 
-def direct_network_power(P, rates, assoc, cfg, params, n_active=None):
+def direct_network_power(P, rates, S, cfg, params, n_active=None):
     """Step-by-step evaluation of the component power chain (test oracle).
 
     Walks: per-BS power at an explicit equal load split, sleep power,
@@ -24,9 +25,8 @@ def direct_network_power(P, rates, assoc, cfg, params, n_active=None):
     pooling/stacking then cooling, UE power. Independent of the affine
     reduction code path.
     """
-    M = assoc.S.shape[0]
-    K = assoc.S.shape[1]
-    active = int(assoc.active_count) if n_active is None else n_active
+    M, K = S.shape
+    active = active_count(S) if n_active is None else n_active
     sleeping = M - active
     agg_load = float(np.sum(rates) / params.r_ref_bps)
     per_bs_load = agg_load / active if active else 0.0
@@ -170,11 +170,10 @@ class TestAffineForm:
         for trial in range(30):
             M, K = int(rng.integers(2, 7)), int(rng.integers(1, 5))
             S = rng.random((M, K)) < 0.5
-            assoc = Association(S=S)
-            form = build_affine_form(bs_config, system_params, M, K, assoc.active_count)
+            form = build_affine_form(bs_config, system_params, M, K, active_count(S))
             P = rng.random(K) * 0.1
             rates = rng.random(K) * 60e6 * S.any(axis=0)   # traffic only when served
-            direct = direct_network_power(P, rates, assoc, bs_config, system_params)
+            direct = direct_network_power(P, rates, S, bs_config, system_params)
             assert form.total(P, rates) == pytest.approx(direct, rel=1e-9)
 
     def test_zero_curvature_in_rates(self, bs_config, system_params):

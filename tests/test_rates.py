@@ -1,55 +1,38 @@
 import numpy as np
 import pytest
 
-from greenran import (Association, ConfigError, CoefficientTensor, FrameConfig,
-                      link_coefficients)
+from greenran import CoefficientTensor, FrameConfig, link_coefficients
 from greenran.netmodel import build_correlation, generate_topology, ScenarioParams
 from greenran.rates import rates_from_coeffs, sinr_from_coeffs
 from reference import _crandn, monte_carlo_statistics
 
 
-def synthetic_tensor(mu, omega, M, K):
+def synthetic_tensor(mu, omega):
     return CoefficientTensor(mu=np.asarray(mu, dtype=float),
-                             omega=np.asarray(omega, dtype=float),
-                             noise_coeff=np.ones((M, K)))
-
-
-class TestAssociation:
-    def test_activity_vector_derived(self):
-        S = np.array([[1, 0], [0, 0], [1, 1]], dtype=bool)
-        a = Association(S=S)
-        assert list(a.A) == [True, False, True]
-        assert a.active_count == 2
-
-    def test_caps_enforced(self):
-        S = np.ones((3, 2), dtype=bool)
-        with pytest.raises(ConfigError):
-            Association(S=S, max_per_ue=2)
-        with pytest.raises(ConfigError):
-            Association(S=S, max_per_bs=1)
+                             omega=np.asarray(omega, dtype=float))
 
 
 class TestSinr:
     def test_zero_power_zero_sinr(self, small_ctx):
-        assoc = Association(S=np.ones((3, 2), dtype=bool))
-        out = sinr_from_coeffs(np.zeros(2), link_coefficients(assoc.S, small_ctx.tensor),
+        assoc = np.ones((3, 2), dtype=bool)
+        out = sinr_from_coeffs(np.zeros(2), link_coefficients(assoc, small_ctx.tensor),
                                small_ctx.frame.noise_power_w)
         assert (out == 0).all()
 
     def test_single_link_closed_form(self):
         # SINR = P mu^2 / (P (omega - mu^2) + sigma^2)
-        t = synthetic_tensor([[3.0]], [[[10.0]]], 1, 1)
-        assoc = Association(S=np.ones((1, 1), dtype=bool))
+        t = synthetic_tensor([[3.0]], [[[10.0]]])
+        assoc = np.ones((1, 1), dtype=bool)
         P, s2 = 0.2, 0.5
         expected = P * 9.0 / (P * (10.0 - 9.0) + s2)
-        lc = link_coefficients(assoc.S, t)
+        lc = link_coefficients(assoc, t)
         assert sinr_from_coeffs(np.array([P]), lc, s2)[0] == pytest.approx(expected)
 
     def test_two_bs_cross_term(self):
         # mu1 = mu2 = 1, omega_kk = 1.5 each: E|IS_kk|^2 = 3 + 2 = 5
-        t = synthetic_tensor([[1.0], [1.0]], [[[1.5]], [[1.5]]], 2, 1)
-        assoc = Association(S=np.ones((2, 1), dtype=bool))
-        lc = link_coefficients(assoc.S, t)
+        t = synthetic_tensor([[1.0], [1.0]], [[[1.5]], [[1.5]]])
+        assoc = np.ones((2, 1), dtype=bool)
+        lc = link_coefficients(assoc, t)
         assert lc.interf[0, 0] == pytest.approx(5.0)
         assert lc.ds2[0] == pytest.approx(4.0)
         assert lc.ns[0] == pytest.approx(2.0)
@@ -60,8 +43,8 @@ class TestSinr:
         frame = FrameConfig()
         corr = build_correlation(generate_topology(p), frame)
         mc, _, _ = monte_carlo_statistics(corr.R, frame, samples=30000, seed=7)
-        assoc = Association(S=np.ones((2, 1), dtype=bool))
-        lc = link_coefficients(assoc.S, mc)
+        assoc = np.ones((2, 1), dtype=bool)
+        lc = link_coefficients(assoc, mc)
 
         rng = np.random.default_rng(123)
         n_s = 30000
@@ -96,8 +79,8 @@ class TestSinr:
 
     def test_dropping_a_bs_never_raises_mean_signal(self, small_ctx):
         t = small_ctx.tensor
-        full = Association(S=np.ones((3, 2), dtype=bool))
-        ds_full = link_coefficients(full.S, t).ds2
+        full = np.ones((3, 2), dtype=bool)
+        ds_full = link_coefficients(full, t).ds2
         for m in range(3):
             S = np.ones((3, 2), dtype=bool)
             S[m, :] = False
@@ -107,28 +90,28 @@ class TestSinr:
 
 class TestRate:
     def test_zero_sinr_zero_rate(self, small_ctx):
-        assoc = Association(S=np.zeros((3, 2), dtype=bool))
-        lc = link_coefficients(assoc.S, small_ctx.tensor)
+        assoc = np.zeros((3, 2), dtype=bool)
+        lc = link_coefficients(assoc, small_ctx.tensor)
         r = rates_from_coeffs(np.full(2, 0.1), lc, small_ctx.frame)
         assert (r == 0).all()
 
     def test_prelog_at_unit_sinr(self):
         # SINR = 1 with the default frame: R = (180/190) * 20 MHz
-        assoc = Association(S=np.ones((1, 1), dtype=bool))
+        assoc = np.ones((1, 1), dtype=bool)
         frame = FrameConfig()
-        t = synthetic_tensor([[1.0]], [[[1.0]]], 1, 1)    # omega == mu^2: no self-penalty
+        t = synthetic_tensor([[1.0]], [[[1.0]]])          # omega == mu^2: no self-penalty
         P = np.array([frame.noise_power_w])               # SINR = P / sigma2 = 1
-        r = rates_from_coeffs(P, link_coefficients(assoc.S, t), frame)
+        r = rates_from_coeffs(P, link_coefficients(assoc, t), frame)
         assert r[0] == pytest.approx(180 / 190 * 20e6, rel=1e-12)
 
     def test_rate_linear_in_bandwidth(self):
-        t = synthetic_tensor([[2.0]], [[[5.0]]], 1, 1)
-        assoc = Association(S=np.ones((1, 1), dtype=bool))
+        t = synthetic_tensor([[2.0]], [[[5.0]]])
+        assoc = np.ones((1, 1), dtype=bool)
         f1 = FrameConfig(bandwidth_hz=20e6)
         f2 = FrameConfig(bandwidth_hz=40e6)
         P = np.array([0.05])
         # same SINR only if the noise power is held fixed
-        lc = link_coefficients(assoc.S, t)
+        lc = link_coefficients(assoc, t)
         r1 = rates_from_coeffs(P, lc, f1)
         r2 = rates_from_coeffs(P, lc, f2)
         assert r2[0] == pytest.approx(2 * r1[0])

@@ -15,10 +15,10 @@ the center from any interior start.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from greenran import Association, link_coefficients, slmdb
+from greenran import link_coefficients
 from greenran.powerctl import (QOS_RATE_RTOL, ReducedProblem, SolveDiagnostics,
-                               _solve_parametric)
-from conftest import make_context
+                               _solve_parametric, slmdb_solve)
+from conftest import active_count, make_context
 
 
 @st.composite
@@ -34,12 +34,13 @@ def instances(draw):
     S = np.zeros((M, K), dtype=bool)
     for k in range(K):
         S[sorted(draw(st.sets(st.integers(0, M - 1), min_size=1, max_size=L))), k] = True
-    return ctx, Association(S=S)
+    return ctx, S
 
 
 def solve(ctx, assoc):
-    form = ctx.form_for(assoc.active_count)
-    return slmdb(assoc, ctx.tensor, ctx.frame, form, ctx.qos, ctx.settings), form
+    form = ctx.form_for(active_count(assoc))
+    return slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
+                       ctx.settings), form
 
 
 def assert_clean(diag):
@@ -68,7 +69,7 @@ def test_feasible_slmdb_properties(instance):
 
     if diag.interior_infeasible:
         return
-    prob = ReducedProblem(link_coefficients(assoc.S, ctx.tensor), ctx.frame, form, ctx.qos)
+    prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos)
     sur = prob.surrogate(prob.reduce(sol.p))
     assert sur.ratio(sur.anchor) == prob.ee(sur.anchor)    # what _dinkelbach starts from
     pi = max(sur.ratio(sur.anchor), 0.0)

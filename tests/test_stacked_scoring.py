@@ -12,6 +12,8 @@ certificate. A crafted tensor adds a member whose -W is singular, which fails
 a stacked inverse for its whole stack.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -55,11 +57,11 @@ def assert_same(got, alone):
 
 def assert_stacked_equals_alone(ctx, mode, matchings):
     # each member is scored under the one form its context holds for its active count
-    stacked = ctx.clone()
+    stacked = replace(ctx)
     together = list(evaluate(np.array(matchings), mode, stacked, np.ones(len(matchings), bool)))
     assert len(together) == len(matchings)
     for S, got in zip(matchings, together):
-        alone = ctx.clone()
+        alone = replace(ctx)
         one = evaluate(S, mode, alone)
         assert_same(got, one)
         n_active = int(S.any(axis=1).sum())
@@ -79,9 +81,9 @@ def test_singular_member_is_scored_as_alone():
     mu = np.ones((2, 2))
     omega = np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]])
     base = make_context(M=2, K=2, N=2, L=2)
-    ctx = base.clone(tensor=CoefficientTensor(mu=mu, omega=omega, noise_coeff=np.ones((2, 2))),
-                     qos=QosSpec(r_min_bps=np.full(2, base.frame.rate_scale),
-                                 gamma=np.ones(2), p_max_w=0.1))
+    ctx = replace(base, tensor=CoefficientTensor(mu=mu, omega=omega),
+                  qos=QosSpec(r_min_bps=np.full(2, base.frame.rate_scale),
+                              gamma=np.ones(2), p_max_w=0.1))
     singular = np.array([[1, 1], [0, 0]], dtype=bool)
     lc = link_coefficients(singular, ctx.tensor)
     prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)

@@ -15,13 +15,13 @@ no-sleeping, `trimsm` must judge the same results in the same order as
 when its turn comes, and end with the same matching and counts.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from greenran import Association, ConfigError, ScenarioParams, harness
+from greenran import ConfigError, ScenarioParams, harness
 from greenran import matching as matching_module
 from greenran.matching import POWER_MODES, _candidates, _moves, _pair_order, trimsm
 from reference import move_by_move_trimsm
@@ -36,8 +36,11 @@ class SwapMove:
     bs_n: int | None = None
 
 
-def ref_apply_move(matching, move, ctx):
-    S = matching.S
+def within_caps(S, L, N) -> bool:
+    return (S.sum(axis=0) <= L).all() and (S.sum(axis=1) <= N).all()
+
+
+def ref_apply_move(S, move, ctx):
     M, K = S.shape
     L, N = ctx.scenario.L, ctx.scenario.N
     i = move.ue_i
@@ -87,11 +90,12 @@ def ref_apply_move(matching, move, ctx):
     else:
         raise ConfigError(f"unknown move kind {move.kind!r}")
 
-    if ctx.no_sleep and matching.A[~new.any(axis=1)].any():
+    if ctx.no_sleep and S.any(axis=1)[~new.any(axis=1)].any():
         return None
     if np.array_equal(new, S):
         return None
-    return Association(S=new, max_per_ue=L, max_per_bs=N)
+    assert within_caps(new, L, N)
+    return new
 
 
 def ref_pair_moves(S, i, j):
@@ -120,10 +124,10 @@ def as_tuple(move: SwapMove) -> tuple:
 
 
 def same(got, want) -> bool:
-    """Serving matrix `got` (or None) against the reference's Association."""
+    """Serving matrix `got` (or None) against the reference's."""
     if got is None or want is None:
         return got is None and want is None
-    return np.array_equal(got, want.S) and np.array_equal(got.any(axis=1), want.A)
+    return np.array_equal(got, want)
 
 
 @st.composite
@@ -140,7 +144,8 @@ def scans(draw):
         S[m, np.flatnonzero(S[m])[N:]] = False
     ctx = SimpleNamespace(scenario=ScenarioParams(M=M, K=K, N=N, L=L),
                           no_sleep=draw(st.booleans()))
-    return Association(S=S, max_per_ue=L, max_per_bs=N), ctx, draw(st.integers(0, 2**16))
+    assert within_caps(S, L, N)
+    return S, ctx, draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -150,12 +155,12 @@ def test_tuple_moves_match_kind_moves(case):
     rng = np.random.default_rng(seed)
     for i, j in _pair_order(ctx.scenario.K):
         start = matching
-        moves = _moves(start.S, i, j)
-        ref_moves = list(ref_pair_moves(start.S, i, j))
+        moves = _moves(start, i, j)
+        ref_moves = list(ref_pair_moves(start, i, j))
         assert [tuple(mv) for mv in moves.T.tolist()] == [as_tuple(mv) for mv in ref_moves]
         if not ref_moves:
             continue
-        stack, applies = _candidates(start.S, moves, ctx)
+        stack, applies = _candidates(start, moves, ctx)
         for member, ok, ref in zip(stack, applies, ref_moves):
             assert same(member if ok else None, ref_apply_move(start, ref, ctx))
         first = 0    # the move the current stack starts at
@@ -163,9 +168,9 @@ def test_tuple_moves_match_kind_moves(case):
             got = stack[t - first] if applies[t - first] else None
             assert same(got, ref_apply_move(matching, ref, ctx))
             if got is not None and rng.random() < 0.4:
-                matching, first = Association(S=got.copy()), t + 1    # as if approved
+                matching, first = got.copy(), t + 1    # as if approved
                 if first < len(ref_moves):    # the scan rebuilds the rest from it
-                    stack, applies = _candidates(matching.S, moves[:, first:], ctx)
+                    stack, applies = _candidates(matching, moves[:, first:], ctx)
 
 
 @st.composite
@@ -183,7 +188,7 @@ def drops(draw):
 def judged_run(scan, config, no_sleep, mode):
     """`scan`'s report on a fresh context of the drop, and every judge call's
     incumbent and candidate (shortfall, EE) in float hex with its verdict."""
-    ctx = harness._make_context(config, config.base_seed).clone(no_sleep=no_sleep)
+    ctx = replace(harness._make_context(config, config.base_seed), no_sleep=no_sleep)
     calls, judge = [], matching_module.is_swap_blocking
 
     def logged(before, after):
@@ -209,4 +214,4 @@ def test_array_scan_matches_move_by_move_scan(drop):
         assert calls == ref_calls, mode    # approvals in order, and the judge's call count
         assert (rep.swap_count, rep.evaluation_count, rep.stable, rep.infeasible) == (
             ref.swap_count, ref.evaluation_count, ref.stable, ref.infeasible), mode
-        assert np.array_equal(rep.matching.S, ref.matching.S) and rep.ee == ref.ee, mode
+        assert np.array_equal(rep.S, ref.S) and rep.ee == ref.ee, mode

@@ -180,10 +180,6 @@ def load_config(source) -> RunConfig:
 
     r_min_bps = float(_number(merged["qos"]["r_min_bps"], "qos.r_min_bps"))
     p_max_w = float(_number(merged["qos"]["p_max_w"], "qos.p_max_w"))
-    with _section("qos", ("r_min_bps", "p_max_w")):
-        make_qos(r_min_bps, scenario.K, frame, p_max_w)    # QosSpec checks the values
-    with _section("power"):    # the checks of the tables that a drop's power form makes
-        build_affine_form(bs_config, system, scenario.M, scenario.K, scenario.M)
     timing = merged["record_timing"]
     if not isinstance(timing, bool):
         raise ConfigError(f"record_timing must be true or false, not {timing!r}")
@@ -193,7 +189,6 @@ def load_config(source) -> RunConfig:
     base_seed = _number(merged["base_seed"], "base_seed", int)
     if not 0 <= base_seed < 2**64:    # drop seeds base_seed ^ d must stay seeds
         raise ConfigError("base_seed must lie in [0, 2**64)")
-    _check_point(scenario, frame, algorithms)
 
     sweep_parameter = None
     sweep_values = ()
@@ -217,13 +212,10 @@ def load_config(source) -> RunConfig:
         base_seed=base_seed,
         record_timing=timing,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values)
+    _check_point(config)
     for i, value in enumerate(sweep_values):
         with _section(f"sweep.values[{i}]"):
-            point = _apply_sweep(config, value)
-            _check_point(point.scenario, point.frame, algorithms)
-            make_qos(point.r_min_bps, point.scenario.K, point.frame, point.p_max_w)
-            build_affine_form(bs_config, system, point.scenario.M, point.scenario.K,
-                              point.scenario.M)
+            _check_point(_apply_sweep(config, value))
     return config
 
 
@@ -241,22 +233,29 @@ def _apply_sweep(config: RunConfig, value) -> RunConfig:
 def _check_algorithms(algorithms) -> None:
     if not algorithms or not isinstance(algorithms, (list, tuple)):
         raise ConfigError("algorithm must name at least one selector")
-    for alg in algorithms:
+    for i, alg in enumerate(algorithms):
         if alg not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+        if alg in algorithms[:i]:    # its records would count every drop twice
+            raise ConfigError(f"algorithm {alg!r} is listed more than once")
 
 
-def _check_point(scenario: ScenarioParams, frame: FrameConfig, algorithms) -> None:
-    """What a run of one parameter point rejects before its first drop."""
-    if scenario.K > frame.tau_p:
+def _check_point(point: RunConfig) -> None:
+    """What a run of one parameter point rejects before its first drop: the
+    pilots, the exhaustive search guard, the QoS targets and the power tables."""
+    scen, frame = point.scenario, point.frame
+    if scen.K > frame.tau_p:
         raise ConfigError(
-            f"K={scenario.K} exceeds tau_p={frame.tau_p}; orthogonal pilots need K <= tau_p")
-    if "exhaustive" in algorithms:
-        check_exhaustive_size(scenario)
+            f"K={scen.K} exceeds tau_p={frame.tau_p}; orthogonal pilots need K <= tau_p")
+    if "exhaustive" in point.algorithms:
+        check_exhaustive_size(scen)
+    with _section("qos", ("r_min_bps", "p_max_w")):
+        make_qos(point.r_min_bps, scen.K, frame, point.p_max_w)    # QosSpec checks the values
+    with _section("power"):    # the checks of the tables that a drop's power form makes
+        build_affine_form(point.bs_config, point.system, scen.M, scen.K, scen.M)
 
 
 def _make_context(config: RunConfig, drop_seed: int) -> EvaluationContext:
-    _check_point(config.scenario, config.frame, config.algorithms)
     scen = replace(config.scenario, seed=drop_seed)
     topo = generate_topology(scen)
     corr = build_correlation(topo, config.frame)
@@ -314,6 +313,7 @@ def _record(config: RunConfig, report: SolutionReport, algorithm: str, drop_inde
 
 def run(config: RunConfig, sweep_value: float = 0.0) -> list:
     """Execute all drops and algorithms for one parameter point."""
+    _check_point(config)
     records = []
     for d in range(config.drops):
         drop_seed = config.base_seed ^ d
@@ -341,14 +341,11 @@ def sweep(config: RunConfig) -> tuple[list, list]:
 def aggregate(records: list) -> list:
     """Per (sweep value, algorithm): EE statistics over feasible drops, the
     sorted EE list (CDF support), activity and violation summaries."""
-    keys = []
+    groups = {}    # in first-seen order
     for r in records:
-        key = (r.sweep_value, r.algorithm)
-        if key not in keys:
-            keys.append(key)
+        groups.setdefault((r.sweep_value, r.algorithm), []).append(r)
     rows = []
-    for value, algorithm in keys:
-        group = [r for r in records if (r.sweep_value, r.algorithm) == (value, algorithm)]
+    for (value, algorithm), group in groups.items():
         feasible = [r for r in group if r.feasible]
         ees = sorted(r.ee_bits_per_joule for r in feasible)
         total_ues = sum(r.ue_count for r in group)

@@ -109,14 +109,18 @@ class SolverSettings:
 class SolveDiagnostics:
     slm_iterations: int = 0
     ee_trace: list = field(default_factory=list)    # start, then each SLM round
-    dinkelbach_iterations: list = field(default_factory=list)
-    pi_traces: list = field(default_factory=list)
+    pi_traces: list = field(default_factory=list)   # each Dinkelbach run's ratios
     newton_steps: int = 0            # Newton systems solved
     hit_iteration_cap: bool = False
     lstsq_fallbacks: int = 0         # singular Newton systems solved by least squares
     line_search_exhausted: int = 0   # solves ended with no admissible step
     newton_cap_hits: int = 0         # solves ended at the Newton step cap
     interior_infeasible: bool = False    # no strict interior ended the SLM loop early
+
+    @property
+    def dinkelbach_iterations(self) -> list:
+        """Ratio values each Dinkelbach run held, its start included."""
+        return [len(trace) for trace in self.pi_traces]
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +162,8 @@ class ReducedProblem:
     """Fixed-association power problem restricted to UEs with a serving set.
 
     Unserved UEs keep zero power and zero rate; they still contribute circuit
-    power through the affine form's constant. `form` is None for QoPC and bounds.
+    power through the affine form's constant. Only the EE, the surrogate and
+    the parametric solve read `form`, so it may be None for the others.
     """
 
     def __init__(self, lc: LinkCoefficients, frame: FrameConfig,
@@ -186,7 +191,6 @@ class ReducedProblem:
         self.qrows = np.flatnonzero(self.gamma > 0)   # gamma = 0 rows are implied by P >= 0
 
         self.structurally_infeasible = _unserved_target(qos, self.served)
-        self._qopc = None    # cached min-max LP result, see _qopc_on_problem
 
     # -- plain evaluations ---------------------------------------------------
 
@@ -194,9 +198,6 @@ class ReducedProblem:
         p = np.zeros(self.K)
         p[self.idx] = p_red
         return p
-
-    def reduce(self, p_full: np.ndarray) -> np.ndarray:
-        return np.asarray(p_full, dtype=float)[self.idx]
 
     def rates(self, p: np.ndarray) -> np.ndarray:
         af = self.Af @ p + self.n
@@ -210,7 +211,7 @@ class ReducedProblem:
     def interior_point(self) -> np.ndarray:
         """Strictly feasible start: the QoPC LP point clipped eps inside the box, else
         pmax/2 when no UE has a rate target; raises InfeasibleError otherwise."""
-        p, _, s = _qopc_on_problem(self)
+        p, _, s = self.qopc
         eps = 1e-9 * self.pmax
         p = np.clip(p, eps, self.pmax - eps)
         if s < -1e-9 and self.margin(p) < 0:
@@ -230,25 +231,26 @@ class ReducedProblem:
             return -np.inf
         return float(np.max((self.W[rows] @ p + self.c[rows]) / self.rscale[rows]))
 
-    def solution(self, p_full: np.ndarray, feasible: bool,
+    def solution(self, p_red: np.ndarray, feasible: bool,
                  diag: SolveDiagnostics) -> PowerSolution:
-        """Rates, EE and QoS deficits at `p_full`, network power from the form
-        over full vectors."""
-        rates = self.expand(self.rates(self.reduce(p_full)))
-        ee = float(np.sum(rates)) / self.form.total(p_full, rates)
+        """Rates, EE and QoS deficits at the reduced powers `p_red`, network
+        power from the form over full vectors."""
+        p = self.expand(p_red)
+        rates = self.expand(self.rates(p_red))
+        ee = float(np.sum(rates)) / self.form.total(p, rates)
         deficits = qos_deficits(rates, self.qos)
-        return PowerSolution(p=p_full, ee=ee, rates=rates, feasible=feasible,
+        return PowerSolution(p=p, ee=ee, rates=rates, feasible=feasible,
                              diagnostics=diag, form=self.form,
                              shortfall_bps=float(np.sum(deficits)),
                              qos_violations=int(np.count_nonzero(deficits)))
 
-    def box_feasible(self, p: np.ndarray, tol: float = 0.0) -> bool:
-        return bool((p >= -tol).all() and (p <= self.pmax + tol).all())
-
-    # -- surrogate at an anchor ----------------------------------------------
-
-    def surrogate(self, anchor: np.ndarray) -> "Surrogate":
-        return Surrogate(self, np.asarray(anchor, dtype=float))
+    @cached_property
+    def qopc(self) -> tuple[np.ndarray, bool, float]:
+        """`_minmax` on this problem, solved once: (reduced P, feasible,
+        normalized optimal residual)."""
+        p, s, feasible = _minmax(self.W[None], self.c[None], self.rscale[None], self.pmax,
+                                 self.structurally_infeasible)
+        return p[0], bool(feasible[0]), float(s[0])
 
     @cached_property
     def barrier_stack(self) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +268,7 @@ class Surrogate:
     """Tangent data of the two concave logs at the anchor point."""
 
     def __init__(self, prob: ReducedProblem, anchor: np.ndarray):
-        if not prob.box_feasible(anchor, tol=1e-12):
+        if not ((anchor >= -1e-12).all() and (anchor <= prob.pmax + 1e-12).all()):
             raise ConfigError("anchor must lie inside the power box")
         self.prob = prob
         self.anchor = anchor
@@ -311,21 +313,6 @@ _INNER_TOL = 1e-8        # duality-gap proxy, in rate-scale units and relative t
 _LS_TRIALS = 60          # step halvings before a line search gives up
 
 
-class _Parametric:
-    """u(P) = [sum Rbar - pi * P_N(P, Rhat)] / rate_scale, a concave function:
-
-        u(P) = sum_k log2(af_k) + sum_k c2_k log2(ag_k) + q . P + u0
-
-    The solver needs only the weights c2 and q; the constant u0 does not move
-    the maximizer.
-    """
-
-    def __init__(self, sur: Surrogate, pi: float):
-        prob = sur.prob
-        self.c2 = pi * prob.alpha / prob.form.r_ref_bps
-        self.q = (-sur.vg.sum(axis=0) - self.c2 @ sur.vf - (pi / prob.cr) * prob.delta)
-
-
 def _center(p: np.ndarray, B: np.ndarray, b: np.ndarray, pmax: float) -> np.ndarray:
     """Move p toward the box center, halfway to where that ray leaves
     {B P + b > 0} and at most to the center: every slack keeps half its value."""
@@ -345,18 +332,24 @@ def _halvings(rz_min: float) -> int:
     return 0 if rz_min > -1 else math.frexp(-rz_min)[1] if rz_min > -math.inf else _LS_TRIALS
 
 
-def _solve_parametric(sur: Surrogate, pi: float, start: np.ndarray | None,
+def _solve_parametric(sur: Surrogate, pi: float, start: np.ndarray,
                       diag: SolveDiagnostics) -> np.ndarray:
+    """Maximize u(P) = [sum Rbar - pi * P_N(P, Rhat)] / rate_scale, a concave
+    function, over the box and the QoS rows:
+
+        u(P) = sum_k log2(af_k) + sum_k c2_k log2(ag_k) + q . P + u0
+
+    Only the weights c2 and q move the maximizer. The solve starts at `start`
+    when every slack is positive there, else at the centered QoPC point."""
     prob = sur.prob
     k = len(prob.idx)
-    if k == 0:
-        return np.zeros(0)
-    obj = _Parametric(sur, pi)
+    c2 = pi * prob.alpha / prob.form.r_ref_bps
+    q = -sur.vg.sum(axis=0) - c2 @ sur.vf - (pi / prob.cr) * prob.delta
     B, b = prob.barrier_stack
     BT = B.T
     p = start
-    z = None if p is None else B @ p + b
-    if z is None or not (z > 0).all():
+    z = B @ p + b
+    if not (z > 0).all():
         p = _center(prob.interior_point(), B, b, prob.pmax)
         z = B @ p + b
 
@@ -368,9 +361,9 @@ def _solve_parametric(sur: Surrogate, pi: float, start: np.ndarray | None,
     m = len(b) - 2 * k    # barrier terms
     se = float(np.sum(np.log2(z[:k] / z[k:2 * k])))
     t = m / (0.1 * _INNER_TOL * min(1.0, se))
-    w = t * (np.concatenate([np.ones(k), obj.c2, np.zeros(m)]) / _LN2)
+    w = t * (np.concatenate([np.ones(k), c2, np.zeros(m)]) / _LN2)
     w[2 * k:] = 1.0
-    tq = t * obj.q
+    tq = t * q
     for _ in range(_NEWTON_MAX_ITER):
         wz = w / z
         grad = BT @ wz + tq
@@ -416,12 +409,12 @@ _STALL_ROUNDS = 3        # non-increasing ratio updates that end the rounds
 
 
 def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, anchor_ee: float,
-                diag: SolveDiagnostics):
+                diag: SolveDiagnostics) -> np.ndarray:
     """Maximize the fractional surrogate anchored at `anchor`, starting from its
     ratio there, which is bitwise the anchor's EE `anchor_ee`. The first
-    parametric solve starts at the anchor. Returns (p, pi_star, pi_trace); pi is
-    the surrogate ratio and is nondecreasing along the iterations."""
-    sur = prob.surrogate(anchor)
+    parametric solve starts at the anchor. Returns the maximizer; the ratio
+    values, nondecreasing up to solver noise, go to `diag.pi_traces`."""
+    sur = Surrogate(prob, anchor)
     pi = max(anchor_ee, 0.0)
     pi_trace = [pi]
     p = anchor
@@ -443,9 +436,8 @@ def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, anchor_ee: float,
         pi = max(pi, pi_new)
     else:
         diag.hit_iteration_cap = True
-    diag.dinkelbach_iterations.append(len(pi_trace))
     diag.pi_traces.append(pi_trace)
-    return p, pi, pi_trace
+    return p
 
 
 def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
@@ -455,17 +447,17 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
     prob = ReducedProblem(lc, frame, form, qos)
     diag = SolveDiagnostics()
 
-    p_red, feasible, _ = _qopc_on_problem(prob)
+    p_red, feasible, _ = prob.qopc
     if not feasible or len(prob.idx) == 0:
         # nothing to optimize: no served UE (the EE stays 0), or no feasible power
-        return prob.solution(prob.expand(p_red), feasible, diag)
+        return prob.solution(p_red, feasible, diag)
 
     ee_prev = prob.ee(p_red)
     diag.ee_trace.append(ee_prev)
     try:
         for n in range(1, settings.slm_max_iter + 1):
             diag.slm_iterations = n
-            p_new, _, _ = _dinkelbach(prob, p_red, ee_prev, diag)
+            p_new = _dinkelbach(prob, p_red, ee_prev, diag)
             ee = prob.ee(p_new)
             diag.ee_trace.append(ee)
             if not ee > ee_prev:
@@ -483,7 +475,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
         # the feasible start is already the solution
         diag.interior_infeasible = True
 
-    return prob.solution(prob.expand(p_red), True, diag)
+    return prob.solution(p_red, True, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -588,39 +580,28 @@ def _minmax(W, c, rscale, pmax, blocked: bool):
     return np.clip(p, 0.0, pmax), s, (s <= _FEAS_TOL) & (not blocked)
 
 
-def _qopc_on_problem(prob: ReducedProblem) -> tuple[np.ndarray, bool, float]:
-    """`_minmax` on a built problem, solved once and cached; returns (reduced P,
-    feasible, normalized optimal residual)."""
-    if prob._qopc is None:
-        p, s, feasible = _minmax(prob.W[None], prob.c[None], prob.rscale[None],
-                                 prob.pmax, prob.structurally_infeasible)
-        prob._qopc = (p[0], bool(feasible[0]), float(s[0]))
-    return prob._qopc
-
-
 def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec):
     """Min-max QoS residual LP; feasible iff the optimum is (numerically) <= 0.
 
     Unserved UEs get zero power; a positive rate target on an unserved UE makes
-    the verdict infeasible regardless of the LP outcome. Stacked coefficients give
-    stacked results, with one `_minmax` call per served set.
+    the verdict infeasible regardless of the LP outcome. The coefficients are
+    stacked (B, ...), and so are the results (B, K) powers and (B,) verdicts,
+    with one `_minmax` call per served set.
     """
-    one = lc.ns.ndim == 1
-    ds2, interf, ns = (x[None] if one else x for x in (lc.ds2, lc.interf, lc.ns))
-    p, feasible = np.zeros(ns.shape), np.zeros(len(ns), dtype=bool)
-    served = ns > 0
+    p, feasible = np.zeros(lc.ns.shape), np.zeros(len(lc.ns), dtype=bool)
+    served = lc.ns > 0
     groups = {}
     for b, row in enumerate(served):
         groups.setdefault(row.tobytes(), []).append(b)
     for rows in groups.values():
         s = np.flatnonzero(served[rows[0]])
-        W, c, rscale = _qos_rows(interf[np.ix_(rows, s, s)], ds2[np.ix_(rows, s)],
-                                 frame.noise_power_w * ns[np.ix_(rows, s)],
+        W, c, rscale = _qos_rows(lc.interf[np.ix_(rows, s, s)], lc.ds2[np.ix_(rows, s)],
+                                 frame.noise_power_w * lc.ns[np.ix_(rows, s)],
                                  qos.gamma[s], qos.p_max_w)
         p_red, _, feasible[rows] = _minmax(W, c, rscale, qos.p_max_w,
                                            _unserved_target(qos, served[rows[0]]))
         p[np.ix_(rows, s)] = p_red
-    return (p[0], bool(feasible[0])) if one else (p, feasible)
+    return p, feasible
 
 
 def eipc(S: np.ndarray, corr, qos: QosSpec) -> np.ndarray:

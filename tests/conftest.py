@@ -7,6 +7,8 @@ from greenran import (BsPowerConfig, FrameConfig, ScenarioParams,
                       mmse_statistics)
 from greenran.defaults import table3_defaults
 from greenran.matching import EvaluationContext
+from greenran.powerctl import qopc_solve
+from greenran.rates import link_coefficients
 
 
 def default_bs_config() -> BsPowerConfig:
@@ -36,6 +38,12 @@ def make_context(M=4, K=3, N=3, L=2, area=350.0, seed=0, r_min=10e6,
 def active_count(S) -> int:
     """BSs awake under the serving matrix S: those serving a UE."""
     return np.count_nonzero(S.any(axis=1))
+
+
+def qopc_alone(S, ctx) -> tuple[np.ndarray, bool]:
+    """`qopc_solve` on the one serving matrix S, as a stack of one: (powers, verdict)."""
+    p, ok = qopc_solve(link_coefficients(S[None], ctx.tensor), ctx.frame, ctx.qos)
+    return p[0], bool(ok[0])
 
 
 def strongest_assoc(ctx, per_ue=None) -> np.ndarray:

@@ -13,7 +13,6 @@ import numpy as np
 from greenran import CoefficientTensor, ConfigError, FrameConfig
 from greenran import matching
 from greenran.harness import ResultRecord
-from greenran.powerctl import _Parametric
 
 # Samples per accumulation chunk. Chunk seeds are derived per chunk index, so
 # the merged estimate is independent of how chunks are distributed to workers.
@@ -145,15 +144,18 @@ def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def parametric_value(sur, pi: float, p: np.ndarray) -> float:
-    """u(P) of the parametric subproblem `powerctl._Parametric(sur, pi)` at the
-    powers p, with its constant u0."""
-    prob, obj = sur.prob, _Parametric(sur, pi)
+    """u(P) = [sum Rbar - pi * P_N(P, Rhat)] / rate_scale, the objective that
+    `powerctl._solve_parametric(sur, pi, ...)` maximizes, at the powers p:
+    sum_k log2(af_k) + sum_k c2_k log2(ag_k) + q . P + u0."""
+    prob = sur.prob
+    c2 = pi * prob.alpha / prob.form.r_ref_bps
+    q = -sur.vg.sum(axis=0) - c2 @ sur.vf - (pi / prob.cr) * prob.delta
     u0 = (-float(np.sum(sur.g0 - sur.vg @ sur.anchor))
-          - float(obj.c2 @ (sur.f0 - sur.vf @ sur.anchor))
+          - float(c2 @ (sur.f0 - sur.vf @ sur.anchor))
           - pi * prob.form.c0_w / prob.cr)
     af = prob.Af @ p + prob.n
     ag = prob.Ag @ p + prob.n
-    return float(np.sum(np.log2(af)) + obj.c2 @ np.log2(ag) + obj.q @ p + u0)
+    return float(np.sum(np.log2(af)) + c2 @ np.log2(ag) + q @ p + u0)
 
 
 def residual(prob, p: np.ndarray) -> np.ndarray:

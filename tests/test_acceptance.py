@@ -15,7 +15,7 @@ from greenran import (FrameConfig, ScenarioParams, SolverSettings, build_affine_
 from greenran.harness import emit, load_config, run
 from greenran.matching import (evaluate, exhaustive_search, recp_init, trimsm,
                                verify_stability)
-from greenran.powerctl import ReducedProblem, slmdb_solve
+from greenran.powerctl import ReducedProblem, Surrogate, slmdb_solve
 from greenran.powermodel import traffic_power_coefficient
 from greenran.rates import rates_from_coeffs
 from conftest import active_count, default_bs_config, make_context, strongest_assoc
@@ -111,13 +111,13 @@ def test_surrogate_is_global_lower_bound():
         for _ in range(100):
             p = rng.random(3) * 0.1
             anchor = rng.random(3) * 0.1
-            below = prob.surrogate(anchor).ratio(p)
+            below = Surrogate(prob, anchor).ratio(p)
             rates = rates_from_coeffs(p, lc, ctx.frame)
             true_ee = float(np.sum(rates)) / form.total(p, rates)
             violations = max(violations, (below - true_ee) / max(true_ee, 1e-30))
             pairs += 1
         anchor = rng.random(3) * 0.1
-        at = prob.surrogate(anchor).ratio(anchor)
+        at = Surrogate(prob, anchor).ratio(anchor)
         rates = rates_from_coeffs(anchor, lc, ctx.frame)
         true_ee = float(np.sum(rates)) / form.total(anchor, rates)
         worst_anchor_gap = max(worst_anchor_gap,

@@ -71,6 +71,12 @@ class TestCli:
         assert "drops must be >= 1" in captured.err
         assert captured.out == ""
 
+    def test_repeated_algorithm_override_rejected(self, cfg_path, capsys):
+        assert main(["run", "--config", cfg_path, "--algorithm", "llsf,llsf"]) == 1
+        captured = capsys.readouterr()
+        assert "'llsf' is listed more than once" in captured.err
+        assert captured.out == ""
+
     def test_negative_seed_override_rejected(self, cfg_path, capsys):
         assert main(["run", "--config", cfg_path, "--seed", "-1"]) == 1
         captured = capsys.readouterr()

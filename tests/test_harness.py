@@ -67,6 +67,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least one selector"):
             load_config(dict(BASE, algorithm=[]))
 
+    def test_repeated_algorithm_rejected(self):
+        # a selector listed twice would run every drop twice and double its aggregates
+        with pytest.raises(ConfigError, match="'llsf' is listed more than once"):
+            load_config(dict(BASE, algorithm=["llsf", "tsap", "llsf"]))
+
     def test_pilot_capacity_enforced(self):
         bad = {"scenario": {"M": 4, "K": 12, "N": 3, "L": 2},
                "frame": {"tau_p": 10}}

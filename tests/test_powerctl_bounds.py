@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from greenran import FrameConfig, gamma_thresholds, link_coefficients, make_qos
-from greenran.powerctl import ReducedProblem
+from greenran.powerctl import ReducedProblem, Surrogate
 from greenran.rates import rates_from_coeffs
 from conftest import active_count, strongest_assoc
 from reference import residual
@@ -66,7 +66,7 @@ class TestTaylorBounds:
         prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         anchor = np.array([0.03, 0.07])
         rates = rates_from_coeffs(anchor, lc, small_ctx.frame)
-        hi, lo = prob.surrogate(anchor).rate_bounds(anchor)
+        hi, lo = Surrogate(prob, anchor).rate_bounds(anchor)
         assert np.allclose(hi, rates, rtol=1e-10)
         assert np.allclose(lo, rates, rtol=1e-10)
 
@@ -78,7 +78,7 @@ class TestTaylorBounds:
             anchor = rng.random(2) * 0.1
             p = rng.random(2) * 0.1
             rates = rates_from_coeffs(p, lc, small_ctx.frame)
-            hi, lo = prob.surrogate(anchor).rate_bounds(p)
+            hi, lo = Surrogate(prob, anchor).rate_bounds(p)
             assert (lo <= rates + 1e-6).all()
             assert (rates <= hi + 1e-6).all()
 
@@ -87,7 +87,7 @@ class TestTaylorBounds:
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
         anchor = np.array([0.04, 0.06])
-        sur = prob.surrogate(anchor)
+        sur = Surrogate(prob, anchor)
         h = 1e-7
         for k in range(2):
             dp = np.zeros(2)
@@ -115,7 +115,7 @@ class TestSurrogateEe:
         for _ in range(200):
             anchor = rng.random(2) * 0.1
             p = rng.random(2) * 0.1
-            below = prob.surrogate(anchor).ratio(p)
+            below = Surrogate(prob, anchor).ratio(p)
             rates = rates_from_coeffs(p, lc, small_ctx.frame)
             true_ee = np.sum(rates) / form.total(p, rates)
             assert below <= true_ee * (1 + 1e-12) + 1e-12
@@ -126,7 +126,7 @@ class TestSurrogateEe:
         form = small_ctx.form_for(active_count(assoc))
         prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
         p = np.array([0.02, 0.09])
-        at = prob.surrogate(p).ratio(p)
+        at = Surrogate(prob, p).ratio(p)
         rates = rates_from_coeffs(p, lc, small_ctx.frame)
         true_ee = np.sum(rates) / form.total(p, rates)
         assert at == pytest.approx(true_ee, rel=1e-10)
@@ -138,7 +138,7 @@ class TestSurrogateEe:
         form = small_ctx.form_for(active_count(assoc))
         prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
         anchor = np.array([0.05, 0.04])
-        sur = prob.surrogate(anchor)
+        sur = Surrogate(prob, anchor)
         h = 1e-8
 
         def true_ee(p):

@@ -5,8 +5,8 @@ import pytest
 
 from greenran import (ConfigError, CorrelationSet, FrameConfig, eipc,
                       fipc, link_coefficients, make_qos)
-from greenran.powerctl import ReducedProblem, qopc_solve
-from conftest import make_context, strongest_assoc
+from greenran.powerctl import ReducedProblem
+from conftest import make_context, qopc_alone, strongest_assoc
 from reference import residual
 
 
@@ -92,11 +92,11 @@ def feasibility_by_vertex_enumeration(prob):
 class TestQopc:
     def test_zero_gamma_feasible(self):
         ctx = make_context(M=3, K=2, N=3, L=2, seed=4, r_min=0.0)
-        lc = link_coefficients(strongest_assoc(ctx), ctx.tensor)
-        p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
+        assoc = strongest_assoc(ctx)
+        p, ok = qopc_alone(assoc, ctx)
         assert ok
-        prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
-        assert (residual(prob, prob.reduce(p)) <= 0).all()
+        prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, None, ctx.qos)
+        assert (residual(prob, p[prob.idx]) <= 0).all()
         # P = 0 itself satisfies the constraints when gamma = 0
         assert (residual(prob, np.zeros(2)) <= 0).all()
 
@@ -116,7 +116,7 @@ class TestQopc:
                 analytic = threshold <= ctx.qos.p_max_w
             else:
                 analytic = False
-            _, ok = qopc_solve(lc, ctx.frame, ctx.qos)
+            _, ok = qopc_alone(assoc, ctx)
             assert ok == analytic, trial
             hits += analytic
         assert 0 < hits < 40   # the sample contains both verdicts
@@ -130,7 +130,7 @@ class TestQopc:
                                seed=900 + trial, r_min=30e6)
             assoc = strongest_assoc(ctx)
             lc = link_coefficients(assoc, ctx.tensor)
-            p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
+            p, ok = qopc_alone(assoc, ctx)
             prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
             oracle = feasibility_by_vertex_enumeration(prob)
             assert ok == oracle, trial
@@ -142,9 +142,9 @@ class TestQopc:
         ctx = make_context(M=3, K=2, N=3, L=2, seed=14, r_min=20e6)
         assoc = strongest_assoc(ctx)
         lc = link_coefficients(assoc, ctx.tensor)
-        p, ok = qopc_solve(lc, ctx.frame, ctx.qos)
+        p, ok = qopc_alone(assoc, ctx)
         prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
-        attained = np.max(residual(prob, prob.reduce(p)) / prob.rscale)
+        attained = np.max(residual(prob, p[prob.idx]) / prob.rscale)
         # no random candidate does better than the LP optimum
         rng = np.random.default_rng(0)
         for _ in range(500):

@@ -3,9 +3,9 @@ import pytest
 
 from greenran import InfeasibleError, SolverSettings, link_coefficients
 from greenran import powerctl
-from greenran.powerctl import (ReducedProblem, SolveDiagnostics, _dinkelbach,
-                               _solve_parametric, qopc_solve, slmdb_solve)
-from conftest import active_count, make_context, strongest_assoc
+from greenran.powerctl import (ReducedProblem, SolveDiagnostics, Surrogate, _dinkelbach,
+                               _solve_parametric, slmdb_solve)
+from conftest import active_count, make_context, qopc_alone, strongest_assoc
 from reference import parametric_value, residual
 
 
@@ -28,6 +28,19 @@ def pinned_slmdb():
                        ctx.form_for(active_count(assoc)), ctx.qos, ctx.settings)
 
 
+def cold_solve(sur, pi):
+    """`_solve_parametric` from P = 0, on the box boundary, which it replaces by
+    the centered QoPC start."""
+    return _solve_parametric(sur, pi, np.zeros(len(sur.prob.idx)), SolveDiagnostics())
+
+
+def dinkelbach_ratio(prob, anchor):
+    """The largest surrogate ratio one Dinkelbach run from `anchor` reaches."""
+    diag = SolveDiagnostics()
+    _dinkelbach(prob, anchor, prob.ee(anchor), diag)
+    return max(diag.pi_traces[0])
+
+
 def grid_best_scalar(prob, form, n=100001):
     g = np.linspace(0.0, prob.pmax, n)[1:]
     af = prob.Af[0, 0] * g + prob.n[0]
@@ -47,10 +60,9 @@ class TestParametricSolver:
         assoc = strongest_assoc(ctx)
         prob, form = build_problem(ctx, assoc)
         anchor = np.array([0.06])
-        sur = prob.surrogate(anchor)
+        sur = Surrogate(prob, anchor)
         for pi in (0.0, 2e5, 1e6, 5e6):
-            diag = SolveDiagnostics()
-            p = _solve_parametric(sur, pi, None, diag)
+            p = cold_solve(sur, pi)
             # vectorized surrogate objective over the grid
             g = np.linspace(0.0, 0.1, 200001)[1:]
             af = prob.Af[0, 0] * g + prob.n[0]
@@ -69,18 +81,17 @@ class TestParametricSolver:
     def test_feasible_point_returned(self):
         ctx = make_context(M=3, K=2, N=4, L=2, area=300.0, seed=7, r_min=15e6)
         prob, _ = build_problem(ctx, strongest_assoc(ctx))
-        anchor = np.full(2, 0.05)
-        sur = prob.surrogate(prob.reduce(anchor))
-        p = prob.expand(_solve_parametric(sur, 1e5, None, SolveDiagnostics()))
+        sur = Surrogate(prob, np.full(len(prob.idx), 0.05))
+        p = cold_solve(sur, 1e5)
         assert (p >= 0).all() and (p <= 0.1).all()
-        assert (residual(prob, prob.reduce(p)) <= 1e-8).all()
+        assert (residual(prob, p) <= 1e-8).all()
 
     def test_infeasible_region_raises(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
         prob, _ = build_problem(ctx, strongest_assoc(ctx, per_ue=1))
-        sur = prob.surrogate(prob.reduce(np.zeros(2)))
+        sur = Surrogate(prob, np.zeros(len(prob.idx)))
         with pytest.raises(InfeasibleError):
-            _solve_parametric(sur, 0.0, None, SolveDiagnostics())
+            cold_solve(sur, 0.0)
 
     def test_warm_round_lands_on_cold_solution(self):
         # a Dinkelbach round starts from the previous round's solution; damped
@@ -89,18 +100,18 @@ class TestParametricSolver:
             ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=seed)
             prob, _ = build_problem(ctx, strongest_assoc(ctx))
             anchor = np.full(len(prob.idx), 0.05)
-            sur = prob.surrogate(anchor)
-            prev = _solve_parametric(sur, sur.ratio(anchor), None, SolveDiagnostics())
+            sur = Surrogate(prob, anchor)
+            prev = cold_solve(sur, sur.ratio(anchor))
             pi = sur.ratio(prev)
             warm = _solve_parametric(sur, pi, prev, SolveDiagnostics())
-            cold = _solve_parametric(sur, pi, None, SolveDiagnostics())
+            cold = cold_solve(sur, pi)
             assert np.abs(warm - cold).max() <= 1e-6 * prob.pmax
 
     def test_objective_concavity_along_segments(self):
         ctx = make_context(M=3, K=3, N=4, L=2, area=300.0, seed=5)
         assoc = strongest_assoc(ctx)
         prob, form = build_problem(ctx, assoc)
-        sur = prob.surrogate(np.full(3, 0.05))
+        sur = Surrogate(prob, np.full(3, 0.05))
         def u(p):
             return parametric_value(sur, 1e6, p)
         rng = np.random.default_rng(4)
@@ -115,7 +126,7 @@ class TestInteriorPoint:
     def test_strict_interior_before_any_qopc_call(self):
         ctx = make_context(M=3, K=2, N=4, L=2, area=300.0, seed=7, r_min=15e6)
         prob, _ = build_problem(ctx, strongest_assoc(ctx))
-        assert prob._qopc is None
+        assert "qopc" not in vars(prob)
         p = prob.interior_point()
         assert (p > 0).all() and (p < prob.pmax).all()
         assert prob.margin(p) < 0
@@ -187,8 +198,7 @@ class TestDinkelbach:
         prob, form = build_problem(ctx, assoc)
         sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
         # re-anchor at the converged point: the ratio update is a fixed point
-        _, pi_star, _ = _dinkelbach(prob, prob.reduce(sol.p), prob.ee(prob.reduce(sol.p)),
-                                     SolveDiagnostics())
+        pi_star = dinkelbach_ratio(prob, sol.p[prob.idx])
         assert pi_star == pytest.approx(sol.ee, rel=1e-4)
 
     def test_scalar_ratio_matches_grid(self):
@@ -196,8 +206,8 @@ class TestDinkelbach:
         assoc = strongest_assoc(ctx)
         prob, form = build_problem(ctx, assoc)
         anchor = np.array([0.05])
-        _, pi, _ = _dinkelbach(prob, anchor, prob.ee(anchor), SolveDiagnostics())
-        sur = prob.surrogate(anchor)
+        pi = dinkelbach_ratio(prob, anchor)
+        sur = Surrogate(prob, anchor)
         g = np.linspace(1e-7, 0.1, 100001)
         ratios = np.array([sur.ratio(np.array([x])) for x in g[::100]])
         assert pi == pytest.approx(ratios.max(), rel=1e-3)
@@ -237,8 +247,8 @@ class TestSlmdb:
         prob, form = build_problem(ctx, assoc)
         st = SolverSettings(slm_tol=1e-8, slm_max_iter=3000)
         sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
-        anchor = prob.reduce(sol.p)
-        p, _, _ = _dinkelbach(prob, anchor, prob.ee(anchor), SolveDiagnostics())
+        anchor = sol.p[prob.idx]
+        p = _dinkelbach(prob, anchor, prob.ee(anchor), SolveDiagnostics())
         ee, ee_prev = prob.ee(p), prob.ee(anchor)
         assert (ee - ee_prev) / ee_prev <= ctx.settings.slm_tol
         assert ee == pytest.approx(sol.ee, rel=1e-6)
@@ -293,8 +303,7 @@ class TestSlmdb:
     def test_swallowed_interior_failure_is_flagged(self, monkeypatch):
         # the solve starts from the QoPC point and keeps it
         ctx, assoc = pinned_instance()
-        start, feasible = qopc_solve(link_coefficients(assoc, ctx.tensor), ctx.frame,
-                                     ctx.qos)
+        start, feasible = qopc_alone(assoc, ctx)
         assert feasible
 
         def no_interior(*args, **kwargs):

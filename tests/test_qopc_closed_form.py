@@ -1,6 +1,6 @@
 """The QoPC min-max LP's closed form and homotopy agree with a plain LP solve.
 
-`_qopc_on_problem` answers from `_balanced_point` when its M-matrix
+`ReducedProblem.qopc` answers from `_balanced_point` when its M-matrix
 certificate holds and from `_least_power_point` otherwise. The reference below
 is the min-max LP solved with `linprog` on every problem: the feasibility
 verdict must always agree and a certified closed form must land on the LP's
@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 
 from greenran import link_coefficients, make_qos
 from greenran.powerctl import (_FEAS_TOL, ReducedProblem, _balanced_point,
-                               _least_power_point, _qopc_on_problem)
+                               _least_power_point, _minmax)
 from conftest import make_context
 
 R_MIN = (0.0, 1e6, 5e6, 15e6, 40e6, 100e6, 300e6)
@@ -90,7 +90,7 @@ def problems(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(problems())
 def test_closed_form_matches_lp(prob):
-    p, feasible, s = _qopc_on_problem(prob)
+    p, feasible, s = prob.qopc
     if len(prob.idx) == 0:
         assert feasible == (not prob.structurally_infeasible)
         return
@@ -169,3 +169,36 @@ def test_zero_row_stops_at_its_level():
                          rscale=np.array([1.0, 1e-300]), pmax=1.0)
     p, s = least_power(lp)
     assert s == 0.0 and np.array_equal(p, [0.5, 0.0])
+
+
+def test_singular_fallbacks_are_harmless():
+    # -W has the M-matrix sign pattern but is singular: `_balanced_point`'s
+    # inverse fails, so its per-member retry leaves the member uncertified, and
+    # `_least_power_point` stops with a bare `break` where both UEs would turn
+    # tight. The answer is still the LP's: s* = 0.35, and P = (0.15, 0) is the
+    # least element of the optimal face {P_0 - P_1 = 0.15}.
+    lp = SimpleNamespace(W=np.array([[-1.0, 1.0], [1.0, -1.0]]), c=np.array([0.5, 0.2]),
+                         rscale=np.ones(2), pmax=10.0, idx=np.arange(2))
+    assert closed_form(lp) is None
+    p, s, feasible = _minmax(lp.W[None], lp.c[None], lp.rscale[None], lp.pmax, False)
+    assert not feasible[0]
+    p_ref, s_ref = ref_minmax(lp)
+    assert s[0] == pytest.approx(0.35, rel=1e-15) and abs(s[0] - s_ref) <= 1e-9
+    assert np.allclose(p[0], [0.15, 0.0], rtol=0, atol=1e-15)
+    # least element: P is on the face, and no point of the face has a smaller P_j
+    assert (lp.W @ p[0] + lp.c <= s[0] * lp.rscale + 1e-15).all()
+    for j in range(2):
+        least = linprog(np.eye(2)[j], A_ub=lp.W, b_ub=(s[0] + 1e-12) * lp.rscale - lp.c,
+                        bounds=[(0.0, lp.pmax)] * 2, method="highs")
+        assert least.success and abs(p[0, j] - least.fun) <= 1e-9
+
+    # a certified member stacked beside it keeps the bits it has alone
+    W = np.stack([np.array([[-1.0, 0.2], [0.3, -1.0]]), lp.W])
+    c = np.stack([np.array([0.1, 0.2]), lp.c])
+    together = _minmax(W, c, np.ones((2, 2)), lp.pmax, False)
+    assert closed_form(SimpleNamespace(W=W[0], c=c[0], rscale=np.ones(2), pmax=lp.pmax)) \
+        is not None
+    for t in range(2):
+        alone = _minmax(W[t:t + 1], c[t:t + 1], np.ones((1, 2)), lp.pmax, False)
+        for got, ref in zip(together, alone):
+            assert np.array_equal(got[t], ref[0])

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from greenran import link_coefficients
 from greenran.powerctl import (QOS_RATE_RTOL, ReducedProblem, SolveDiagnostics,
-                               _solve_parametric, slmdb_solve)
+                               Surrogate, _solve_parametric, slmdb_solve)
 from conftest import active_count, make_context
 
 
@@ -70,11 +70,11 @@ def test_feasible_slmdb_properties(instance):
     if diag.interior_infeasible:
         return
     prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos)
-    sur = prob.surrogate(prob.reduce(sol.p))
+    sur = Surrogate(prob, sol.p[prob.idx])
     assert sur.ratio(sur.anchor) == prob.ee(sur.anchor)    # what _dinkelbach starts from
     pi = max(sur.ratio(sur.anchor), 0.0)
     cold_diag, warm_diag = SolveDiagnostics(), SolveDiagnostics()
-    cold = _solve_parametric(sur, pi, None, cold_diag)
+    cold = _solve_parametric(sur, pi, np.zeros(len(prob.idx)), cold_diag)    # centered QoPC start
     warm = _solve_parametric(sur, pi, cold, warm_diag)
     assert_clean(cold_diag)
     assert_clean(warm_diag)

@@ -53,15 +53,16 @@ def _common_args(p):
 def _load(args, raw=None) -> harness.RunConfig:
     """The config file, else `raw` or the defaults, with the command-line
     overrides merged in before `load_config` checks it."""
-    raw = raw or {}
+    raw = {} if raw is None else raw
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh) or {}
+            raw = json.load(fh)
+    if not isinstance(raw, dict):    # a str would be taken for a path
+        raise ConfigError("config must be an object")
     overrides = {"drops": args.drops, "base_seed": args.seed}
     if args.algorithm is not None:
         overrides["algorithm"] = [a.strip() for a in args.algorithm.split(",") if a.strip()]
-    if isinstance(raw, dict):    # anything else fails in load_config
-        raw = dict(raw, **{key: v for key, v in overrides.items() if v is not None})
+    raw = dict(raw, **{key: v for key, v in overrides.items() if v is not None})
     return harness.load_config(raw)
 
 

@@ -157,7 +157,7 @@ def load_config(source) -> RunConfig:
             raw = json.load(fh)
     else:
         raw = source
-    merged = _merge(dict(table3_defaults(), sweep=None), raw or {})
+    merged = _merge(dict(table3_defaults(), sweep=None), raw)    # rejects a non-object
     sweep_section = merged.pop("sweep")
 
     scenario = _build_dataclass(ScenarioParams, merged["scenario"], "scenario")

@@ -25,10 +25,14 @@ A pair's moves are int arrays (i, m, n, j). Once per incumbent (when the
 pair's scan starts, and after each approval) its remaining moves become one
 stack of candidate matrices built by index flips, with the mask of the moves
 that apply taken from the incumbent's row and column counts. `evaluate` scores
-the stack's cache misses in one stacked call, bitwise as if one by one, and a
-member's `PowerSolution` is built and cached only when the judge reaches it.
-The judge compares the incumbent's result with one member's; the first member
-approved is committed. slmdb solves each member when it is reached.
+the stack's cache misses in one stacked call, bitwise as if one by one: link
+coefficients, the controller, rates and every member's network power take a
+fixed number of array calls per stack, whatever its size (QoPC adds a few for
+each further served set, and for each member its closed form leaves
+uncertified). A member's `PowerSolution`, which holds views of the stack's
+rows, is built and cached only when the judge reaches it. The judge compares
+the incumbent's result with one member's; the first member approved is
+committed. slmdb solves each member when it is reached.
 """
 
 from dataclasses import dataclass, field, replace
@@ -51,8 +55,9 @@ _NO_SOLVE = SolveDiagnostics()    # shared by the cached closed-form results; ne
 
 @dataclass
 class EvaluationContext:
-    """Everything needed to score a matching, plus the per-mode result cache.
-    `dataclasses.replace` gives a copy with empty caches."""
+    """Everything needed to score a matching, the per-mode result cache and the
+    power forms. `dataclasses.replace` gives a copy with an empty result cache
+    that shares the forms, so a drop's algorithms build each form once."""
     scenario: ScenarioParams
     frame: FrameConfig
     corr: CorrelationSet
@@ -63,14 +68,18 @@ class EvaluationContext:
     settings: SolverSettings
     no_sleep: bool = False
     _cache: dict = field(default_factory=dict, init=False, repr=False)
-    _forms: dict = field(default_factory=dict, init=False, repr=False)
+    _forms: dict = field(default_factory=dict, repr=False)
 
     def form_for(self, active_count: int) -> AffinePowerForm:
         n_active = self.scenario.M if self.no_sleep else active_count
-        if n_active not in self._forms:
-            self._forms[n_active] = build_affine_form(
-                self.bs_config, self.system, self.scenario.M, self.scenario.K, n_active)
-        return self._forms[n_active]
+        # keyed by the tables' identities too, so a copy given other tables
+        # builds its own forms; an entry keeps its tables alive, so no id in a
+        # key is reused while the key is in the dict
+        key = (id(self.bs_config), id(self.system), self.scenario.M, self.scenario.K, n_active)
+        if key not in self._forms:
+            self._forms[key] = (self.bs_config, self.system, build_affine_form(
+                self.bs_config, self.system, self.scenario.M, self.scenario.K, n_active))
+        return self._forms[key][2]
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,10 @@ def evaluate(S: np.ndarray, power_mode: str, ctx: EvaluationContext, applies=Non
     if S.ndim == 3:
         if power_mode == "slmdb":
             return (evaluate(s, power_mode, ctx) if ok else None for s, ok in zip(S, applies))
-        keys = [s.tobytes() if ok else None for s, ok in zip(S, applies.tolist())]
+        # a member's key is its slice of the stack's bytes, S[b].tobytes()
+        buf, size = S.tobytes(), S.itemsize * S.shape[1] * S.shape[2]
+        keys = [buf[b * size:(b + 1) * size] if ok else None
+                for b, ok in enumerate(applies.tolist())]
         misses = [b for b, key in enumerate(keys) if key is not None and key not in mode_cache]
         member = _score(S[misses], power_mode, ctx) if misses else None
         row = dict(zip(misses, range(len(misses))))    # a miss's index among those scored
@@ -183,10 +195,14 @@ def evaluate(S: np.ndarray, power_mode: str, ctx: EvaluationContext, applies=Non
 
 def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext):
     """Scores of the serving matrices stacked (B, M, K), as a function of the
-    member index that gives the member's PowerSolution."""
+    member index that gives the member's PowerSolution. The closed-form modes
+    take a fixed number of array calls per stack: the network power of every
+    member is one call, with the constant c0 of each member's active-BS count
+    (the traffic and PA slopes do not depend on it)."""
     qos = ctx.qos
-    active = S.any(axis=2).sum(axis=1)
-    counts = active.tolist()
+    B, M, K = S.shape
+    load = S.reshape(B * M, K) @ np.ones(K)    # UEs per BS: one product, not B * M short sums
+    counts = (load.reshape(B, M) > 0).sum(axis=1).tolist()
     forms = {n: ctx.form_for(n) for n in set(counts)}    # one power form per active count
     if power_mode == "slmdb":    # solved one by one, so nothing is stacked
         return [slmdb_solve(link_coefficients(s, ctx.tensor), ctx.frame, forms[n], qos,
@@ -200,19 +216,17 @@ def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext):
     else:
         p, verdict = qopc_solve(lc, ctx.frame, qos)
     rates = rates_from_coeffs(p, lc, ctx.frame)
-    ee = np.sum(rates, axis=1)
-    for n, form in forms.items():
-        rows = np.flatnonzero(active == n)
-        ee[rows] /= form.total(p[rows], rates[rows])
+    c0 = np.array([forms[n].c0_w for n in counts])
+    ee = np.sum(rates, axis=1) / forms[counts[0]].total(p, rates, c0)
     deficits = qos_deficits(rates, qos)
     ee, shortfall = ee.tolist(), np.sum(deficits, axis=1).tolist()
     violations = np.count_nonzero(deficits, axis=1).tolist()
     # feasible is the QoPC LP's own verdict, else the rate check
     feasible = [short == 0.0 for short in shortfall] if verdict is None else verdict.tolist()
 
-    def member(b: int) -> PowerSolution:    # rows copied: a cached result keeps no stack
-        return PowerSolution(p=p[b].copy(), ee=ee[b], rates=rates[b].copy(),
-                             diagnostics=_NO_SOLVE, feasible=feasible[b], form=forms[counts[b]],
+    def member(b: int) -> PowerSolution:    # row views: a cached result shares the stack's rows
+        return PowerSolution(p=p[b], ee=ee[b], rates=rates[b], diagnostics=_NO_SOLVE,
+                             feasible=feasible[b], form=forms[counts[b]],
                              shortfall_bps=shortfall[b], qos_violations=violations[b])
     return member
 

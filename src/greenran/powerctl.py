@@ -544,8 +544,9 @@ def _least_power_point(W, c, r, pmax) -> tuple[np.ndarray, float]:
     a = b = np.zeros(0)
     s = np.inf
     for _ in range(len(c) + 1):    # each pass adds a row or stops; full A stops
-        Wo = W[np.ix_(~free, free)]
-        rows = np.minimum((Wo @ a + c[~free]) / (Wo @ b + r[~free]), s)
+        out = ~free
+        Wo = W[:, free][out]    # columns first, so the gather is C-ordered as ix_'s is
+        rows = np.minimum((Wo @ a + c[out]) / (Wo @ b + r[out]), s)
         s_row = rows.max(initial=-np.inf)
         s_cap = ((a - pmax) / b).max(initial=-np.inf)
         if s_cap >= s_row:
@@ -553,9 +554,9 @@ def _least_power_point(W, c, r, pmax) -> tuple[np.ndarray, float]:
             break
         s = float(s_row)
         grown = free.copy()
-        grown[~free] = rows == s_row
+        grown[out] = rows == s_row
         try:
-            ab = np.linalg.solve(-W[np.ix_(grown, grown)], np.stack([c[grown], r[grown]], 1))
+            ab = np.linalg.solve(-W[:, grown][grown], np.stack([c[grown], r[grown]], 1))
         except np.linalg.LinAlgError:
             break
         if (ab[:, 1] <= 0).any():
@@ -586,18 +587,24 @@ def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec):
     Unserved UEs get zero power; a positive rate target on an unserved UE makes
     the verdict infeasible regardless of the LP outcome. The coefficients are
     stacked (B, ...), and so are the results (B, K) powers and (B,) verdicts,
-    with one `_minmax` call per served set.
+    with one `_minmax` call per served set. A stack that serves every UE in
+    every member, nearly every stack the swap scan builds, is one served set
+    and is solved as it stands; any other is grouped by a code per row.
     """
-    p, feasible = np.zeros(lc.ns.shape), np.zeros(len(lc.ns), dtype=bool)
     served = lc.ns > 0
-    groups = {}
-    for b, row in enumerate(served):
-        groups.setdefault(row.tobytes(), []).append(b)
-    for rows in groups.values():
+    noise = frame.noise_power_w * lc.ns
+    if served.all():
+        p, _, feasible = _minmax(*_qos_rows(lc.interf, lc.ds2, noise, qos.gamma, qos.p_max_w),
+                                 qos.p_max_w, False)
+        return p, feasible
+    p, feasible = np.zeros(lc.ns.shape), np.zeros(len(lc.ns), dtype=bool)
+    packed = np.packbits(served, axis=1)
+    codes = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]    # the served set's bits
+    for code in dict.fromkeys(codes.tolist()):
+        rows = np.flatnonzero(codes == np.void(code))
         s = np.flatnonzero(served[rows[0]])
         W, c, rscale = _qos_rows(lc.interf[np.ix_(rows, s, s)], lc.ds2[np.ix_(rows, s)],
-                                 frame.noise_power_w * lc.ns[np.ix_(rows, s)],
-                                 qos.gamma[s], qos.p_max_w)
+                                 noise[np.ix_(rows, s)], qos.gamma[s], qos.p_max_w)
         p_red, _, feasible[rows] = _minmax(W, c, rscale, qos.p_max_w,
                                            _unserved_target(qos, served[rows[0]]))
         p[np.ix_(rows, s)] = p_red
@@ -616,6 +623,6 @@ def eipc(S: np.ndarray, corr, qos: QosSpec) -> np.ndarray:
     g2 = np.sum(gains**2, axis=-2)
     served = g2 > 0
     weakest = np.min(g2, axis=-1, keepdims=True, where=served, initial=np.inf)
-    p = np.zeros(g2.shape)
-    p[served] = np.broadcast_to(weakest, g2.shape)[served] / g2[served] * qos.p_max_w
+    p = np.divide(weakest, g2, out=np.zeros(g2.shape), where=served)
+    p *= qos.p_max_w    # unserved UEs stay at zero
     return p

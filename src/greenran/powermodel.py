@@ -111,11 +111,14 @@ class AffinePowerForm:
     # per-category (constant, per-rate-unit, per-watt) triples for the breakdown
     parts: dict = field(default_factory=dict, repr=False)
 
-    def total(self, P: np.ndarray, rates: np.ndarray):
+    def total(self, P: np.ndarray, rates: np.ndarray, c0_w=None):
         """P_N in watts, one per row of P and rates stacked (B, K); each row times
-        a column is one dot product, as alpha @ x is for a single row."""
+        a column is one dot product, as alpha @ x is for a single row. `c0_w`
+        (B,), if given, replaces the constant row by row: forms that differ only
+        in their active-BS count differ only there."""
         x = np.asarray(rates)[..., None, :] / self.r_ref_bps
-        total = (self.c0_w + x @ self.alpha_per_k[:, None]
+        c0 = self.c0_w if c0_w is None else np.asarray(c0_w)[..., None, None]
+        total = (c0 + x @ self.alpha_per_k[:, None]
                  + np.asarray(P)[..., None, :] @ self.delta_per_k[:, None])[..., 0, 0]
         return float(total) if total.ndim == 0 else total
 

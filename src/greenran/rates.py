@@ -12,8 +12,10 @@ The rate uses only channel statistics (use-and-then-forget style lower bound):
 with the expectations assembled from the per-link coefficient tensor. Signals
 combined across serving BSs add coherently in the mean (mu terms) while the
 per-BS second moments add directly; BS-to-BS cross terms survive only for the
-UE's own signal. The normalized combiner has E{||v||^2} = 1 on every link, so
-E{NS_k} is the number of BSs serving UE k.
+UE's own signal. A live link's combiner sees every other UE k' with its gain
+g[m, k'], so the interference of a serving matrix is one product of its live
+entries with the gains. The normalized combiner has E{||v||^2} = 1 on every
+link, so E{NS_k} is the number of BSs serving UE k.
 """
 
 from dataclasses import dataclass
@@ -42,26 +44,25 @@ class LinkCoefficients:
 
 
 def link_coefficients(S: np.ndarray, tensor: CoefficientTensor) -> LinkCoefficients:
-    """Coefficients of a serving matrix (M, K), or stacked over them (..., M, K)."""
+    """Coefficients of a serving matrix (M, K), or stacked over them (..., M, K).
+    With 0/1 weights every product is exact, and each sum runs over the
+    serving BSs in BS order."""
+    K = S.shape[-1]
     Sf = S.astype(float)
     mu_eff = np.einsum("...mk,mk->...k", Sf, tensor.mu)
     sum_mu2 = np.einsum("...mk,mk->...k", Sf, tensor.mu**2)
-    interf = np.einsum("...mk,mkj->...kj", Sf, tensor.omega)
+    interf = (Sf * tensor.live).swapaxes(-1, -2) @ tensor.gain
     ds2 = mu_eff**2
     # own-signal cross terms over distinct serving BSs: (sum mu)^2 - sum mu^2
-    diag = np.arange(S.shape[-1])
-    interf[..., diag, diag] += ds2 - sum_mu2
-    ns = Sf.sum(axis=-2)
-    return LinkCoefficients(ds2=ds2, interf=interf, ns=ns)
+    own = np.einsum("...mk,mk->...k", Sf, tensor.own) + (ds2 - sum_mu2)
+    interf.reshape(-1, K * K)[:, ::K + 1] = own.reshape(-1, K)
+    return LinkCoefficients(ds2=ds2, interf=interf, ns=Sf.sum(axis=-2))
 
 
 def sinr_from_coeffs(P: np.ndarray, lc: LinkCoefficients, noise_power_w: float) -> np.ndarray:
     signal = P * lc.ds2
     denom = (lc.interf @ P[..., None])[..., 0] - signal + noise_power_w * lc.ns
-    out = np.zeros_like(signal)
-    ok = denom > 0
-    out[ok] = signal[ok] / denom[ok]
-    return out
+    return np.divide(signal, denom, out=np.zeros_like(signal), where=denom > 0)
 
 
 def rates_from_coeffs(P: np.ndarray, lc: LinkCoefficients, frame: FrameConfig) -> np.ndarray:

@@ -1,25 +1,80 @@
 """Code that only the tests run: the general-R statistics and their Monte Carlo
 estimate, which `greenran.mmse_statistics` gives in closed form for R = g * I
-(the validation oracles), the value of a parametric subproblem, the QoS
-residual of a reduced power problem, the swap scan one move at a time, which
-`greenran.matching` runs on stacks of candidates, and a loader for emitted CSV
-records."""
+(the validation oracles), the expansion of the closed form's per-link arrays
+into the (M, K, K) second moments and the link coefficients assembled from
+those, QoPC's homotopy with the gathers that set its bits, the value of a
+parametric subproblem, the QoS residual of a reduced
+power problem, the swap scan one move at a time, which `greenran.matching`
+runs on stacks of candidates, and a loader for emitted CSV records."""
 
 import csv
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from greenran import CoefficientTensor, ConfigError, FrameConfig
 from greenran import matching
 from greenran.harness import ResultRecord
+from greenran.rates import LinkCoefficients
 
 # Samples per accumulation chunk. Chunk seeds are derived per chunk index, so
 # the merged estimate is independent of how chunks are distributed to workers.
 _CHUNK = 16384
 
 
-def mmse_reference(R: np.ndarray, frame: FrameConfig) -> CoefficientTensor:
+@dataclass(frozen=True)
+class SecondMoments:
+    """Statistics of any correlation set: mu (M, K) >= 0 and omega (M, K, K)
+    >= 0, omega[m, k, k'] = E{|v_mk^H h_mk'|^2}."""
+    mu: np.ndarray
+    omega: np.ndarray
+
+
+def expand(tensor: CoefficientTensor) -> SecondMoments:
+    """The second moments that a closed-form tensor stands for: the gain row
+    g[m, :] on a live link (m, k), zeros on a dead one, and own[m, k] on the
+    diagonal."""
+    omega = np.where(tensor.live[:, :, None] > 0, tensor.gain[:, None, :], 0.0)
+    K = omega.shape[1]
+    omega[:, np.arange(K), np.arange(K)] = tensor.own
+    return SecondMoments(mu=tensor.mu, omega=omega)
+
+
+def gain_form(moments: SecondMoments) -> CoefficientTensor:
+    """The tensor whose `expand` is `moments` exactly. A link is live where
+    mu > 0, and every live link of a BS must see the same second moment of each
+    other UE, which always holds for K = 1."""
+    mu, omega = np.asarray(moments.mu, dtype=float), np.asarray(moments.omega, dtype=float)
+    M, K = mu.shape
+    live = mu > 0
+    gain = np.zeros((M, K))
+    for m in range(M):
+        for j in range(K):
+            other = [k for k in range(K) if k != j and live[m, k]]
+            if other:
+                gain[m, j] = omega[m, other[0], j]
+    tensor = CoefficientTensor(mu=mu, gain=gain, live=live.astype(float),
+                               own=omega[:, np.arange(K), np.arange(K)].copy())
+    if not np.array_equal(expand(tensor).omega, omega):
+        raise ValueError("omega has no gain form")
+    return tensor
+
+
+def omega_link_coefficients(S: np.ndarray, moments: SecondMoments) -> LinkCoefficients:
+    """Link coefficients of a serving matrix (M, K), or stacked (..., M, K), as
+    sums over the full (M, K, K) second moments: the assembly that
+    `greenran.link_coefficients` takes from the gains."""
+    Sf = S.astype(float)
+    mu_eff = np.einsum("...mk,mk->...k", Sf, moments.mu)
+    sum_mu2 = np.einsum("...mk,mk->...k", Sf, moments.mu**2)
+    interf = np.einsum("...mk,mkj->...kj", Sf, moments.omega)
+    ds2 = mu_eff**2
+    diag = np.arange(S.shape[-1])
+    interf[..., diag, diag] += ds2 - sum_mu2
+    return LinkCoefficients(ds2=ds2, interf=interf, ns=Sf.sum(axis=-2))
+
+
+def mmse_reference(R: np.ndarray, frame: FrameConfig) -> SecondMoments:
     """The statistics of `greenran.statistics` for any correlation set R
     (M, K, N, N) of Hermitian PSD matrices, real or complex: one solve for
     Phi and one einsum for the cross traces tr(R_k' Phi) per link."""
@@ -36,7 +91,7 @@ def mmse_reference(R: np.ndarray, frame: FrameConfig) -> CoefficientTensor:
                 mu[m, k] = np.sqrt(t)
                 omega[m, k] = np.einsum("kij,ji->k", R[m], phi).real / t
                 omega[m, k, k] += t
-    return CoefficientTensor(mu=mu, omega=omega)
+    return SecondMoments(mu=mu, omega=omega)
 
 
 def monte_carlo_statistics(
@@ -44,8 +99,8 @@ def monte_carlo_statistics(
     frame: FrameConfig,
     samples: int,
     seed: int,
-) -> tuple[CoefficientTensor, np.ndarray, np.ndarray]:
-    """Sample-average coefficient tensor of the correlation set R (M, K, N, N),
+) -> tuple[SecondMoments, np.ndarray, np.ndarray]:
+    """Sample-average second moments of the correlation set R (M, K, N, N),
     with the standard errors (mu_se (M, K), omega_se (M, K, K)) of its mu and
     omega.
 
@@ -126,7 +181,7 @@ def monte_carlo_statistics(
     # when it takes E{NS_k} as the serving count
     live = nrm > 0
     assert np.allclose(sum_nrm[live] / samples / nrm[live], 1.0, rtol=1e-12, atol=0.0)
-    return CoefficientTensor(mu=mu, omega=omega), mu_se, omega_se
+    return SecondMoments(mu=mu, omega=omega), mu_se, omega_se
 
 
 def _psd_cholesky(mat: np.ndarray) -> np.ndarray:
@@ -141,6 +196,35 @@ def _psd_cholesky(mat: np.ndarray) -> np.ndarray:
 
 def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def least_power_point_ix(W, c, r, pmax) -> tuple[np.ndarray, float]:
+    """`powerctl._least_power_point` with `np.ix_` gathers, whose C-ordered
+    submatrices set the bits that QoPC's records carry."""
+    free = np.zeros(len(c), dtype=bool)
+    a = b = np.zeros(0)
+    s = np.inf
+    for _ in range(len(c) + 1):
+        Wo = W[np.ix_(~free, free)]
+        rows = np.minimum((Wo @ a + c[~free]) / (Wo @ b + r[~free]), s)
+        s_row = rows.max(initial=-np.inf)
+        s_cap = ((a - pmax) / b).max(initial=-np.inf)
+        if s_cap >= s_row:
+            s = min(s, float(s_cap))
+            break
+        s = float(s_row)
+        grown = free.copy()
+        grown[~free] = rows == s_row
+        try:
+            ab = np.linalg.solve(-W[np.ix_(grown, grown)], np.stack([c[grown], r[grown]], 1))
+        except np.linalg.LinAlgError:
+            break
+        if (ab[:, 1] <= 0).any():
+            break
+        free, a, b = grown, ab[:, 0], ab[:, 1]
+    p = np.zeros(len(c))
+    p[free] = a - s * b
+    return p, s
 
 
 def parametric_value(sur, pi: float, p: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from greenran.powerctl import ReducedProblem, Surrogate, slmdb_solve
 from greenran.powermodel import traffic_power_coefficient
 from greenran.rates import rates_from_coeffs
 from conftest import active_count, default_bs_config, make_context, strongest_assoc
-from reference import monte_carlo_statistics, residual
+from reference import expand, monte_carlo_statistics, residual
 
 
 def report(name: str, ok: bool, detail: str):
@@ -41,7 +41,7 @@ def test_closed_form_statistics_match_monte_carlo():
                               shadowing_std_db=4.0 if trial % 3 == 0 else 0.0,
                               seed=int(rng.integers(0, 2**31)))
         corr = build_correlation(generate_topology(scen), frame)
-        exact = mmse_statistics(corr, frame)
+        exact = expand(mmse_statistics(corr, frame))
         mc, mu_se, omega_se = monte_carlo_statistics(corr.R, frame, samples=100000,
                                                      seed=int(rng.integers(0, 2**31)))
         dev_mu = np.abs(exact.mu - mc.mu) / np.maximum(mu_se, 1e-30)

@@ -112,6 +112,16 @@ class TestCli:
             assert captured.err.startswith("error: ") and "Traceback" not in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("text", ["[]", "0", "false", '""', "null"])
+    def test_falsy_non_object_config_is_an_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        for command in ("run", "validate-config"):
+            assert main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: config must be an object\n"
+            assert captured.out == ""
+
     def test_bad_algorithm_override(self, cfg_path):
         assert main(["run", "--config", cfg_path, "--algorithm", "nope"]) == 1
 

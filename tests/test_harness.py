@@ -9,7 +9,7 @@ import pytest
 
 from greenran import (BsPowerConfig, ConfigError, FrameConfig, ScenarioParams,
                       SolverSettings, SystemPowerParams)
-from greenran import harness
+from greenran import harness, matching
 from greenran.defaults import table3_defaults
 from greenran.harness import aggregate, emit, emit_aggregates, load_config, run, sweep
 from reference import read_records
@@ -151,6 +151,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config must be an object"):
             load_config([1])
 
+    @pytest.mark.parametrize("text", ["[]", "0", "false", '""', "null"])
+    def test_falsy_non_object_config_rejected(self, tmp_path, text):
+        # a falsy top level is no object either, not the default config
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="config must be an object"):
+            load_config(str(path))
+        if text != '""':    # a str source is a path
+            with pytest.raises(ConfigError, match="config must be an object"):
+                load_config(json.loads(text))
+
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(BASE))
@@ -208,6 +219,22 @@ class TestRun:
         after_qopc = counts("trimsm-qopc", "trimsm-eipc")
         assert after_qopc["trimsm-eipc"] == counts("trimsm-eipc")["trimsm-eipc"]
         assert after_qopc["trimsm-qopc"] == counts("trimsm-qopc")["trimsm-qopc"]
+
+    def test_algorithms_of_a_drop_share_power_forms(self, monkeypatch):
+        # each form of a drop is built once, whichever algorithm asks for it first
+        built, build = [], matching.build_affine_form
+        monkeypatch.setattr(matching, "build_affine_form",
+                            lambda *args: built.append(args[-1]) or build(*args))
+        run(load_config(dict(BASE, algorithm=["trimsm-eipc", "trimsm-qopc", "llsf", "nos"],
+                             drops=1)))
+        assert built and len(built) == len(set(built))
+
+    def test_copy_with_other_power_tables_builds_its_own_forms(self):
+        ctx = harness._make_context(load_config(BASE), 11)
+        assert replace(ctx).form_for(2) is ctx.form_for(2)
+        other = replace(ctx, system=replace(ctx.system, ue_circuit_w=2.0))
+        assert other.form_for(2).c0_w == pytest.approx(
+            ctx.form_for(2).c0_w + 2 * (2.0 - ctx.system.ue_circuit_w), rel=1e-12)
 
     def test_massive_mimo_drop_builds_no_full_correlation_array(self):
         # M=128 K=10 N=64: the whole (M, K, N, N) correlation array is 42 MB; a

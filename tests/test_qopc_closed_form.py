@@ -20,6 +20,7 @@ from greenran import link_coefficients, make_qos
 from greenran.powerctl import (_FEAS_TOL, ReducedProblem, _balanced_point,
                                _least_power_point, _minmax)
 from conftest import make_context
+from reference import least_power_point_ix
 
 R_MIN = (0.0, 1e6, 5e6, 15e6, 40e6, 100e6, 300e6)
 
@@ -113,6 +114,27 @@ def test_closed_form_matches_lp(prob):
     Z = -prob.W[np.ix_(A, A)]
     x = np.linalg.solve(Z, prob.rscale[A]) if len(A) else np.zeros(0)
     assert (Z - np.diag(np.diag(Z)) <= 0).all() and (x > 0).all() and (Z @ x > 0).all()
+
+
+@st.composite
+def z_matrix_rows(draw):
+    """QoS rows (W, c, rscale, pmax) of k <= 10 UEs with W's M-matrix sign
+    pattern, couplings that may vanish, and targets from easy to out of reach."""
+    k = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.exponential(size=(k, k)) * (rng.random((k, k)) < draw(st.sampled_from((0.3, 1.0))))
+    W[np.arange(k), np.arange(k)] = -rng.exponential(size=k) * draw(st.sampled_from((0.5, k, 4 * k)))
+    c = rng.exponential(size=k) * (rng.random(k) < 0.9)
+    return W, c, np.abs(c) + np.abs(W) @ np.ones(k) + 1e-3, 10.0 ** draw(st.floats(-2.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z_matrix_rows())
+def test_homotopy_keeps_the_bits_of_ix_gathers(rows):
+    # a gather that comes out Fortran-ordered changes the products' bits
+    p, s = _least_power_point(*rows)
+    p_ref, s_ref = least_power_point_ix(*rows)
+    assert np.array_equal(p, p_ref) and s == s_ref
 
 
 def test_certificate_holds_on_reachable_targets():

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from greenran import CoefficientTensor, FrameConfig, link_coefficients
+from greenran import FrameConfig, link_coefficients
 from greenran.netmodel import build_correlation, generate_topology, ScenarioParams
 from greenran.rates import rates_from_coeffs, sinr_from_coeffs
-from reference import _crandn, monte_carlo_statistics
+from reference import SecondMoments, _crandn, gain_form, monte_carlo_statistics
 
 
 def synthetic_tensor(mu, omega):
-    return CoefficientTensor(mu=np.asarray(mu, dtype=float),
-                             omega=np.asarray(omega, dtype=float))
+    return gain_form(SecondMoments(mu=mu, omega=omega))
 
 
 class TestSinr:
@@ -44,7 +43,7 @@ class TestSinr:
         corr = build_correlation(generate_topology(p), frame)
         mc, _, _ = monte_carlo_statistics(corr.R, frame, samples=30000, seed=7)
         assoc = np.ones((2, 1), dtype=bool)
-        lc = link_coefficients(assoc, mc)
+        lc = link_coefficients(assoc, gain_form(mc))
 
         rng = np.random.default_rng(123)
         n_s = 30000

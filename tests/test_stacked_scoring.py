@@ -6,10 +6,10 @@ stacked per served set. Every member must come back bitwise the result of
 scoring it alone in a fresh cache, in every power mode. Generated drops span
 M 1-6, K 1-4, valid L and N, shadowing 0-8 dB, power caps over three decades
 and per-UE rate targets from none to ones no association meets. Matchings are
-any serving matrices, so members leave UEs unserved (structurally infeasible
-under a target), repeat, share a served set, and fail QoPC's M-matrix
-certificate. A crafted tensor adds a member whose -W is singular, which fails
-a stacked inverse for its whole stack.
+any serving matrices, up to 40 in a stack, so members leave UEs unserved
+(structurally infeasible under a target), repeat, share a served set, and pass
+or fail QoPC's M-matrix certificate. A crafted tensor adds a member whose -W
+is singular, which fails a stacked inverse for its whole stack.
 """
 
 from dataclasses import replace
@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from greenran.matching import POWER_MODES, evaluate
 from greenran.powerctl import QosSpec, ReducedProblem, _balanced_point
 from greenran.rates import link_coefficients
-from greenran.statistics import CoefficientTensor
 from conftest import make_context
+from reference import SecondMoments, gain_form
 
 R_MIN = (0.0, 1e6, 10e6, 40e6, 200e6)
 
@@ -39,9 +39,12 @@ def drops(draw):
     cells = st.lists(st.booleans(), min_size=M * K, max_size=M * K)
     matchings = [np.array(c, dtype=bool).reshape(M, K)
                  for c in draw(st.lists(cells, min_size=1, max_size=8))]
-    # BS permutations of the first matching share its served set, and so its stack
-    for _ in range(draw(st.integers(0, 3))):
-        matchings.append(matchings[0][draw(st.permutations(range(M)))])
+    # BS permutations of a matching share its served set, and so its group in
+    # QoPC's stack: up to 40 members over several served sets, as the scan builds
+    bases = len(matchings)
+    for _ in range(draw(st.integers(0, 32))):
+        base = matchings[draw(st.integers(0, bases - 1))]
+        matchings.append(base[draw(st.permutations(range(M)))])
     return ctx, draw(st.sampled_from(POWER_MODES)), matchings
 
 
@@ -81,7 +84,7 @@ def test_singular_member_is_scored_as_alone():
     mu = np.ones((2, 2))
     omega = np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]])
     base = make_context(M=2, K=2, N=2, L=2)
-    ctx = replace(base, tensor=CoefficientTensor(mu=mu, omega=omega),
+    ctx = replace(base, tensor=gain_form(SecondMoments(mu=mu, omega=omega)),
                   qos=QosSpec(r_min_bps=np.full(2, base.frame.rate_scale),
                               gamma=np.ones(2), p_max_w=0.1))
     singular = np.array([[1, 1], [0, 0]], dtype=bool)

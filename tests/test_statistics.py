@@ -3,7 +3,7 @@ import pytest
 
 from greenran import (ConfigError, CorrelationSet, FrameConfig, ScenarioParams,
                       build_correlation, generate_topology, mmse_statistics)
-from reference import mmse_reference, monte_carlo_statistics
+from reference import expand, mmse_reference, monte_carlo_statistics
 
 
 def scaled_identity_set(betas, N):
@@ -29,7 +29,7 @@ class TestClosedForm:
         frame = FrameConfig()
         pt = frame.pilot_power_w * frame.tau_p
         tr_phi = N * pt * beta**2 / (pt * beta + frame.noise_power_w)
-        for t in (mmse_statistics(CorrelationSet(gain=np.array([[beta]]), N=N), frame),
+        for t in (expand(mmse_statistics(CorrelationSet(gain=np.array([[beta]]), N=N), frame)),
                   mmse_reference(scaled_identity_set([[beta]], N), frame)):
             assert t.mu[0, 0] == pytest.approx(np.sqrt(tr_phi), rel=1e-12)
             assert t.omega[0, 0, 0] == pytest.approx(tr_phi + beta, rel=1e-9)
@@ -37,8 +37,8 @@ class TestClosedForm:
     def test_vanishing_pilot_power(self):
         beta = 2e-11
         corr = CorrelationSet(gain=np.array([[beta]]), N=3)
-        strong = mmse_statistics(corr, FrameConfig(pilot_power_w=0.1))
-        weak = mmse_statistics(corr, FrameConfig(pilot_power_w=1e-9))
+        strong = expand(mmse_statistics(corr, FrameConfig(pilot_power_w=0.1)))
+        weak = expand(mmse_statistics(corr, FrameConfig(pilot_power_w=1e-9)))
         assert weak.mu[0, 0] < 1e-2 * strong.mu[0, 0]
         # the estimate direction becomes random: conditional gain tends to beta
         assert weak.omega[0, 0, 0] == pytest.approx(beta, rel=1e-2)
@@ -48,7 +48,7 @@ class TestClosedForm:
         p = ScenarioParams(M=3, K=3, N=5, L=2, seed=0, shadowing_std_db=8.0)
         corr = build_correlation(generate_topology(p), FrameConfig())
         for t in (mmse_reference(random_psd_set(rng, 3, 3, 5), FrameConfig()),
-                  mmse_statistics(corr, FrameConfig())):
+                  expand(mmse_statistics(corr, FrameConfig()))):
             assert (t.omega[:, np.arange(3), np.arange(3)] >= t.mu**2 - 1e-25).all()
 
     def test_drop_correlation_is_stored_real(self):
@@ -71,7 +71,7 @@ class TestClosedForm:
         p = ScenarioParams(M=2, K=3, N=4, L=2, seed=1, shadowing_std_db=8.0)
         corr = build_correlation(generate_topology(p), FrameConfig())
         for t in (mmse_reference(random_psd_set(rng, 2, 3, 4), FrameConfig()),
-                  mmse_statistics(corr, FrameConfig())):
+                  expand(mmse_statistics(corr, FrameConfig()))):
             assert (t.omega >= 0).all()
             assert (t.mu >= 0).all()
 
@@ -120,7 +120,7 @@ class TestMonteCarlo:
         p = ScenarioParams(M=2, K=2, N=3, L=2, area_side=300.0, seed=12)
         frame = FrameConfig()
         corr = build_correlation(generate_topology(p), frame)
-        exact = mmse_statistics(corr, frame)
+        exact = expand(mmse_statistics(corr, frame))
         mc = monte_carlo_statistics(corr.R, frame, samples=40000, seed=3)
         _assert_within_se(exact, *mc, factor=4.0)
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from greenran import (FrameConfig, ScenarioParams, build_correlation, generate_topology,
                       mmse_statistics)
-from reference import mmse_reference
+from reference import expand, mmse_reference
 
 
 @st.composite
@@ -31,7 +31,7 @@ def drops(draw):
 @given(drops(), st.sampled_from((0.0, 1e-9, 1e-4, 0.1, 1.0)))
 def test_matches_per_link_reference(corr, pilot_power_w):
     frame = FrameConfig(pilot_power_w=pilot_power_w)
-    got = mmse_statistics(corr, frame)
+    got = expand(mmse_statistics(corr, frame))
     ref = mmse_reference(corr.R, frame)
     for name in ("mu", "omega"):
         a, b = getattr(got, name), getattr(ref, name)

@@ -15,14 +15,16 @@ The solver iterates two nested loops:
 
 Every log argument of the barrier (rate logs, box and normalized QoS slacks)
 is affine in P and is stacked once per problem as z = B P + b, so a Newton step
-costs a fixed handful of array calls. Every solve runs damped Newton at one
-barrier weight, whose duality-gap proxy sits below the target both in rate-scale
-units and relative to the spectral efficiency: the center at a fixed weight is
-unique and damped Newton reaches it from any interior start (Boyd &
-Vandenberghe, Convex Optimization, 2004, 9.6 and 11.3), so no central path is
-followed. A start with every slack positive, such as the SLM anchor or the
-previous Dinkelbach round's solution, is used as it is; any other solve starts
-from the QoPC LP's min-max point moved halfway toward the box center.
+costs a fixed handful of array calls; its k x k system is one direct call of
+the LAPACK gufunc behind np.linalg.solve (`_lapack`), with np.linalg's bits.
+Every solve runs damped Newton at one barrier weight, whose duality-gap proxy
+sits below the target both in rate-scale units and relative to the spectral
+efficiency: the center at a fixed weight is unique and damped Newton reaches
+it from any interior start (Boyd & Vandenberghe, Convex Optimization, 2004,
+9.6 and 11.3), so no central path is followed. A start with every slack
+positive, such as the SLM anchor or the previous Dinkelbach round's solution,
+is used as it is; any other solve starts from the QoPC LP's min-max point
+moved halfway toward the box center.
 
 The true EE of the iterates is nondecreasing because the surrogate is a global
 lower bound with equality at the anchor; only the inner solve's tolerance can
@@ -44,12 +46,19 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .netmodel import ConfigError, FrameConfig
 from .powermodel import AffinePowerForm
 from .rates import LinkCoefficients
 
 _LN2 = np.log(2.0)
+_INV_LN2 = 1.0 / _LN2
+# the reductions behind ndarray.min/max/sum and np.sum, without their wrappers;
+# the solver's 1-D and 2-D products use ndarray.dot, which makes the BLAS calls
+# that `@` makes on them (the same bits) with less dispatch
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
 QOS_RATE_RTOL = 1e-6     # rate slack, relative to the target, before a UE misses QoS
 _FEAS_TOL = 1e-9         # normalized QoS residual accepted as feasible
@@ -57,6 +66,28 @@ _FEAS_TOL = 1e-9         # normalized QoS residual accepted as feasible
 
 class InfeasibleError(RuntimeError):
     """The QoS polytope is empty (or has no usable interior)."""
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# the error state np.linalg enters around its LAPACK gufuncs: a singular matrix
+# flags `invalid`, which raises, and nothing else warns
+_LINALG_ERRSTATE = _make_extobj(call=_singular, invalid="call", over="ignore",
+                                divide="ignore", under="ignore")
+
+
+def _lapack(gufunc, *args):
+    """One of the float64 LAPACK gufuncs behind np.linalg (`_umath_linalg.solve1`
+    for `solve` with a vector, `.solve` with a matrix, `.inv`) called directly,
+    under the error state np.linalg sets: the same bits and the same
+    LinAlgError on a singular matrix, without the wrapper's checks and casts."""
+    token = _extobj_contextvar.set(_LINALG_ERRSTATE)
+    try:
+        return gufunc(*args)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 @dataclass(frozen=True)
@@ -176,44 +207,52 @@ class ReducedProblem:
         self.idx = s
         self.cr = frame.rate_scale
         self.pmax = qos.p_max_w
+        # with every UE served the arrays are read in place: a C-ordered interf
+        # has the bits of the gathered copy
+        self.all_served = len(s) == self.K
+        sel = slice(None) if self.all_served else s
 
-        self.Af = lc.interf[np.ix_(s, s)]    # indexing copies every array here
-        self.D = lc.ds2[s]
+        self.Af = (np.ascontiguousarray(lc.interf) if self.all_served
+                   else lc.interf[np.ix_(s, s)])
+        self.D = lc.ds2[sel]
         self.Ag = self.Af - np.diag(self.D)
-        self.n = frame.noise_power_w * lc.ns[s]
-        self.gamma = qos.gamma[s]
+        self.n = frame.noise_power_w * lc.ns[sel]
+        self.gamma = qos.gamma[sel]
         if form is not None:
-            self.alpha = form.alpha_per_k[s]
-            self.delta = form.delta_per_k[s]
+            self.alpha = form.alpha_per_k[sel]
+            self.delta = form.delta_per_k[sel]
+            self.c0, self.r_ref = form.c0_w, form.r_ref_bps
 
         self.W, self.c, self.rscale = _qos_rows(self.Af, self.D, self.n, self.gamma,
                                                 self.pmax)
         self.qrows = np.flatnonzero(self.gamma > 0)   # gamma = 0 rows are implied by P >= 0
 
-        self.structurally_infeasible = _unserved_target(qos, self.served)
+        self.structurally_infeasible = (not self.all_served
+                                        and _unserved_target(qos, self.served))
 
     # -- plain evaluations ---------------------------------------------------
 
     def expand(self, p_red: np.ndarray) -> np.ndarray:
+        if self.all_served:
+            return p_red
         p = np.zeros(self.K)
         p[self.idx] = p_red
         return p
 
     def rates(self, p: np.ndarray) -> np.ndarray:
-        af = self.Af @ p + self.n
-        ag = self.Ag @ p + self.n
+        af = self.Af.dot(p) + self.n
+        ag = self.Ag.dot(p) + self.n
         return self.cr * (np.log2(af) - np.log2(ag))
 
     def power_total(self, p: np.ndarray, rates: np.ndarray) -> float:
-        return float(self.form.c0_w + self.alpha @ (rates / self.form.r_ref_bps)
-                     + self.delta @ p)
+        return float(self.c0 + self.alpha.dot(rates / self.r_ref) + self.delta.dot(p))
 
     def interior_point(self) -> np.ndarray:
         """Strictly feasible start: the QoPC LP point clipped eps inside the box, else
         pmax/2 when no UE has a rate target; raises InfeasibleError otherwise."""
         p, _, s = self.qopc
         eps = 1e-9 * self.pmax
-        p = np.clip(p, eps, self.pmax - eps)
+        p = p.clip(eps, self.pmax - eps)
         if s < -1e-9 and self.margin(p) < 0:
             return p
         if len(self.qrows) == 0:
@@ -222,14 +261,14 @@ class ReducedProblem:
 
     def ee(self, p: np.ndarray) -> float:
         r = self.rates(p)
-        return float(np.sum(r)) / self.power_total(p, r)
+        return float(_sum(r)) / self.power_total(p, r)
 
     def margin(self, p: np.ndarray) -> float:
         """Largest normalized QoS residual over rows with a rate target, or -inf."""
         rows = self.qrows
         if len(rows) == 0:
             return -np.inf
-        return float(np.max((self.W[rows] @ p + self.c[rows]) / self.rscale[rows]))
+        return float(_max((self.W[rows].dot(p) + self.c[rows]) / self.rscale[rows]))
 
     def solution(self, p_red: np.ndarray, feasible: bool,
                  diag: SolveDiagnostics) -> PowerSolution:
@@ -237,11 +276,11 @@ class ReducedProblem:
         power from the form over full vectors."""
         p = self.expand(p_red)
         rates = self.expand(self.rates(p_red))
-        ee = float(np.sum(rates)) / self.form.total(p, rates)
+        ee = float(_sum(rates)) / self.form.total(p, rates)
         deficits = qos_deficits(rates, self.qos)
         return PowerSolution(p=p, ee=ee, rates=rates, feasible=feasible,
                              diagnostics=diag, form=self.form,
-                             shortfall_bps=float(np.sum(deficits)),
+                             shortfall_bps=float(_sum(deficits)),
                              qos_violations=int(np.count_nonzero(deficits)))
 
     @cached_property
@@ -253,42 +292,44 @@ class ReducedProblem:
         return p[0], bool(feasible[0]), float(s[0])
 
     @cached_property
-    def barrier_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B, b) with z = B P + b stacking every barrier log argument: af, ag,
-        the box slacks P and pmax - P, and the normalized QoS slacks."""
+    def barrier_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(B, B.T, b, m) with z = B P + b stacking every barrier log argument:
+        af, ag, then the m barrier terms, the box slacks P and pmax - P and the
+        normalized QoS slacks."""
         k, rows = len(self.idx), self.qrows
-        B = np.vstack([self.Af, self.Ag, np.eye(k), -np.eye(k),
-                       -self.W[rows] / self.rscale[rows, None]])
+        B = np.concatenate([self.Af, self.Ag, np.eye(k), -np.eye(k),
+                            -self.W[rows] / self.rscale[rows, None]])
         b = np.concatenate([self.n, self.n, np.zeros(k), np.full(k, self.pmax),
                             -self.c[rows] / self.rscale[rows]])
-        return B, b
+        return B, B.T, b, len(b) - 2 * k
 
 
 class Surrogate:
     """Tangent data of the two concave logs at the anchor point."""
 
     def __init__(self, prob: ReducedProblem, anchor: np.ndarray):
-        if not ((anchor >= -1e-12).all() and (anchor <= prob.pmax + 1e-12).all()):
+        if not (_min(anchor) >= -1e-12 and _max(anchor) <= prob.pmax + 1e-12):
             raise ConfigError("anchor must lie inside the power box")
         self.prob = prob
         self.anchor = anchor
-        self.f_den = prob.Af @ anchor + prob.n
-        self.g_den = prob.Ag @ anchor + prob.n
-        if (self.f_den <= 0).any() or (self.g_den <= 0).any():
+        self.f_den = prob.Af.dot(anchor) + prob.n
+        self.g_den = prob.Ag.dot(anchor) + prob.n
+        if _min(self.f_den) <= 0 or _min(self.g_den) <= 0:
             raise ConfigError("anchor produces a nonpositive log argument")
         self.f0 = np.log2(self.f_den)
         self.g0 = np.log2(self.g_den)
         self.vf = prob.Af / (_LN2 * self.f_den[:, None])
         self.vg = prob.Ag / (_LN2 * self.g_den[:, None])
+        self.neg_vg_sum = -_sum(self.vg, axis=0)    # the parametric q's anchor term
 
     def rate_bounds(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(upper Rhat, lower Rbar); both equal the true rates at the anchor."""
         prob = self.prob
         dp = p - self.anchor
-        f_hat = self.f0 + self.vf @ dp
-        g_hat = self.g0 + self.vg @ dp
-        af = prob.Af @ p + prob.n
-        ag = prob.Ag @ p + prob.n
+        f_hat = self.f0 + self.vf.dot(dp)
+        g_hat = self.g0 + self.vg.dot(dp)
+        af = prob.Af.dot(p) + prob.n
+        ag = prob.Ag.dot(p) + prob.n
         r_hat = prob.cr * (f_hat - np.log2(ag))
         r_bar = prob.cr * (np.log2(af) - g_hat)
         return r_hat, r_bar
@@ -296,7 +337,7 @@ class Surrogate:
     def fraction(self, p: np.ndarray) -> tuple[float, float]:
         """(sum Rbar, P_N at Rhat): numerator and denominator of the surrogate EE."""
         r_hat, r_bar = self.rate_bounds(p)
-        return float(np.sum(r_bar)), self.prob.power_total(p, r_hat)
+        return float(_sum(r_bar)), self.prob.power_total(p, r_hat)
 
     def ratio(self, p: np.ndarray) -> float:
         num, den = self.fraction(p)
@@ -317,11 +358,11 @@ def _center(p: np.ndarray, B: np.ndarray, b: np.ndarray, pmax: float) -> np.ndar
     """Move p toward the box center, halfway to where that ray leaves
     {B P + b > 0} and at most to the center: every slack keeps half its value."""
     d = 0.5 * pmax - p
-    dz = B @ d
+    dz = B.dot(d)
     shrink = dz < 0
     if not shrink.any():
         return p
-    s = min(1.0, 0.5 * float(np.min((B @ p + b)[shrink] / -dz[shrink])))
+    s = min(1.0, 0.5 * float(_min((B.dot(p) + b)[shrink] / -dz[shrink])))
     return p + s * d
 
 
@@ -343,52 +384,53 @@ def _solve_parametric(sur: Surrogate, pi: float, start: np.ndarray,
     when every slack is positive there, else at the centered QoPC point."""
     prob = sur.prob
     k = len(prob.idx)
-    c2 = pi * prob.alpha / prob.form.r_ref_bps
-    q = -sur.vg.sum(axis=0) - c2 @ sur.vf - (pi / prob.cr) * prob.delta
-    B, b = prob.barrier_stack
-    BT = B.T
+    c2 = pi * prob.alpha / prob.r_ref
+    q = sur.neg_vg_sum - c2.dot(sur.vf) - (pi / prob.cr) * prob.delta
+    B, BT, b, m = prob.barrier_stack
     p = start
-    z = B @ p + b
-    if not (z > 0).all():
+    z = B.dot(p) + b
+    if not _min(z) > 0:
         p = _center(prob.interior_point(), B, b, prob.pmax)
-        z = B @ p + b
+        z = B.dot(p) + b
 
     # barrier = w . log z + t q . P at the one weight t whose duality-gap proxy
     # m / t sits well below the target in rate-scale units and, since the gap
     # over the spectral efficiency SE = sum log2(af / ag) bounds the relative EE
     # loss, relative to the start's SE: the objective's log2 terms carry weight
     # t / ln 2, the box and QoS barrier terms weight 1
-    m = len(b) - 2 * k    # barrier terms
-    se = float(np.sum(np.log2(z[:k] / z[k:2 * k])))
+    se = float(_sum(np.log2(z[:k] / z[k:2 * k])))
     t = m / (0.1 * _INNER_TOL * min(1.0, se))
-    w = t * (np.concatenate([np.ones(k), c2, np.zeros(m)]) / _LN2)
+    w = np.empty(len(b))
+    w[:k] = t * _INV_LN2
+    w[k:2 * k] = t * (c2 / _LN2)
     w[2 * k:] = 1.0
     tq = t * q
     for _ in range(_NEWTON_MAX_ITER):
         wz = w / z
-        grad = BT @ wz + tq
-        neg_hess = (BT * (wz / z)) @ B
+        grad = BT.dot(wz) + tq
+        neg_hess = (BT * (wz / z)).dot(B)
         try:
-            step = np.linalg.solve(neg_hess, grad)
-        except np.linalg.LinAlgError:
+            step = _lapack(_umath_linalg.solve1, neg_hess, grad)
+        except LinAlgError:
             diag.lstsq_fallbacks += 1
             step = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
-        dec = float(grad @ step)
+        dec = float(grad.dot(step))
         diag.newton_steps += 1
         if dec / 2 <= _NEWTON_TOL:
             break
         # line search on the barrier's change, w.log1p(scale dz/z) + scale t q.step
         # (the barrier value is too large to resolve the Armijo gain), from the
         # first halving that keeps every slack positive
-        dz = B @ step
+        dz = B.dot(step)
         rz = dz / z
-        qs = float(tq @ step)
-        j = _halvings(float(rz.min()))
+        qs = float(tq.dot(step))
+        j = _halvings(float(_min(rz)))
         scale = math.ldexp(1.0, -j)
         for _ in range(j, _LS_TRIALS):
-            gain = w @ np.log1p(scale * rz) + scale * qs
+            full = scale == 1.0    # a product by 1 is exact, so a full step skips it
+            gain = w.dot(np.log1p(rz if full else scale * rz)) + scale * qs
             if gain > 0.25 * scale * dec:
-                p, z = p + scale * step, z + scale * dz
+                p, z = (p + step, z + dz) if full else (p + scale * step, z + scale * dz)
                 break
             scale *= 0.5
         else:
@@ -396,7 +438,7 @@ def _solve_parametric(sur: Surrogate, pi: float, start: np.ndarray,
             break
     else:
         diag.newton_cap_hits += 1
-    return np.clip(p, 0.0, prob.pmax)
+    return p.clip(0.0, prob.pmax)
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +544,21 @@ def _balanced_point(W, c, rscale, pmax):
     """
     B, k = c.shape
     eye = np.eye(k, dtype=bool)
-    ok = ((W < 0) == eye).all(axis=(1, 2))
+    ok = np.logical_and.reduce((W < 0) == eye, axis=(1, 2))
     certified = np.count_nonzero(ok)
     if not certified:
         return np.zeros((B, k)), np.zeros(B), ok
     neg = -W if certified == B else np.where(ok[:, None, None], -W, eye)    # uncertified: I
     try:
-        inv = np.linalg.inv(neg)
-    except np.linalg.LinAlgError:    # one singular member fails the whole stack
+        inv = _lapack(_umath_linalg.inv, neg)
+    except LinAlgError:    # one singular member fails the whole stack
         inv = np.zeros_like(neg)
         for t in range(B):
             try:
-                inv[t] = np.linalg.inv(neg[t])
-            except np.linalg.LinAlgError:
+                inv[t] = _lapack(_umath_linalg.inv, neg[t])
+            except LinAlgError:
                 ok[t] = False
-    ok[(inv < 0).any(axis=(1, 2))] = False
+    ok[np.logical_or.reduce(inv < 0, axis=(1, 2))] = False
     a = (inv @ c[..., None])[..., 0]
     b = (inv @ rscale[..., None])[..., 0]
     b[~ok] = 1.0    # keeps the uncertified members' ratios finite
@@ -525,7 +567,8 @@ def _balanced_point(W, c, rscale, pmax):
     rows = np.arange(B)
     s = ratios[rows, j]
     p = a - s[:, None] * b
-    ok[((p < 0) | (W[rows, j] == 0)).any(axis=1)] = False    # row j* couples to every UE
+    # row j* couples to every UE
+    ok[np.logical_or.reduce((p < 0) | (W[rows, j] == 0), axis=1)] = False
     return p, s, ok
 
 
@@ -547,8 +590,8 @@ def _least_power_point(W, c, r, pmax) -> tuple[np.ndarray, float]:
         out = ~free
         Wo = W[:, free][out]    # columns first, so the gather is C-ordered as ix_'s is
         rows = np.minimum((Wo @ a + c[out]) / (Wo @ b + r[out]), s)
-        s_row = rows.max(initial=-np.inf)
-        s_cap = ((a - pmax) / b).max(initial=-np.inf)
+        s_row = _max(rows, initial=-np.inf)
+        s_cap = _max((a - pmax) / b, initial=-np.inf)
         if s_cap >= s_row:
             s = min(s, float(s_cap))
             break
@@ -556,8 +599,9 @@ def _least_power_point(W, c, r, pmax) -> tuple[np.ndarray, float]:
         grown = free.copy()
         grown[out] = rows == s_row
         try:
-            ab = np.linalg.solve(-W[:, grown][grown], np.stack([c[grown], r[grown]], 1))
-        except np.linalg.LinAlgError:
+            ab = _lapack(_umath_linalg.solve, -W[:, grown][grown],
+                         np.stack([c[grown], r[grown]], 1))
+        except LinAlgError:
             break
         if (ab[:, 1] <= 0).any():
             break
@@ -578,7 +622,7 @@ def _minmax(W, c, rscale, pmax, blocked: bool):
     p, s, ok = _balanced_point(W, c, rscale, pmax)
     for t in np.flatnonzero(~ok):
         p[t], s[t] = _least_power_point(W[t], c[t], rscale[t], pmax)
-    return np.clip(p, 0.0, pmax), s, (s <= _FEAS_TOL) & (not blocked)
+    return p.clip(0.0, pmax), s, (s <= _FEAS_TOL) & (not blocked)
 
 
 def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec):

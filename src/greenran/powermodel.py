@@ -14,6 +14,8 @@ traffic-proportional term and delta is the UE PA slope.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -217,25 +219,29 @@ def build_affine_form(cfg: BsPowerConfig, params: SystemPowerParams, M: int, K: 
     ec = kt * edge_cloud_scaling(params, M, cfg.loss_co)
     rref = params.r_ref_bps
 
-    parts = {
-        "ubs_active": ((1.0 - kt) * n_active * p_fix,
-                       np.full(K, (1.0 - kt) * p_trf), np.zeros(K)),
-        "ubs_sleep": ((1.0 - kt) * cfg.sleep_scale * p_fix * n_sleep,
-                      np.zeros(K), np.zeros(K)),
+    # (constant, per-rate-unit, per-watt) of each category; the last two are
+    # the same for every UE
+    scalars = {
+        "ubs_active": ((1.0 - kt) * n_active * p_fix, (1.0 - kt) * p_trf, 0.0),
+        "ubs_sleep": ((1.0 - kt) * cfg.sleep_scale * p_fix * n_sleep, 0.0, 0.0),
         # the traffic term sums over every BS as modeled, sleepers included
         "fronthaul": (n_active * params.fronthaul_fix_w,
-                      np.full(K, M * params.fronthaul_trf_w_per_bps * rref), np.zeros(K)),
-        "edge_cloud": (ec * M * p_fix, np.full(K, ec * p_trf), np.zeros(K)),
-        "ue": (K * params.ue_circuit_w, np.zeros(K), np.full(K, params.ue_pa_slope)),
+                      M * params.fronthaul_trf_w_per_bps * rref, 0.0),
+        "edge_cloud": (ec * M * p_fix, ec * p_trf, 0.0),
+        "ue": (K * params.ue_circuit_w, 0.0, params.ue_pa_slope),
     }
-    c0 = sum(c for c, _, _ in parts.values())
-    alpha = np.sum([a for _, a, _ in parts.values()], axis=0)
-    delta = np.sum([d for _, _, d in parts.values()], axis=0)
-    if (alpha <= 0).any():
+    consts, alphas, deltas = zip(*scalars.values())
+    c0 = sum(consts)
+    # the slopes added in category order from the first on, as np.sum over the
+    # categories' length-K arrays (axis 0) adds them
+    alpha, delta = reduce(add, alphas), reduce(add, deltas)
+    if K and alpha <= 0:
         raise ConfigError("traffic coefficients must be positive; check the component "
                           "table and the fronthaul traffic slope")
-    return AffinePowerForm(c0_w=float(c0), alpha_per_k=alpha, delta_per_k=delta,
-                           r_ref_bps=rref, n_active=n_active, parts=parts)
+    parts = {name: (c, np.full(K, a), np.full(K, d)) for name, (c, a, d) in scalars.items()}
+    return AffinePowerForm(c0_w=float(c0), alpha_per_k=np.full(K, alpha),
+                           delta_per_k=np.full(K, delta), r_ref_bps=rref, n_active=n_active,
+                           parts=parts)
 
 
 def network_power(P: np.ndarray, rates: np.ndarray, form: AffinePowerForm) -> PowerBreakdown:

@@ -5,16 +5,26 @@ into the (M, K, K) second moments and the link coefficients assembled from
 those, QoPC's homotopy with the gathers that set its bits, the value of a
 parametric subproblem, the QoS residual of a reduced
 power problem, the swap scan one move at a time, which `greenran.matching`
-runs on stacks of candidates, and a loader for emitted CSV records."""
+runs on stacks of candidates, a loader for emitted CSV records, and two
+constructions whose bits the program keeps with fewer calls: the affine power
+form from per-UE arrays and the slmdb solver through np.linalg's wrappers."""
 
 import csv
+import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from greenran import CoefficientTensor, ConfigError, FrameConfig
 from greenran import matching
 from greenran.harness import ResultRecord
+from greenran.powerctl import (_DINKELBACH_MAX_ITER, _DINKELBACH_TOL, _FEAS_TOL, _INNER_TOL,
+                               _LN2, _LS_TRIALS, _NEWTON_MAX_ITER, _NEWTON_TOL, _STALL_ROUNDS,
+                               InfeasibleError, PowerSolution, SolveDiagnostics, _halvings,
+                               _qos_rows, _unserved_target, qos_deficits)
+from greenran.powermodel import (AffinePowerForm, edge_cloud_scaling, theta,
+                                 traffic_power_coefficient, ubs_power)
 from greenran.rates import LinkCoefficients
 
 # Samples per accumulation chunk. Chunk seeds are derived per chunk index, so
@@ -344,3 +354,305 @@ def read_records(path: str) -> list:
                     kwargs[f.name] = raw
             out.append(ResultRecord(**kwargs))
     return out
+
+
+def affine_form_from_arrays(cfg, params, M: int, K: int, n_active: int) -> AffinePowerForm:
+    """`greenran.build_affine_form` with every category's slopes built as
+    length-K arrays and summed by np.sum over the categories: the construction
+    whose bits the scalar sums keep."""
+    n_sleep = M - n_active
+    p_fix = ubs_power(cfg, 0.0)
+    p_trf = traffic_power_coefficient(cfg)
+    kt = params.kappa * theta(cfg, params)
+    ec = kt * edge_cloud_scaling(params, M, cfg.loss_co)
+    rref = params.r_ref_bps
+    parts = {
+        "ubs_active": ((1.0 - kt) * n_active * p_fix,
+                       np.full(K, (1.0 - kt) * p_trf), np.zeros(K)),
+        "ubs_sleep": ((1.0 - kt) * cfg.sleep_scale * p_fix * n_sleep,
+                      np.zeros(K), np.zeros(K)),
+        "fronthaul": (n_active * params.fronthaul_fix_w,
+                      np.full(K, M * params.fronthaul_trf_w_per_bps * rref), np.zeros(K)),
+        "edge_cloud": (ec * M * p_fix, np.full(K, ec * p_trf), np.zeros(K)),
+        "ue": (K * params.ue_circuit_w, np.zeros(K), np.full(K, params.ue_pa_slope)),
+    }
+    c0 = sum(c for c, _, _ in parts.values())
+    alpha = np.sum([a for _, a, _ in parts.values()], axis=0)
+    delta = np.sum([d for _, _, d in parts.values()], axis=0)
+    if (alpha <= 0).any():
+        raise ConfigError("traffic coefficients must be positive")
+    return AffinePowerForm(c0_w=float(c0), alpha_per_k=alpha, delta_per_k=delta,
+                           r_ref_bps=rref, n_active=n_active, parts=parts)
+
+
+# ---------------------------------------------------------------------------
+# slmdb through np.linalg's wrappers: `greenran.powerctl.slmdb_solve` keeps
+# these bits with direct LAPACK calls and constants hoisted out of its loops
+# ---------------------------------------------------------------------------
+
+
+def _balanced_point(W, c, rscale, pmax):
+    B, k = c.shape
+    eye = np.eye(k, dtype=bool)
+    ok = ((W < 0) == eye).all(axis=(1, 2))
+    certified = np.count_nonzero(ok)
+    if not certified:
+        return np.zeros((B, k)), np.zeros(B), ok
+    neg = -W if certified == B else np.where(ok[:, None, None], -W, eye)
+    try:
+        inv = np.linalg.inv(neg)
+    except np.linalg.LinAlgError:
+        inv = np.zeros_like(neg)
+        for t in range(B):
+            try:
+                inv[t] = np.linalg.inv(neg[t])
+            except np.linalg.LinAlgError:
+                ok[t] = False
+    ok[(inv < 0).any(axis=(1, 2))] = False
+    a = (inv @ c[..., None])[..., 0]
+    b = (inv @ rscale[..., None])[..., 0]
+    b[~ok] = 1.0
+    ratios = (a - pmax) / b
+    j = ratios.argmax(axis=1)
+    rows = np.arange(B)
+    s = ratios[rows, j]
+    p = a - s[:, None] * b
+    ok[((p < 0) | (W[rows, j] == 0)).any(axis=1)] = False
+    return p, s, ok
+
+
+def minmax_reference(W, c, rscale, pmax, blocked: bool):
+    """`powerctl._minmax` through np.linalg.inv and np.linalg.solve."""
+    B, k = c.shape
+    if k == 0:
+        return np.zeros((B, 0)), np.full(B, -np.inf), np.full(B, not blocked)
+    p, s, ok = _balanced_point(W, c, rscale, pmax)
+    for t in np.flatnonzero(~ok):
+        p[t], s[t] = least_power_point_ix(W[t], c[t], rscale[t], pmax)
+    return np.clip(p, 0.0, pmax), s, (s <= _FEAS_TOL) & (not blocked)
+
+
+class _Problem:
+    def __init__(self, lc, frame, form, qos):
+        self.form = form
+        self.qos = qos
+        self.K = len(lc.ns)
+        self.served = lc.served
+        s = np.flatnonzero(self.served)
+        self.idx = s
+        self.cr = frame.rate_scale
+        self.pmax = qos.p_max_w
+        self.Af = lc.interf[np.ix_(s, s)]
+        self.D = lc.ds2[s]
+        self.Ag = self.Af - np.diag(self.D)
+        self.n = frame.noise_power_w * lc.ns[s]
+        self.gamma = qos.gamma[s]
+        self.alpha = form.alpha_per_k[s]
+        self.delta = form.delta_per_k[s]
+        self.W, self.c, self.rscale = _qos_rows(self.Af, self.D, self.n, self.gamma,
+                                                self.pmax)
+        self.qrows = np.flatnonzero(self.gamma > 0)
+        self.structurally_infeasible = _unserved_target(qos, self.served)
+
+    def expand(self, p_red):
+        p = np.zeros(self.K)
+        p[self.idx] = p_red
+        return p
+
+    def rates(self, p):
+        af = self.Af @ p + self.n
+        ag = self.Ag @ p + self.n
+        return self.cr * (np.log2(af) - np.log2(ag))
+
+    def power_total(self, p, rates):
+        return float(self.form.c0_w + self.alpha @ (rates / self.form.r_ref_bps)
+                     + self.delta @ p)
+
+    def interior_point(self):
+        p, _, s = self.qopc
+        eps = 1e-9 * self.pmax
+        p = np.clip(p, eps, self.pmax - eps)
+        if s < -1e-9 and self.margin(p) < 0:
+            return p
+        if len(self.qrows) == 0:
+            return np.full(len(self.idx), 0.5 * self.pmax)
+        raise InfeasibleError("QoS constraints leave no strictly feasible power")
+
+    def ee(self, p):
+        r = self.rates(p)
+        return float(np.sum(r)) / self.power_total(p, r)
+
+    def margin(self, p):
+        rows = self.qrows
+        if len(rows) == 0:
+            return -np.inf
+        return float(np.max((self.W[rows] @ p + self.c[rows]) / self.rscale[rows]))
+
+    def solution(self, p_red, feasible, diag):
+        p = self.expand(p_red)
+        rates = self.expand(self.rates(p_red))
+        ee = float(np.sum(rates)) / self.form.total(p, rates)
+        deficits = qos_deficits(rates, self.qos)
+        return PowerSolution(p=p, ee=ee, rates=rates, feasible=feasible,
+                             diagnostics=diag, form=self.form,
+                             shortfall_bps=float(np.sum(deficits)),
+                             qos_violations=int(np.count_nonzero(deficits)))
+
+    @cached_property
+    def qopc(self):
+        p, s, feasible = minmax_reference(self.W[None], self.c[None], self.rscale[None],
+                                          self.pmax, self.structurally_infeasible)
+        return p[0], bool(feasible[0]), float(s[0])
+
+    @cached_property
+    def barrier_stack(self):
+        k, rows = len(self.idx), self.qrows
+        B = np.vstack([self.Af, self.Ag, np.eye(k), -np.eye(k),
+                       -self.W[rows] / self.rscale[rows, None]])
+        b = np.concatenate([self.n, self.n, np.zeros(k), np.full(k, self.pmax),
+                            -self.c[rows] / self.rscale[rows]])
+        return B, b
+
+
+class _Surrogate:
+    def __init__(self, prob, anchor):
+        if not ((anchor >= -1e-12).all() and (anchor <= prob.pmax + 1e-12).all()):
+            raise ConfigError("anchor must lie inside the power box")
+        self.prob = prob
+        self.anchor = anchor
+        self.f_den = prob.Af @ anchor + prob.n
+        self.g_den = prob.Ag @ anchor + prob.n
+        if (self.f_den <= 0).any() or (self.g_den <= 0).any():
+            raise ConfigError("anchor produces a nonpositive log argument")
+        self.f0 = np.log2(self.f_den)
+        self.g0 = np.log2(self.g_den)
+        self.vf = prob.Af / (_LN2 * self.f_den[:, None])
+        self.vg = prob.Ag / (_LN2 * self.g_den[:, None])
+
+    def fraction(self, p):
+        prob = self.prob
+        dp = p - self.anchor
+        f_hat = self.f0 + self.vf @ dp
+        g_hat = self.g0 + self.vg @ dp
+        af = prob.Af @ p + prob.n
+        ag = prob.Ag @ p + prob.n
+        r_hat = prob.cr * (f_hat - np.log2(ag))
+        r_bar = prob.cr * (np.log2(af) - g_hat)
+        return float(np.sum(r_bar)), prob.power_total(p, r_hat)
+
+
+def _center(p, B, b, pmax):
+    d = 0.5 * pmax - p
+    dz = B @ d
+    shrink = dz < 0
+    if not shrink.any():
+        return p
+    s = min(1.0, 0.5 * float(np.min((B @ p + b)[shrink] / -dz[shrink])))
+    return p + s * d
+
+
+def _solve_parametric(sur, pi, start, diag):
+    prob = sur.prob
+    k = len(prob.idx)
+    c2 = pi * prob.alpha / prob.form.r_ref_bps
+    q = -sur.vg.sum(axis=0) - c2 @ sur.vf - (pi / prob.cr) * prob.delta
+    B, b = prob.barrier_stack
+    BT = B.T
+    p = start
+    z = B @ p + b
+    if not (z > 0).all():
+        p = _center(prob.interior_point(), B, b, prob.pmax)
+        z = B @ p + b
+    m = len(b) - 2 * k
+    se = float(np.sum(np.log2(z[:k] / z[k:2 * k])))
+    t = m / (0.1 * _INNER_TOL * min(1.0, se))
+    w = t * (np.concatenate([np.ones(k), c2, np.zeros(m)]) / _LN2)
+    w[2 * k:] = 1.0
+    tq = t * q
+    for _ in range(_NEWTON_MAX_ITER):
+        wz = w / z
+        grad = BT @ wz + tq
+        neg_hess = (BT * (wz / z)) @ B
+        try:
+            step = np.linalg.solve(neg_hess, grad)
+        except np.linalg.LinAlgError:
+            diag.lstsq_fallbacks += 1
+            step = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
+        dec = float(grad @ step)
+        diag.newton_steps += 1
+        if dec / 2 <= _NEWTON_TOL:
+            break
+        dz = B @ step
+        rz = dz / z
+        qs = float(tq @ step)
+        j = _halvings(float(rz.min()))
+        scale = math.ldexp(1.0, -j)
+        for _ in range(j, _LS_TRIALS):
+            gain = w @ np.log1p(scale * rz) + scale * qs
+            if gain > 0.25 * scale * dec:
+                p, z = p + scale * step, z + scale * dz
+                break
+            scale *= 0.5
+        else:
+            diag.line_search_exhausted += 1
+            break
+    else:
+        diag.newton_cap_hits += 1
+    return np.clip(p, 0.0, prob.pmax)
+
+
+def _dinkelbach(prob, anchor, anchor_ee, diag):
+    sur = _Surrogate(prob, anchor)
+    pi = max(anchor_ee, 0.0)
+    pi_trace = [pi]
+    p = anchor
+    stall = 0
+    for _ in range(_DINKELBACH_MAX_ITER):
+        p = _solve_parametric(sur, pi, p, diag)
+        num, den = sur.fraction(p)
+        f_val = num - pi * den
+        if abs(f_val) <= _DINKELBACH_TOL * max(prob.cr, abs(num)):
+            break
+        pi_new = num / den
+        pi_trace.append(pi_new)
+        if pi_new <= pi * (1 + 1e-15):
+            stall += 1
+            if stall >= _STALL_ROUNDS:
+                break
+        else:
+            stall = 0
+        pi = max(pi, pi_new)
+    else:
+        diag.hit_iteration_cap = True
+    diag.pi_traces.append(pi_trace)
+    return p
+
+
+def slmdb_reference(lc, frame, form, qos, settings) -> PowerSolution:
+    """`greenran.powerctl.slmdb_solve` with every k x k system through
+    np.linalg.solve / np.linalg.inv and every sum, minimum and clip through
+    numpy's wrappers."""
+    prob = _Problem(lc, frame, form, qos)
+    diag = SolveDiagnostics()
+    p_red, feasible, _ = prob.qopc
+    if not feasible or len(prob.idx) == 0:
+        return prob.solution(p_red, feasible, diag)
+    ee_prev = prob.ee(p_red)
+    diag.ee_trace.append(ee_prev)
+    try:
+        for n in range(1, settings.slm_max_iter + 1):
+            diag.slm_iterations = n
+            p_new = _dinkelbach(prob, p_red, ee_prev, diag)
+            ee = prob.ee(p_new)
+            diag.ee_trace.append(ee)
+            if not ee > ee_prev:
+                break
+            improvement = (ee - ee_prev) / ee_prev if ee_prev > 0 else np.inf
+            p_red, ee_prev = p_new, ee
+            if improvement <= settings.slm_tol:
+                break
+        else:
+            diag.hit_iteration_cap = True
+    except InfeasibleError:
+        diag.interior_infeasible = True
+    return prob.solution(p_red, True, diag)

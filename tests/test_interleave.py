@@ -1,5 +1,6 @@
 """Smoke test of `tools/interleave.py`: one `smoke` drop, this tree against itself."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,5 +24,9 @@ def test_tree_against_itself():
     assert lines[-1] == "csv identical True"
     assert lines[-2].startswith("speedup A/B ")
     assert [line.split(" ", 1)[0] for line in lines[:2]] == ["A", "B"]
+    assert re.fullmatch(r"B faster on [01] of 1 drops", lines[2])
+    ratio = re.fullmatch(r"median per-drop A/B (\d+\.\d{4})", lines[3])
+    assert ratio and float(ratio[1]) > 0
+    assert len(lines) == 6
     assert "ms per drop (min of 1 passes, 1 drops)" in lines[0]
     assert _listing(ROOT / "perfbench") == before    # imported read-only

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greenran import (ConfigError, SubComponentSpec, SystemPowerParams,
                       build_affine_form, component_power, network_power, theta,
                       ubs_power)
 from greenran.powermodel import BsPowerConfig, edge_cloud_scaling, traffic_power_coefficient
-from conftest import active_count
+from conftest import active_count, default_bs_config
+from reference import affine_form_from_arrays
 
 UNIT_VALUES = {"N": 1, "B": 1, "Q": 1, "Se": 1, "Ld": 1.0, "St": 1}
 
@@ -189,6 +193,36 @@ class TestAffineForm:
             dn[k] -= h
             second = form.total(P, up) - 2 * form.total(P, mid) + form.total(P, dn)
             assert abs(second) <= 1e-9 * abs(form.total(P, mid))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(M=st.integers(1, 130), K=st.integers(1, 12), data=st.data(),
+           kappa=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           psi_d=st.floats(0.0, 1.0), sleep_scale=st.floats(0.0, 1.0),
+           loss_co=st.sampled_from([0.0, 0.1]), fh_trf=st.floats(0.0, 1e-8),
+           pa_slope=st.floats(1.0, 5.0), circuit=st.floats(0.0, 3.0),
+           r_ref=st.floats(1e5, 1e9))
+    def test_scalar_sums_keep_the_array_bits(self, M, K, data, kappa, psi_d, sleep_scale,
+                                             loss_co, fh_trf, pa_slope, circuit, r_ref):
+        # the per-UE slopes summed as scalars, in np.sum's order over the
+        # categories, give the bits of the per-category arrays summed by np.sum
+        cfg = replace(default_bs_config(), sleep_scale=sleep_scale, loss_co=loss_co)
+        params = SystemPowerParams(kappa=kappa, psi_d=psi_d, fronthaul_trf_w_per_bps=fh_trf,
+                                   ue_pa_slope=pa_slope, ue_circuit_w=circuit,
+                                   r_ref_bps=r_ref)
+        n_active = data.draw(st.integers(0, M))
+        form = build_affine_form(cfg, params, M, K, n_active)
+        ref = affine_form_from_arrays(cfg, params, M, K, n_active)
+
+        def bits(x):
+            return np.asarray(x, dtype=float).tobytes()
+        assert bits(form.c0_w) == bits(ref.c0_w)
+        assert bits(form.alpha_per_k) == bits(ref.alpha_per_k)
+        assert bits(form.delta_per_k) == bits(ref.delta_per_k)
+        assert (form.r_ref_bps, form.n_active) == (ref.r_ref_bps, ref.n_active)
+        assert list(form.parts) == list(ref.parts)
+        for name, triple in form.parts.items():
+            assert [bits(x) for x in triple] == [bits(x) for x in ref.parts[name]], name
+            assert [np.shape(x) for x in triple] == [np.shape(x) for x in ref.parts[name]]
 
     def test_positive_slopes(self, bs_config, system_params):
         form = build_affine_form(bs_config, system_params, 4, 2, 4)

@@ -11,8 +11,9 @@ interpreter. The drops are the benchmark's own: drop d of `--seed s` is
 each side, in an order that alternates from drop to drop and from pass to
 pass, and times it with `time.process_time`, so both trees see the same host
 state. A drop's time is its minimum over the passes; the tool prints each
-side's mean of those minima per drop, the ratio A / B, and whether the two
-trees emit byte-identical CSV for the same drops.
+side's mean of those minima per drop, on how many drops B's minimum is the
+smaller, the median of the per-drop ratios A / B, the ratio of the means
+A / B, and whether the two trees emit byte-identical CSV for the same drops.
 
 `perfbench/run.py` is imported read-only for `WORKLOADS` and `base_seed`; no
 bytecode or output is written under `perfbench/`. BLAS is pinned to one
@@ -25,6 +26,7 @@ import importlib
 import importlib.util
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -127,6 +129,9 @@ def main(argv=None) -> int:
         print(f"{name} {root}: {1e3 * means[name]:.3f} ms per drop (min of {args.passes} "
               f"passes, {len(times)} drops), csv sha256 "
               f"{hashlib.sha256(text.encode()).hexdigest()[:16]}")
+    ratios = [a / b for a, b in zip(results["A"][0], results["B"][0])]
+    print(f"B faster on {sum(r > 1 for r in ratios)} of {len(ratios)} drops")
+    print(f"median per-drop A/B {statistics.median(ratios):.4f}")
     print(f"speedup A/B {means['A'] / means['B']:.4f}")
     print(f"csv identical {results['A'][1] == results['B'][1]}")
     return 0

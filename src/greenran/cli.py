@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run_command(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -55,7 +55,7 @@ def _load(args, raw=None) -> harness.RunConfig:
     overrides merged in before `load_config` checks it."""
     raw = {} if raw is None else raw
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
     if not isinstance(raw, dict):    # a str would be taken for a path
         raise ConfigError("config must be an object")

@@ -6,9 +6,10 @@ derives its scenario seed as base_seed XOR d, generates a topology, builds the
 coefficient tensor once, and hands the identical tensor to every requested
 algorithm, so cross-algorithm comparisons are paired. Each algorithm starts
 from an empty evaluation cache, so its counts do not depend on which ran
-before it. Each record is written from the algorithm's `SolutionReport` alone:
-its final `PowerSolution` carries the power form (and so the active-BS count)
-and the QoS violation count.
+before it. Each drop builds one power form, which its algorithms share. Each
+record is written from the algorithm's `SolutionReport` alone: its final
+`PowerSolution` carries the power form, the active-BS count and the QoS
+violation count.
 Records are emitted in a fixed column order; identical configs produce
 byte-identical files (wall-clock timing is recorded only when `record_timing`
 is set, and is zero otherwise).
@@ -153,7 +154,7 @@ def _build_dataclass(cls, section, name: str):
 def load_config(source) -> RunConfig:
     """Parse a config dict or JSON file path, filling gaps from the defaults."""
     if isinstance(source, (str, bytes)):
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
     else:
         raw = source
@@ -252,7 +253,7 @@ def _check_point(point: RunConfig) -> None:
     with _section("qos", ("r_min_bps", "p_max_w")):
         make_qos(point.r_min_bps, scen.K, frame, point.p_max_w)    # QosSpec checks the values
     with _section("power"):    # the checks of the tables that a drop's power form makes
-        build_affine_form(point.bs_config, point.system, scen.M, scen.K, scen.M)
+        build_affine_form(point.bs_config, point.system, scen.M, scen.K)
 
 
 def _make_context(config: RunConfig, drop_seed: int) -> EvaluationContext:
@@ -262,9 +263,9 @@ def _make_context(config: RunConfig, drop_seed: int) -> EvaluationContext:
     from .statistics import mmse_statistics
     tensor = mmse_statistics(corr, config.frame)
     qos = make_qos(config.r_min_bps, scen.K, config.frame, config.p_max_w)
-    return EvaluationContext(scenario=scen, frame=config.frame, corr=corr,
-                             tensor=tensor, bs_config=config.bs_config,
-                             system=config.system, qos=qos, settings=config.settings)
+    form = build_affine_form(config.bs_config, config.system, scen.M, scen.K)
+    return EvaluationContext(scenario=scen, frame=config.frame, corr=corr, tensor=tensor,
+                             form=form, qos=qos, settings=config.settings)
 
 
 def _dispatch(algorithm: str, ctx: EvaluationContext) -> SolutionReport:
@@ -291,7 +292,7 @@ def _record(config: RunConfig, report: SolutionReport, algorithm: str, drop_inde
             drop_seed: int, sweep_value: float, wall_ms: float) -> ResultRecord:
     """One record, written from the report's final scored matching alone."""
     power = report.power
-    breakdown = network_power(power.p, power.rates, power.form)
+    breakdown = network_power(power.p, power.rates, power.form, power.n_active)
     sum_rate = float(np.sum(power.rates))
     return ResultRecord(
         sweep_parameter=config.sweep_parameter or "",
@@ -304,7 +305,7 @@ def _record(config: RunConfig, report: SolutionReport, algorithm: str, drop_inde
         ubs_sleep_power_w=breakdown.ubs_sleep_w,
         fronthaul_power_w=breakdown.fronthaul_w,
         edge_cloud_power_w=breakdown.edge_cloud_w, ue_power_w=breakdown.ue_w,
-        active_ubs_count=power.form.n_active, ue_count=config.scenario.K,
+        active_ubs_count=power.n_active, ue_count=config.scenario.K,
         qos_violation_count=power.qos_violations,
         swap_count=report.swap_count,
         slm_iterations=power.diagnostics.slm_iterations,
@@ -395,7 +396,10 @@ def _emit_rows(rows, header, fmt: str, path) -> str:
             writer.writerow([_format_cell(row[name]) for name in header])
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps(list(rows), indent=2) + "\n"
+        # JSON (RFC 8259) has no NaN or infinity: a non-finite float is null
+        rows = [{name: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for name, v in row.items()} for row in rows]
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     if path is not None:

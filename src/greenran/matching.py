@@ -16,10 +16,10 @@ matching space.
 
 Power inside the scan comes from one of the controllers (slmdb, fipc, qopc,
 eipc); any heuristic mode gets a final slmdb refinement once the matching has
-converged. Every scored matching is one `PowerSolution`: it carries the power
-form it was scored under (all M BSs active under no-sleeping, which only this
-module reads) and its QoS shortfall and violation count, so a report's final
-solution is all a record needs.
+converged. Every scored matching is one `PowerSolution`: it carries the
+drop's power form and the active-BS count it was scored at (all M under
+no-sleeping, which only this module reads) and its QoS shortfall and
+violation count, so a report's final solution is all a record needs.
 
 A pair's moves are int arrays (i, m, n, j). Once per incumbent (when the
 pair's scan starts, and after each approval) its remaining moves become one
@@ -43,8 +43,8 @@ import numpy as np
 from .netmodel import ConfigError, CorrelationSet, FrameConfig, ScenarioParams
 from .powerctl import (PowerSolution, QosSpec, SolveDiagnostics, SolverSettings, eipc,
                        fipc, qopc_solve, qos_deficits, slmdb_solve)
-from .powermodel import (AffinePowerForm, BsPowerConfig, SystemPowerParams,
-                         build_affine_form)
+# build_affine_form is not called here; perfbench/tracer.py patches it by this name
+from .powermodel import AffinePowerForm, build_affine_form
 from .rates import link_coefficients, rates_from_coeffs
 from .statistics import CoefficientTensor
 
@@ -55,31 +55,18 @@ _NO_SOLVE = SolveDiagnostics()    # shared by the cached closed-form results; ne
 
 @dataclass
 class EvaluationContext:
-    """Everything needed to score a matching, the per-mode result cache and the
-    power forms. `dataclasses.replace` gives a copy with an empty result cache
-    that shares the forms, so a drop's algorithms build each form once."""
+    """Everything needed to score a matching, the drop's power form and the
+    per-mode result cache. `dataclasses.replace` gives a copy with an empty
+    result cache that shares the form."""
     scenario: ScenarioParams
     frame: FrameConfig
     corr: CorrelationSet
     tensor: CoefficientTensor
-    bs_config: BsPowerConfig
-    system: SystemPowerParams
+    form: AffinePowerForm
     qos: QosSpec
     settings: SolverSettings
     no_sleep: bool = False
     _cache: dict = field(default_factory=dict, init=False, repr=False)
-    _forms: dict = field(default_factory=dict, repr=False)
-
-    def form_for(self, active_count: int) -> AffinePowerForm:
-        n_active = self.scenario.M if self.no_sleep else active_count
-        # keyed by the tables' identities too, so a copy given other tables
-        # builds its own forms; an entry keeps its tables alive, so no id in a
-        # key is reused while the key is in the dict
-        key = (id(self.bs_config), id(self.system), self.scenario.M, self.scenario.K, n_active)
-        if key not in self._forms:
-            self._forms[key] = (self.bs_config, self.system, build_affine_form(
-                self.bs_config, self.system, self.scenario.M, self.scenario.K, n_active))
-        return self._forms[key][2]
 
 
 @dataclass(frozen=True)
@@ -199,13 +186,12 @@ def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext):
     take a fixed number of array calls per stack: the network power of every
     member is one call, with the constant c0 of each member's active-BS count
     (the traffic and PA slopes do not depend on it)."""
-    qos = ctx.qos
+    qos, form = ctx.qos, ctx.form
     B, M, K = S.shape
     load = S.reshape(B * M, K) @ np.ones(K)    # UEs per BS: one product, not B * M short sums
-    counts = (load.reshape(B, M) > 0).sum(axis=1).tolist()
-    forms = {n: ctx.form_for(n) for n in set(counts)}    # one power form per active count
+    counts = [M] * B if ctx.no_sleep else (load.reshape(B, M) > 0).sum(axis=1).tolist()
     if power_mode == "slmdb":    # solved one by one, so nothing is stacked
-        return [slmdb_solve(link_coefficients(s, ctx.tensor), ctx.frame, forms[n], qos,
+        return [slmdb_solve(link_coefficients(s, ctx.tensor), ctx.frame, form, n, qos,
                             ctx.settings) for s, n in zip(S, counts)].__getitem__
     lc = link_coefficients(S, ctx.tensor)
     verdict = None
@@ -216,8 +202,7 @@ def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext):
     else:
         p, verdict = qopc_solve(lc, ctx.frame, qos)
     rates = rates_from_coeffs(p, lc, ctx.frame)
-    c0 = np.array([forms[n].c0_w for n in counts])
-    ee = np.sum(rates, axis=1) / forms[counts[0]].total(p, rates, c0)
+    ee = np.sum(rates, axis=1) / form.total(p, rates, counts)
     deficits = qos_deficits(rates, qos)
     ee, shortfall = ee.tolist(), np.sum(deficits, axis=1).tolist()
     violations = np.count_nonzero(deficits, axis=1).tolist()
@@ -226,7 +211,7 @@ def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext):
 
     def member(b: int) -> PowerSolution:    # row views: a cached result shares the stack's rows
         return PowerSolution(p=p[b], ee=ee[b], rates=rates[b], diagnostics=_NO_SOLVE,
-                             feasible=feasible[b], form=forms[counts[b]],
+                             feasible=feasible[b], form=form, n_active=counts[b],
                              shortfall_bps=shortfall[b], qos_violations=violations[b])
     return member
 

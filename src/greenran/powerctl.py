@@ -163,6 +163,7 @@ class PowerSolution:
     feasible: bool               # the controller's verdict (QoPC LP, slmdb) or the rate check
     diagnostics: SolveDiagnostics
     form: AffinePowerForm        # the network-power form the EE was taken under
+    n_active: int                # BSs counted as active in it (all M under no-sleeping)
     shortfall_bps: float         # sum of the per-UE qos_deficits
     qos_violations: int          # UEs with a nonzero deficit
 
@@ -193,13 +194,15 @@ class ReducedProblem:
     """Fixed-association power problem restricted to UEs with a serving set.
 
     Unserved UEs keep zero power and zero rate; they still contribute circuit
-    power through the affine form's constant. Only the EE, the surrogate and
-    the parametric solve read `form`, so it may be None for the others.
+    power through the affine form's constant at `n_active` BSs. Only the EE,
+    the surrogate and the parametric solve read `form` and `n_active`, so they
+    may be None for the others.
     """
 
     def __init__(self, lc: LinkCoefficients, frame: FrameConfig,
-                 form: AffinePowerForm | None, qos: QosSpec):
+                 form: AffinePowerForm | None, n_active: int | None, qos: QosSpec):
         self.form = form
+        self.n_active = n_active
         self.qos = qos
         self.K = len(lc.ns)
         self.served = lc.served
@@ -221,7 +224,7 @@ class ReducedProblem:
         if form is not None:
             self.alpha = form.alpha_per_k[sel]
             self.delta = form.delta_per_k[sel]
-            self.c0, self.r_ref = form.c0_w, form.r_ref_bps
+            self.c0, self.r_ref = float(form.c0_w[n_active]), form.r_ref_bps
 
         self.W, self.c, self.rscale = _qos_rows(self.Af, self.D, self.n, self.gamma,
                                                 self.pmax)
@@ -276,10 +279,10 @@ class ReducedProblem:
         power from the form over full vectors."""
         p = self.expand(p_red)
         rates = self.expand(self.rates(p_red))
-        ee = float(_sum(rates)) / self.form.total(p, rates)
+        ee = float(_sum(rates)) / self.form.total(p, rates, self.n_active)
         deficits = qos_deficits(rates, self.qos)
         return PowerSolution(p=p, ee=ee, rates=rates, feasible=feasible,
-                             diagnostics=diag, form=self.form,
+                             diagnostics=diag, form=self.form, n_active=self.n_active,
                              shortfall_bps=float(_sum(deficits)),
                              qos_violations=int(np.count_nonzero(deficits)))
 
@@ -483,10 +486,10 @@ def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, anchor_ee: float,
 
 
 def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
-                qos: QosSpec, settings: SolverSettings) -> PowerSolution:
+                n_active: int, qos: QosSpec, settings: SolverSettings) -> PowerSolution:
     """Full successive lower-bound maximization on precomputed link coefficients,
-    started from the QoPC LP's point."""
-    prob = ReducedProblem(lc, frame, form, qos)
+    started from the QoPC LP's point, with `n_active` BSs counted as active."""
+    prob = ReducedProblem(lc, frame, form, n_active, qos)
     diag = SolveDiagnostics()
 
     p_red, feasible, _ = prob.qopc

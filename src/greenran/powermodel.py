@@ -104,22 +104,24 @@ class SystemPowerParams:
 
 @dataclass(frozen=True)
 class AffinePowerForm:
-    """P_N = c0 + sum_k alpha_k R_k / R_ref + sum_k delta_k P_k (fixed S, A)."""
-    c0_w: float
+    """P_N = c0(A) + sum_k alpha_k R_k / R_ref + sum_k delta_k P_k (fixed S).
+
+    Only the constant depends on the active-BS count A (all M under
+    no-sleeping): `c0_w` and each part's constant are (M + 1,) tables indexed
+    by it."""
+    c0_w: np.ndarray
     alpha_per_k: np.ndarray
     delta_per_k: np.ndarray
     r_ref_bps: float
-    n_active: int                # BSs counted as active (all M under no-sleeping)
-    # per-category (constant, per-rate-unit, per-watt) triples for the breakdown
+    # per-category (constant table, per-rate-unit, per-watt) triples for the breakdown
     parts: dict = field(default_factory=dict, repr=False)
 
-    def total(self, P: np.ndarray, rates: np.ndarray, c0_w=None):
-        """P_N in watts, one per row of P and rates stacked (B, K); each row times
-        a column is one dot product, as alpha @ x is for a single row. `c0_w`
-        (B,), if given, replaces the constant row by row: forms that differ only
-        in their active-BS count differ only there."""
+    def total(self, P: np.ndarray, rates: np.ndarray, n_active):
+        """P_N in watts, one per row of P and rates stacked (B, K), with the
+        active-BS count of each row in `n_active` (B,); each row times a column
+        is one dot product, as alpha @ x is for a single row."""
         x = np.asarray(rates)[..., None, :] / self.r_ref_bps
-        c0 = self.c0_w if c0_w is None else np.asarray(c0_w)[..., None, None]
+        c0 = self.c0_w[n_active][..., None, None]
         total = (c0 + x @ self.alpha_per_k[:, None]
                  + np.asarray(P)[..., None, :] @ self.delta_per_k[:, None])[..., 0, 0]
         return float(total) if total.ndim == 0 else total
@@ -201,55 +203,59 @@ def traffic_power_coefficient(cfg: BsPowerConfig) -> float:
     return ubs_power(cfg, 1.0) - ubs_power(cfg, 0.0)
 
 
-def build_affine_form(cfg: BsPowerConfig, params: SystemPowerParams, M: int, K: int,
-                      n_active: int) -> AffinePowerForm:
-    """Collapse the component model into the affine network-power form of M BSs,
-    n_active of them active, serving K UEs.
+def build_affine_form(cfg: BsPowerConfig, params: SystemPowerParams, M: int,
+                      K: int) -> AffinePowerForm:
+    """Collapse the component model into the affine network-power form of M BSs
+    serving K UEs, with its constants tabulated over 0..M active BSs.
 
     Traffic is attributed per UE as R_k / R_ref; the aggregate over active BSs
     matches the per-BS load definition, so the collapse is exact whenever all
-    load exponents are 0 or 1 (validated). The no-sleeping variant passes
-    n_active = M, since it keeps every BS on.
+    load exponents are 0 or 1 (validated).
     """
-    n_sleep = M - n_active
+    n_active = np.arange(M + 1.0)
 
+    _validate_load_exponents(cfg)
     p_fix = ubs_power(cfg, 0.0)
-    p_trf = traffic_power_coefficient(cfg)
+    p_trf = ubs_power(cfg, 1.0) - p_fix    # traffic_power_coefficient, one table walk fewer
     kt = params.kappa * theta(cfg, params)
     ec = kt * edge_cloud_scaling(params, M, cfg.loss_co)
     rref = params.r_ref_bps
 
-    # (constant, per-rate-unit, per-watt) of each category; the last two are
-    # the same for every UE
+    # (constant, per-rate-unit, per-watt) of each category; the constants are
+    # tables over the active count, the slopes the same for every UE
     scalars = {
         "ubs_active": ((1.0 - kt) * n_active * p_fix, (1.0 - kt) * p_trf, 0.0),
-        "ubs_sleep": ((1.0 - kt) * cfg.sleep_scale * p_fix * n_sleep, 0.0, 0.0),
+        "ubs_sleep": ((1.0 - kt) * cfg.sleep_scale * p_fix * (M - n_active), 0.0, 0.0),
         # the traffic term sums over every BS as modeled, sleepers included
         "fronthaul": (n_active * params.fronthaul_fix_w,
                       M * params.fronthaul_trf_w_per_bps * rref, 0.0),
         "edge_cloud": (ec * M * p_fix, ec * p_trf, 0.0),
         "ue": (K * params.ue_circuit_w, 0.0, params.ue_pa_slope),
     }
-    consts, alphas, deltas = zip(*scalars.values())
-    c0 = sum(consts)
-    # the slopes added in category order from the first on, as np.sum over the
-    # categories' length-K arrays (axis 0) adds them
+    # one row per category, in category order
+    consts = np.empty((len(scalars), M + 1))
+    slopes = np.empty((len(scalars), 2, K))
+    for row, (c, a, d) in enumerate(scalars.values()):
+        consts[row], slopes[row, 0], slopes[row, 1] = c, a, d
+    # the constants and slopes added in category order from the first on, as
+    # np.sum over the categories' arrays (axis 0) adds them
+    _, alphas, deltas = zip(*scalars.values())
     alpha, delta = reduce(add, alphas), reduce(add, deltas)
     if K and alpha <= 0:
         raise ConfigError("traffic coefficients must be positive; check the component "
                           "table and the fronthaul traffic slope")
-    parts = {name: (c, np.full(K, a), np.full(K, d)) for name, (c, a, d) in scalars.items()}
-    return AffinePowerForm(c0_w=float(c0), alpha_per_k=np.full(K, alpha),
-                           delta_per_k=np.full(K, delta), r_ref_bps=rref, n_active=n_active,
-                           parts=parts)
+    parts = dict(zip(scalars, zip(consts, slopes[:, 0], slopes[:, 1])))
+    return AffinePowerForm(c0_w=np.add.reduce(consts), alpha_per_k=np.full(K, alpha),
+                           delta_per_k=np.full(K, delta), r_ref_bps=rref, parts=parts)
 
 
-def network_power(P: np.ndarray, rates: np.ndarray, form: AffinePowerForm) -> PowerBreakdown:
+def network_power(P: np.ndarray, rates: np.ndarray, form: AffinePowerForm,
+                  n_active: int) -> PowerBreakdown:
     P = np.asarray(P, dtype=float)
     rates = np.asarray(rates, dtype=float)
     vals = {}
     for name, (c, a, d) in form.parts.items():
-        vals[name] = float(c + a @ (rates / form.r_ref_bps) + d @ P)
+        vals[name] = float(c[n_active] + a @ (rates / form.r_ref_bps) + d @ P)
     total = sum(vals.values())
     return PowerBreakdown(ubs_active_w=vals["ubs_active"], ubs_sleep_w=vals["ubs_sleep"],
                           fronthaul_w=vals["fronthaul"], edge_cloud_w=vals["edge_cloud"],

@@ -3,8 +3,8 @@ import pytest
 
 from greenran import (BsPowerConfig, FrameConfig, ScenarioParams,
                       SolverSettings, SubComponentSpec, SystemPowerParams,
-                      build_correlation, generate_topology, make_qos,
-                      mmse_statistics)
+                      build_affine_form, build_correlation, generate_topology,
+                      make_qos, mmse_statistics)
 from greenran.defaults import table3_defaults
 from greenran.matching import EvaluationContext
 from greenran.powerctl import qopc_solve
@@ -31,7 +31,7 @@ def make_context(M=4, K=3, N=3, L=2, area=350.0, seed=0, r_min=10e6,
     qos = make_qos(r_min, K, frame, p_max)
     return EvaluationContext(
         scenario=scen, frame=frame, corr=corr, tensor=tensor,
-        bs_config=default_bs_config(), system=SystemPowerParams(), qos=qos,
+        form=build_affine_form(default_bs_config(), SystemPowerParams(), M, K), qos=qos,
         settings=settings or SolverSettings())
 
 

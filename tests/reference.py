@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from greenran.powerctl import (_DINKELBACH_MAX_ITER, _DINKELBACH_TOL, _FEAS_TOL,
                                _LN2, _LS_TRIALS, _NEWTON_MAX_ITER, _NEWTON_TOL, _STALL_ROUNDS,
                                InfeasibleError, PowerSolution, SolveDiagnostics, _halvings,
                                _qos_rows, _unserved_target, qos_deficits)
-from greenran.powermodel import (AffinePowerForm, edge_cloud_scaling, theta,
-                                 traffic_power_coefficient, ubs_power)
+from greenran.powermodel import (edge_cloud_scaling, theta, traffic_power_coefficient,
+                                 ubs_power)
 from greenran.rates import LinkCoefficients
 
 # Samples per accumulation chunk. Chunk seeds are derived per chunk index, so
@@ -246,7 +247,7 @@ def parametric_value(sur, pi: float, p: np.ndarray) -> float:
     q = -sur.vg.sum(axis=0) - c2 @ sur.vf - (pi / prob.cr) * prob.delta
     u0 = (-float(np.sum(sur.g0 - sur.vg @ sur.anchor))
           - float(c2 @ (sur.f0 - sur.vf @ sur.anchor))
-          - pi * prob.form.c0_w / prob.cr)
+          - pi * prob.c0 / prob.cr)
     af = prob.Af @ p + prob.n
     ag = prob.Ag @ p + prob.n
     return float(np.sum(np.log2(af)) + c2 @ np.log2(ag) + q @ p + u0)
@@ -356,10 +357,11 @@ def read_records(path: str) -> list:
     return out
 
 
-def affine_form_from_arrays(cfg, params, M: int, K: int, n_active: int) -> AffinePowerForm:
-    """`greenran.build_affine_form` with every category's slopes built as
-    length-K arrays and summed by np.sum over the categories: the construction
-    whose bits the scalar sums keep."""
+def affine_form_from_arrays(cfg, params, M: int, K: int, n_active: int) -> SimpleNamespace:
+    """The entry at `n_active` BSs of `greenran.build_affine_form`, with every
+    category's slopes built as length-K arrays and summed by np.sum over the
+    categories: the construction whose bits the scalar sums and the constant
+    tables keep. Its fields are the form's, with scalar constants."""
     n_sleep = M - n_active
     p_fix = ubs_power(cfg, 0.0)
     p_trf = traffic_power_coefficient(cfg)
@@ -381,8 +383,8 @@ def affine_form_from_arrays(cfg, params, M: int, K: int, n_active: int) -> Affin
     delta = np.sum([d for _, _, d in parts.values()], axis=0)
     if (alpha <= 0).any():
         raise ConfigError("traffic coefficients must be positive")
-    return AffinePowerForm(c0_w=float(c0), alpha_per_k=alpha, delta_per_k=delta,
-                           r_ref_bps=rref, n_active=n_active, parts=parts)
+    return SimpleNamespace(c0_w=float(c0), alpha_per_k=alpha, delta_per_k=delta,
+                           r_ref_bps=rref, parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +435,9 @@ def minmax_reference(W, c, rscale, pmax, blocked: bool):
 
 
 class _Problem:
-    def __init__(self, lc, frame, form, qos):
+    def __init__(self, lc, frame, form, n_active, qos):
         self.form = form
+        self.n_active = n_active
         self.qos = qos
         self.K = len(lc.ns)
         self.served = lc.served
@@ -465,7 +468,7 @@ class _Problem:
         return self.cr * (np.log2(af) - np.log2(ag))
 
     def power_total(self, p, rates):
-        return float(self.form.c0_w + self.alpha @ (rates / self.form.r_ref_bps)
+        return float(self.form.c0_w[self.n_active] + self.alpha @ (rates / self.form.r_ref_bps)
                      + self.delta @ p)
 
     def interior_point(self):
@@ -491,10 +494,10 @@ class _Problem:
     def solution(self, p_red, feasible, diag):
         p = self.expand(p_red)
         rates = self.expand(self.rates(p_red))
-        ee = float(np.sum(rates)) / self.form.total(p, rates)
+        ee = float(np.sum(rates)) / self.form.total(p, rates, self.n_active)
         deficits = qos_deficits(rates, self.qos)
         return PowerSolution(p=p, ee=ee, rates=rates, feasible=feasible,
-                             diagnostics=diag, form=self.form,
+                             diagnostics=diag, form=self.form, n_active=self.n_active,
                              shortfall_bps=float(np.sum(deficits)),
                              qos_violations=int(np.count_nonzero(deficits)))
 
@@ -628,11 +631,11 @@ def _dinkelbach(prob, anchor, anchor_ee, diag):
     return p
 
 
-def slmdb_reference(lc, frame, form, qos, settings) -> PowerSolution:
+def slmdb_reference(lc, frame, form, n_active, qos, settings) -> PowerSolution:
     """`greenran.powerctl.slmdb_solve` with every k x k system through
     np.linalg.solve / np.linalg.inv and every sum, minimum and clip through
     numpy's wrappers."""
-    prob = _Problem(lc, frame, form, qos)
+    prob = _Problem(lc, frame, form, n_active, qos)
     diag = SolveDiagnostics()
     p_red, feasible, _ = prob.qopc
     if not feasible or len(prob.idx) == 0:

@@ -81,16 +81,16 @@ def test_network_power_zero_curvature():
     for _ in range(20):
         M, K = int(rng.integers(2, 8)), int(rng.integers(1, 5))
         assoc = rng.random((M, K)) < 0.5
-        form = build_affine_form(cfg, params, M, K, active_count(assoc))
+        form, n = build_affine_form(cfg, params, M, K), active_count(assoc)
         P = rng.random(K) * 0.1
         rates = rng.random(K) * 50e6
-        base = form.total(P, rates)
+        base = form.total(P, rates, n)
         h = 1e6
         for k in range(K):
             up, dn = rates.copy(), rates.copy()
             up[k] += h
             dn[k] -= h
-            second = form.total(P, up) - 2 * base + form.total(P, dn)
+            second = form.total(P, up, n) - 2 * base + form.total(P, dn, n)
             worst = max(worst, abs(second) / abs(base))
     report("network power affinity", worst <= 1e-9,
            f"worst |second difference|/|P_N| = {worst:.2e}")
@@ -105,21 +105,21 @@ def test_surrogate_is_global_lower_bound():
     for seed in range(10):
         ctx = make_context(M=4, K=3, N=4, L=2, area=350.0, seed=seed)
         assoc = strongest_assoc(ctx)
-        form = ctx.form_for(active_count(assoc))
+        form, n = ctx.form, active_count(assoc)
         lc = link_coefficients(assoc, ctx.tensor)
-        prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)    # every UE is served
+        prob = ReducedProblem(lc, ctx.frame, form, n, ctx.qos)    # every UE is served
         for _ in range(100):
             p = rng.random(3) * 0.1
             anchor = rng.random(3) * 0.1
             below = Surrogate(prob, anchor).ratio(p)
             rates = rates_from_coeffs(p, lc, ctx.frame)
-            true_ee = float(np.sum(rates)) / form.total(p, rates)
+            true_ee = float(np.sum(rates)) / form.total(p, rates, n)
             violations = max(violations, (below - true_ee) / max(true_ee, 1e-30))
             pairs += 1
         anchor = rng.random(3) * 0.1
         at = Surrogate(prob, anchor).ratio(anchor)
         rates = rates_from_coeffs(anchor, lc, ctx.frame)
-        true_ee = float(np.sum(rates)) / form.total(anchor, rates)
+        true_ee = float(np.sum(rates)) / form.total(anchor, rates, n)
         worst_anchor_gap = max(worst_anchor_gap,
                                abs(at - true_ee) / max(true_ee, 1e-30))
     ok = violations <= 1e-12 and worst_anchor_gap <= 1e-10
@@ -137,7 +137,7 @@ def test_qos_residual_sign_equivalence():
         ctx = make_context(M=4, K=3, N=4, L=2, area=400.0, seed=50 + seed,
                            r_min=20e6)
         lc = link_coefficients(strongest_assoc(ctx), ctx.tensor)
-        prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)    # every UE is served
+        prob = ReducedProblem(lc, ctx.frame, None, None, ctx.qos)    # every UE is served
         for _ in range(100):
             p = rng.random(3) * 0.1
             r = residual(prob, p)
@@ -163,16 +163,17 @@ def test_single_ue_solver_matches_grid_search():
         ctx = make_context(M=M, K=1, N=4, L=M, area=250.0, seed=1000 + seed,
                            r_min=10e6, settings=st)
         assoc = strongest_assoc(ctx, per_ue=M)
-        form = ctx.form_for(active_count(assoc))
-        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
+        form, n = ctx.form, active_count(assoc)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, n, ctx.qos,
+                          st)
         prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame,
-                              form, ctx.qos)
+                              form, n, ctx.qos)
         g = np.linspace(0.0, 0.1, 100001)[1:]
         af = prob.Af[0, 0] * g + prob.n[0]
         ag = prob.Ag[0, 0] * g + prob.n[0]
         rates = prob.cr * (np.log2(af) - np.log2(ag))
         res = prob.W[0, 0] * g + prob.c[0]
-        pn = form.c0_w + form.alpha_per_k[0] * rates / form.r_ref_bps \
+        pn = prob.c0 + form.alpha_per_k[0] * rates / form.r_ref_bps \
             + form.delta_per_k[0] * g
         ee = np.where(res <= 0, rates / pn, -np.inf)
         assert sol.feasible
@@ -191,8 +192,8 @@ def test_monotone_solver_traces():
     for seed in range(100):
         ctx = make_context(M=8, K=4, N=5, L=3, area=500.0, seed=seed, r_min=20e6)
         assoc = strongest_assoc(ctx)
-        form = ctx.form_for(active_count(assoc))
-        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
+        form, n = ctx.form, active_count(assoc)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, n, ctx.qos,
                           ctx.settings)
         if not sol.feasible:
             continue

@@ -122,6 +122,35 @@ class TestCli:
             assert captured.err == "error: config must be an object\n"
             assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    def test_non_utf8_config_is_an_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "u.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "codec can't decode" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_sweep_json_writes_null_for_no_feasible_drop(self, tmp_path):
+        # no drop meets 1 Gbit/s, so the group's EE mean and median are NaN
+        cfg = dict(BASE, algorithm="llsf", scenario={"M": 3, "K": 2, "N": 2, "L": 2},
+                   qos={"r_min_bps": 1e9}, sweep={"parameter": "K", "values": [2]})
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(cfg))
+        out = {}
+        for fmt in ("json", "csv"):
+            rec, agg = tmp_path / f"r.{fmt}", tmp_path / f"a.{fmt}"
+            assert main(["sweep", "--config", str(path), "--format", fmt, "--out", str(rec),
+                         "--aggregates-out", str(agg)]) == 0
+            out[fmt] = rec.read_text(), agg.read_text()
+
+        def strict(name):
+            raise ValueError(f"{name} is not JSON")
+        records, (row,) = (json.loads(text, parse_constant=strict) for text in out["json"])
+        assert records and not any(r["feasible"] for r in records)
+        assert row["feasible_drops"] == 0 and row["ee_mean"] is row["ee_median"] is None
+        assert ",nan,nan," in out["csv"][1]    # the CSV keeps repr(nan)
+
     def test_bad_algorithm_override(self, cfg_path):
         assert main(["run", "--config", cfg_path, "--algorithm", "nope"]) == 1
 

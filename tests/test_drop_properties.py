@@ -63,7 +63,7 @@ def test_trimsm_drop_properties(config):
         assert r.qos_violation_count == rep.power.qos_violations, mode
         assert not r.feasible or r.qos_violation_count == 0, mode
         assert (r.qos_violation_count == 0) == (rep.power.shortfall_bps == 0.0), mode
-        assert r.active_ubs_count == rep.power.form.n_active == active_count(rep.S), mode
+        assert r.active_ubs_count == rep.power.n_active == active_count(rep.S), mode
 
 
 def test_nos_record_counts_every_bs_active():

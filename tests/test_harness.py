@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from greenran import (BsPowerConfig, ConfigError, FrameConfig, ScenarioParams,
-                      SolverSettings, SystemPowerParams)
+                      SolverSettings, SystemPowerParams, build_affine_form)
 from greenran import harness, matching
 from greenran.defaults import table3_defaults
 from greenran.harness import aggregate, emit, emit_aggregates, load_config, run, sweep
@@ -220,21 +220,44 @@ class TestRun:
         assert after_qopc["trimsm-eipc"] == counts("trimsm-eipc")["trimsm-eipc"]
         assert after_qopc["trimsm-qopc"] == counts("trimsm-qopc")["trimsm-qopc"]
 
-    def test_algorithms_of_a_drop_share_power_forms(self, monkeypatch):
-        # each form of a drop is built once, whichever algorithm asks for it first
-        built, build = [], matching.build_affine_form
-        monkeypatch.setattr(matching, "build_affine_form",
-                            lambda *args: built.append(args[-1]) or build(*args))
-        run(load_config(dict(BASE, algorithm=["trimsm-eipc", "trimsm-qopc", "llsf", "nos"],
-                             drops=1)))
-        assert built and len(built) == len(set(built))
+    def test_a_drop_builds_one_form_that_every_solution_holds(self, monkeypatch):
+        config = load_config(dict(BASE, algorithm=["trimsm-eipc", "trimsm-qopc", "llsf",
+                                                   "nos"]))
+        built, build = [], harness.build_affine_form
+        monkeypatch.setattr(harness, "build_affine_form",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        contexts, dispatch = [], harness._dispatch
+        monkeypatch.setattr(harness, "_dispatch", lambda algorithm, ctx: (
+            contexts.append(ctx) or dispatch(algorithm, ctx)))
+        reports, record = [], harness._record
+        monkeypatch.setattr(harness, "_record", lambda config, report, *args: (
+            reports.append(report) or record(config, report, *args)))
+        run(config)
+        # run checks the power tables with one form, then each drop builds one
+        assert len(built) == 1 + config.drops
+        per_drop = len(config.algorithms)
+        for d, form in enumerate(built[1:]):
+            drop = slice(d * per_drop, (d + 1) * per_drop)
+            assert all(ctx.form is form for ctx in contexts[drop])
+            assert all(report.power.form is form for report in reports[drop])
+            assert all(solution.form is form for ctx in contexts[drop]
+                       for cache in ctx._cache.values() for solution in cache.values())
 
-    def test_copy_with_other_power_tables_builds_its_own_forms(self):
-        ctx = harness._make_context(load_config(BASE), 11)
-        assert replace(ctx).form_for(2) is ctx.form_for(2)
-        other = replace(ctx, system=replace(ctx.system, ue_circuit_w=2.0))
-        assert other.form_for(2).c0_w == pytest.approx(
-            ctx.form_for(2).c0_w + 2 * (2.0 - ctx.system.ue_circuit_w), rel=1e-12)
+    def test_copy_with_another_form_scores_under_it(self):
+        config = load_config(BASE)
+        ctx = harness._make_context(config, 11)
+        M, K = ctx.scenario.M, ctx.scenario.K
+        system = replace(config.system, ue_circuit_w=2.0)
+        other = replace(ctx, form=build_affine_form(config.bs_config, system, M, K))
+        # K UEs draw 2 W of circuit power each instead of ue_circuit_w, at any count
+        extra = K * (2.0 - config.system.ue_circuit_w)
+        assert other.form.c0_w == pytest.approx(ctx.form.c0_w + extra, rel=1e-12)
+        S = matching.llsf_assoc(ctx.corr, ctx.scenario)
+        mine, theirs = matching.evaluate(S, "eipc", ctx), matching.evaluate(S, "eipc", other)
+        assert mine.form is ctx.form and theirs.form is other.form
+        assert np.array_equal(mine.p, theirs.p) and np.array_equal(mine.rates, theirs.rates)
+        total = np.sum(mine.rates)
+        assert total / theirs.ee == pytest.approx(total / mine.ee + extra, rel=1e-12)
 
     def test_massive_mimo_drop_builds_no_full_correlation_array(self):
         # M=128 K=10 N=64: the whole (M, K, N, N) correlation array is 42 MB; a

@@ -28,12 +28,13 @@ class TestQosResidual:
     def test_zero_gamma_always_satisfied(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         qos = make_qos(0.0, 2, small_ctx.frame, 0.1)
-        r = residual(ReducedProblem(lc, small_ctx.frame, None, qos), np.array([0.05, 0.01]))
+        prob = ReducedProblem(lc, small_ctx.frame, None, None, qos)
+        r = residual(prob, np.array([0.05, 0.01]))
         assert (r <= 0).all()
 
     def test_affine_in_power(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
-        prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
+        prob = ReducedProblem(lc, small_ctx.frame, None, None, small_ctx.qos)
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.random(2) * 0.1
@@ -46,7 +47,7 @@ class TestQosResidual:
     def test_sign_matches_rate_deficit(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         qos = small_ctx.qos
-        prob = ReducedProblem(lc, small_ctx.frame, None, qos)
+        prob = ReducedProblem(lc, small_ctx.frame, None, None, qos)
         rng = np.random.default_rng(1)
         for _ in range(200):
             p = rng.random(2) * 0.1
@@ -63,7 +64,7 @@ class TestTaylorBounds:
 
     def test_equality_at_anchor(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
-        prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
+        prob = ReducedProblem(lc, small_ctx.frame, None, None, small_ctx.qos)
         anchor = np.array([0.03, 0.07])
         rates = rates_from_coeffs(anchor, lc, small_ctx.frame)
         hi, lo = Surrogate(prob, anchor).rate_bounds(anchor)
@@ -72,7 +73,7 @@ class TestTaylorBounds:
 
     def test_sandwich_everywhere(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
-        prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
+        prob = ReducedProblem(lc, small_ctx.frame, None, None, small_ctx.qos)
         rng = np.random.default_rng(2)
         for _ in range(100):
             anchor = rng.random(2) * 0.1
@@ -85,7 +86,7 @@ class TestTaylorBounds:
     def test_upper_bound_gradient_matches_rate_gradient(self, small_ctx):
         # at the anchor the tangent of the concave log reproduces the slope
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
-        prob = ReducedProblem(lc, small_ctx.frame, None, small_ctx.qos)
+        prob = ReducedProblem(lc, small_ctx.frame, None, None, small_ctx.qos)
         anchor = np.array([0.04, 0.06])
         sur = Surrogate(prob, anchor)
         h = 1e-7
@@ -109,41 +110,41 @@ class TestSurrogateEe:
     def test_global_lower_bound(self, small_ctx):
         assoc = strongest_assoc(small_ctx)
         lc = link_coefficients(assoc, small_ctx.tensor)
-        form = small_ctx.form_for(active_count(assoc))
-        prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
+        form, n = small_ctx.form, active_count(assoc)
+        prob = ReducedProblem(lc, small_ctx.frame, form, n, small_ctx.qos)
         rng = np.random.default_rng(3)
         for _ in range(200):
             anchor = rng.random(2) * 0.1
             p = rng.random(2) * 0.1
             below = Surrogate(prob, anchor).ratio(p)
             rates = rates_from_coeffs(p, lc, small_ctx.frame)
-            true_ee = np.sum(rates) / form.total(p, rates)
+            true_ee = np.sum(rates) / form.total(p, rates, n)
             assert below <= true_ee * (1 + 1e-12) + 1e-12
 
     def test_tight_at_anchor(self, small_ctx):
         assoc = strongest_assoc(small_ctx)
         lc = link_coefficients(assoc, small_ctx.tensor)
-        form = small_ctx.form_for(active_count(assoc))
-        prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
+        form, n = small_ctx.form, active_count(assoc)
+        prob = ReducedProblem(lc, small_ctx.frame, form, n, small_ctx.qos)
         p = np.array([0.02, 0.09])
         at = Surrogate(prob, p).ratio(p)
         rates = rates_from_coeffs(p, lc, small_ctx.frame)
-        true_ee = np.sum(rates) / form.total(p, rates)
+        true_ee = np.sum(rates) / form.total(p, rates, n)
         assert at == pytest.approx(true_ee, rel=1e-10)
 
     def test_gradient_consistency_at_anchor(self, small_ctx):
         # surrogate and true EE share first-order behavior at the anchor
         assoc = strongest_assoc(small_ctx)
         lc = link_coefficients(assoc, small_ctx.tensor)
-        form = small_ctx.form_for(active_count(assoc))
-        prob = ReducedProblem(lc, small_ctx.frame, form, small_ctx.qos)
+        form, n = small_ctx.form, active_count(assoc)
+        prob = ReducedProblem(lc, small_ctx.frame, form, n, small_ctx.qos)
         anchor = np.array([0.05, 0.04])
         sur = Surrogate(prob, anchor)
         h = 1e-8
 
         def true_ee(p):
             rates = rates_from_coeffs(p, lc, small_ctx.frame)
-            return np.sum(rates) / form.total(p, rates)
+            return np.sum(rates) / form.total(p, rates, n)
 
         for k in range(2):
             dp = np.zeros(2)

@@ -95,7 +95,7 @@ class TestQopc:
         assoc = strongest_assoc(ctx)
         p, ok = qopc_alone(assoc, ctx)
         assert ok
-        prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, None, ctx.qos)
+        prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, None, None, ctx.qos)
         assert (residual(prob, p[prob.idx]) <= 0).all()
         # P = 0 itself satisfies the constraints when gamma = 0
         assert (residual(prob, np.zeros(2)) <= 0).all()
@@ -131,7 +131,7 @@ class TestQopc:
             assoc = strongest_assoc(ctx)
             lc = link_coefficients(assoc, ctx.tensor)
             p, ok = qopc_alone(assoc, ctx)
-            prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
+            prob = ReducedProblem(lc, ctx.frame, None, None, ctx.qos)
             oracle = feasibility_by_vertex_enumeration(prob)
             assert ok == oracle, trial
             agree_feasible += ok
@@ -143,7 +143,7 @@ class TestQopc:
         assoc = strongest_assoc(ctx)
         lc = link_coefficients(assoc, ctx.tensor)
         p, ok = qopc_alone(assoc, ctx)
-        prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
+        prob = ReducedProblem(lc, ctx.frame, None, None, ctx.qos)
         attained = np.max(residual(prob, p[prob.idx]) / prob.rscale)
         # no random candidate does better than the LP optimum
         rng = np.random.default_rng(0)

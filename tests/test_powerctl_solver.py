@@ -10,10 +10,9 @@ from reference import parametric_value, residual
 
 
 def build_problem(ctx, assoc):
-    form = ctx.form_for(active_count(assoc))
     lc = link_coefficients(assoc, ctx.tensor)
-    prob = ReducedProblem(lc, ctx.frame, form, ctx.qos)
-    return prob, form
+    prob = ReducedProblem(lc, ctx.frame, ctx.form, active_count(assoc), ctx.qos)
+    return prob, ctx.form
 
 
 def pinned_instance():
@@ -25,7 +24,7 @@ def pinned_instance():
 def pinned_slmdb():
     ctx, assoc = pinned_instance()
     return slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame,
-                       ctx.form_for(active_count(assoc)), ctx.qos, ctx.settings)
+                       ctx.form, active_count(assoc), ctx.qos, ctx.settings)
 
 
 def cold_solve(sur, pi):
@@ -47,7 +46,7 @@ def grid_best_scalar(prob, form, n=100001):
     ag = prob.Ag[0, 0] * g + prob.n[0]
     rates = prob.cr * (np.log2(af) - np.log2(ag))
     res = prob.W[0, 0] * g + prob.c[0]
-    pn = form.c0_w + form.alpha_per_k[prob.idx[0]] * rates / form.r_ref_bps \
+    pn = prob.c0 + form.alpha_per_k[prob.idx[0]] * rates / form.r_ref_bps \
         + form.delta_per_k[prob.idx[0]] * g
     ee = np.where(res <= 0, rates / pn, -np.inf)
     i = int(np.argmax(ee))
@@ -71,7 +70,7 @@ class TestParametricSolver:
             g_hat = sur.g0[0] + sur.vg[0, 0] * (g - anchor[0])
             r_bar = prob.cr * (np.log2(af) - g_hat)
             r_hat = prob.cr * (f_hat - np.log2(ag))
-            pn = form.c0_w + form.alpha_per_k[0] * r_hat / form.r_ref_bps \
+            pn = prob.c0 + form.alpha_per_k[0] * r_hat / form.r_ref_bps \
                 + form.delta_per_k[0] * g
             u = r_bar - pi * pn
             mask = prob.W[0, 0] * g + prob.c[0] <= 0
@@ -151,7 +150,7 @@ class TestInteriorPoint:
         threshold = gam * ctx.frame.noise_power_w * lc.ns[0] / denom
         qos = powerctl.QosSpec(r_min_bps=ctx.qos.r_min_bps, gamma=ctx.qos.gamma,
                                p_max_w=threshold)
-        prob = ReducedProblem(lc, ctx.frame, None, qos)
+        prob = ReducedProblem(lc, ctx.frame, None, None, qos)
         with pytest.raises(InfeasibleError):
             prob.interior_point()
 
@@ -180,11 +179,11 @@ class TestInteriorPoint:
     def test_infeasible_targets_fall_back_to_one_lp(self, monkeypatch):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
         assoc = strongest_assoc(ctx, per_ue=1)
-        form = ctx.form_for(active_count(assoc))
+        n = active_count(assoc)
         solves = self.count_calls(monkeypatch, "_balanced_point")
         lps = self.count_calls(monkeypatch, "_least_power_point")
-        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
-                          ctx.settings)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form, n,
+                          ctx.qos, ctx.settings)
         assert not sol.feasible
         assert len(solves) == 1
         assert len(lps) == 1
@@ -196,7 +195,8 @@ class TestDinkelbach:
         assoc = strongest_assoc(ctx)
         st = SolverSettings(slm_tol=1e-9, slm_max_iter=500)
         prob, form = build_problem(ctx, assoc)
-        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, prob.n_active,
+                          ctx.qos, st)
         # re-anchor at the converged point: the ratio update is a fixed point
         pi_star = dinkelbach_ratio(prob, sol.p[prob.idx])
         assert pi_star == pytest.approx(sol.ee, rel=1e-4)
@@ -216,9 +216,9 @@ class TestDinkelbach:
         for seed in range(20):
             ctx = make_context(M=4, K=3, N=4, L=2, area=320.0, seed=seed)
             assoc = strongest_assoc(ctx)
-            form = ctx.form_for(active_count(assoc))
-            sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
-                              ctx.settings)
+            n = active_count(assoc)
+            sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form, n,
+                              ctx.qos, ctx.settings)
             if not sol.feasible:
                 continue
             for trace in sol.diagnostics.pi_traces:
@@ -231,9 +231,9 @@ class TestSlmdb:
         for seed in range(10):
             ctx = make_context(M=4, K=3, N=4, L=2, area=320.0, seed=100 + seed)
             assoc = strongest_assoc(ctx)
-            form = ctx.form_for(active_count(assoc))
-            sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
-                              ctx.settings)
+            n = active_count(assoc)
+            sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form, n,
+                              ctx.qos, ctx.settings)
             if not sol.feasible:
                 continue
             t = np.asarray(sol.diagnostics.ee_trace)
@@ -246,7 +246,8 @@ class TestSlmdb:
         assoc = strongest_assoc(ctx)
         prob, form = build_problem(ctx, assoc)
         st = SolverSettings(slm_tol=1e-8, slm_max_iter=3000)
-        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, prob.n_active,
+                          ctx.qos, st)
         anchor = sol.p[prob.idx]
         p = _dinkelbach(prob, anchor, prob.ee(anchor), SolveDiagnostics())
         ee, ee_prev = prob.ee(p), prob.ee(anchor)
@@ -258,25 +259,26 @@ class TestSlmdb:
         assoc = strongest_assoc(ctx, per_ue=1)
         st = SolverSettings(slm_tol=1e-8, slm_max_iter=3000)
         prob, form = build_problem(ctx, assoc)
-        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos, st)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, prob.n_active,
+                          ctx.qos, st)
         best, arg = grid_best_scalar(prob, form)
         assert sol.ee == pytest.approx(best, rel=1e-3)
 
     def test_infeasible_verdict_propagates(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=500.0, seed=0, r_min=200e6)
         assoc = strongest_assoc(ctx, per_ue=1)
-        form = ctx.form_for(active_count(assoc))
-        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
-                          ctx.settings)
+        n = active_count(assoc)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form, n,
+                          ctx.qos, ctx.settings)
         assert not sol.feasible
         assert np.isfinite(sol.ee)
 
     def test_respects_box_and_qos(self):
         ctx = make_context(M=4, K=3, N=4, L=2, area=300.0, seed=23, r_min=15e6)
         assoc = strongest_assoc(ctx)
-        form = ctx.form_for(active_count(assoc))
-        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
-                          ctx.settings)
+        n = active_count(assoc)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form, n,
+                          ctx.qos, ctx.settings)
         if sol.feasible:
             assert (sol.p >= 0).all() and (sol.p <= ctx.qos.p_max_w).all()
             assert (sol.rates >= ctx.qos.r_min_bps * (1 - 1e-6)).all()
@@ -318,18 +320,18 @@ class TestSlmdb:
         ctx = make_context(M=2, K=2, N=3, L=1, area=300.0, seed=2, r_min=10e6)
         S = np.zeros((2, 2), dtype=bool)
         S[0, 0] = True   # UE 1 left unserved
-        form = ctx.form_for(active_count(S))
-        sol = slmdb_solve(link_coefficients(S, ctx.tensor), ctx.frame, form, ctx.qos,
-                          ctx.settings)
+        n = active_count(S)
+        sol = slmdb_solve(link_coefficients(S, ctx.tensor), ctx.frame, ctx.form, n,
+                          ctx.qos, ctx.settings)
         assert not sol.feasible
         assert sol.p[1] == 0.0
 
     def test_empty_association_returns_at_once(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=300.0, seed=2, r_min=0.0)
         assoc = np.zeros((2, 2), dtype=bool)
-        form = ctx.form_for(active_count(assoc))
-        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
-                          ctx.settings)
+        n = active_count(assoc)
+        sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form, n,
+                          ctx.qos, ctx.settings)
         assert sol.feasible and sol.ee == 0.0
         assert np.array_equal(sol.p, np.zeros(2))
         assert sol.diagnostics.slm_iterations == 0

@@ -121,12 +121,12 @@ class TestSleepPower:
     # one sleeping BS out of one: the form's ubs_sleep constant is its draw
     def test_zero_scale(self, system_params):
         cfg = simple_cfg(rf=[SubComponentSpec("a", 5.0, {})], sleep_scale=0.0)
-        form = build_affine_form(cfg, system_params, 1, 1, 0)
-        assert form.parts["ubs_sleep"][0] == 0.0
+        form = build_affine_form(cfg, system_params, 1, 1)
+        assert form.parts["ubs_sleep"][0][0] == 0.0
 
     def test_below_idle_power(self, bs_config, system_params):
-        form = build_affine_form(bs_config, system_params, 1, 1, 0)
-        assert form.parts["ubs_sleep"][0] < ubs_power(bs_config, 0.0)
+        form = build_affine_form(bs_config, system_params, 1, 1)
+        assert form.parts["ubs_sleep"][0][0] < ubs_power(bs_config, 0.0)
 
 
 class TestEdgeCloud:
@@ -150,8 +150,8 @@ class TestEdgeCloud:
 
     def test_kappa_zero_disables(self, bs_config):
         params = SystemPowerParams(kappa=0.0)
-        c, alpha, delta = build_affine_form(bs_config, params, 4, 3, 2).parts["edge_cloud"]
-        assert c == 0.0 and (alpha == 0.0).all() and (delta == 0.0).all()
+        c, alpha, delta = build_affine_form(bs_config, params, 4, 3).parts["edge_cloud"]
+        assert (c == 0.0).all() and (alpha == 0.0).all() and (delta == 0.0).all()
 
 
 class TestAffineForm:
@@ -174,16 +174,16 @@ class TestAffineForm:
         for trial in range(30):
             M, K = int(rng.integers(2, 7)), int(rng.integers(1, 5))
             S = rng.random((M, K)) < 0.5
-            form = build_affine_form(bs_config, system_params, M, K, active_count(S))
+            form = build_affine_form(bs_config, system_params, M, K)
             P = rng.random(K) * 0.1
             rates = rng.random(K) * 60e6 * S.any(axis=0)   # traffic only when served
             direct = direct_network_power(P, rates, S, bs_config, system_params)
-            assert form.total(P, rates) == pytest.approx(direct, rel=1e-9)
+            assert form.total(P, rates, active_count(S)) == pytest.approx(direct, rel=1e-9)
 
     def test_zero_curvature_in_rates(self, bs_config, system_params):
         rng = np.random.default_rng(9)
         S = rng.random((5, 3)) < 0.6
-        form = build_affine_form(bs_config, system_params, 5, 3, int(S.any(axis=1).sum()))
+        form, n = build_affine_form(bs_config, system_params, 5, 3), active_count(S)
         P = rng.random(3) * 0.1
         rates = rng.random(3) * 40e6
         h = 1e6
@@ -191,68 +191,74 @@ class TestAffineForm:
             up, mid, dn = rates.copy(), rates.copy(), rates.copy()
             up[k] += h
             dn[k] -= h
-            second = form.total(P, up) - 2 * form.total(P, mid) + form.total(P, dn)
-            assert abs(second) <= 1e-9 * abs(form.total(P, mid))
+            second = form.total(P, up, n) - 2 * form.total(P, mid, n) + form.total(P, dn, n)
+            assert abs(second) <= 1e-9 * abs(form.total(P, mid, n))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(M=st.integers(1, 130), K=st.integers(1, 12), data=st.data(),
+    @given(M=st.integers(1, 130), K=st.integers(1, 12),
            kappa=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
            psi_d=st.floats(0.0, 1.0), sleep_scale=st.floats(0.0, 1.0),
            loss_co=st.sampled_from([0.0, 0.1]), fh_trf=st.floats(0.0, 1e-8),
            pa_slope=st.floats(1.0, 5.0), circuit=st.floats(0.0, 3.0),
            r_ref=st.floats(1e5, 1e9))
-    def test_scalar_sums_keep_the_array_bits(self, M, K, data, kappa, psi_d, sleep_scale,
+    def test_scalar_sums_keep_the_array_bits(self, M, K, kappa, psi_d, sleep_scale,
                                              loss_co, fh_trf, pa_slope, circuit, r_ref):
         # the per-UE slopes summed as scalars, in np.sum's order over the
-        # categories, give the bits of the per-category arrays summed by np.sum
+        # categories, give the bits of the per-category arrays summed by np.sum,
+        # and each entry of a constant table the bits of the scalar expression
+        # at its active count
         cfg = replace(default_bs_config(), sleep_scale=sleep_scale, loss_co=loss_co)
         params = SystemPowerParams(kappa=kappa, psi_d=psi_d, fronthaul_trf_w_per_bps=fh_trf,
                                    ue_pa_slope=pa_slope, ue_circuit_w=circuit,
                                    r_ref_bps=r_ref)
-        n_active = data.draw(st.integers(0, M))
-        form = build_affine_form(cfg, params, M, K, n_active)
-        ref = affine_form_from_arrays(cfg, params, M, K, n_active)
+        form = build_affine_form(cfg, params, M, K)
 
         def bits(x):
             return np.asarray(x, dtype=float).tobytes()
-        assert bits(form.c0_w) == bits(ref.c0_w)
-        assert bits(form.alpha_per_k) == bits(ref.alpha_per_k)
-        assert bits(form.delta_per_k) == bits(ref.delta_per_k)
-        assert (form.r_ref_bps, form.n_active) == (ref.r_ref_bps, ref.n_active)
-        assert list(form.parts) == list(ref.parts)
-        for name, triple in form.parts.items():
-            assert [bits(x) for x in triple] == [bits(x) for x in ref.parts[name]], name
-            assert [np.shape(x) for x in triple] == [np.shape(x) for x in ref.parts[name]]
+        assert np.shape(form.c0_w) == (M + 1,)
+        for n_active in range(M + 1):
+            ref = affine_form_from_arrays(cfg, params, M, K, n_active)
+            assert bits(form.c0_w[n_active]) == bits(ref.c0_w)
+            assert bits(form.alpha_per_k) == bits(ref.alpha_per_k)
+            assert bits(form.delta_per_k) == bits(ref.delta_per_k)
+            assert form.r_ref_bps == ref.r_ref_bps
+            assert list(form.parts) == list(ref.parts)
+            for name, (c, a, d) in form.parts.items():
+                ref_c, ref_a, ref_d = ref.parts[name]
+                assert np.shape(c) == (M + 1,) and np.shape(ref_c) == (), name
+                assert [bits(c[n_active]), bits(a), bits(d)] == \
+                    [bits(ref_c), bits(ref_a), bits(ref_d)], name
+                assert np.shape(a) == np.shape(ref_a) and np.shape(d) == np.shape(ref_d)
 
     def test_positive_slopes(self, bs_config, system_params):
-        form = build_affine_form(bs_config, system_params, 4, 2, 4)
+        form = build_affine_form(bs_config, system_params, 4, 2)
         assert (form.alpha_per_k > 0).all()
         assert (form.delta_per_k >= 1).all()
 
     def test_all_sleeping_floor(self, bs_config, system_params):
         M, K = 4, 2
-        form = build_affine_form(bs_config, system_params, M, K, 0)
+        form = build_affine_form(bs_config, system_params, M, K)
         kt = system_params.kappa * theta(bs_config, system_params)
         sleep_total = M * (1 - kt) * bs_config.sleep_scale * ubs_power(bs_config, 0.0)
         ec = kt * edge_cloud_scaling(system_params, M, bs_config.loss_co) \
             * M * ubs_power(bs_config, 0.0)
         expected = sleep_total + K * system_params.ue_circuit_w + ec
-        assert form.total(np.zeros(K), np.zeros(K)) == pytest.approx(expected, rel=1e-12)
+        assert form.total(np.zeros(K), np.zeros(K), 0) == pytest.approx(expected, rel=1e-12)
 
     def test_fractional_load_exponent_rejected(self, system_params):
         cfg = simple_cfg(bbu=[SubComponentSpec("b", 1.0, {"Ld": 0.5})])
         with pytest.raises(ConfigError):
-            build_affine_form(cfg, system_params, 2, 1, 2)
+            build_affine_form(cfg, system_params, 2, 1)
 
     def test_breakdown_parts_sum_to_total(self, bs_config, system_params):
         rng = np.random.default_rng(10)
         S = rng.random((5, 3)) < 0.5
-        form = build_affine_form(bs_config, system_params, 5, 3, int(S.any(axis=1).sum()))
+        form, n = build_affine_form(bs_config, system_params, 5, 3), active_count(S)
         P = rng.random(3) * 0.1
         rates = rng.random(3) * 40e6
-        b = network_power(P, rates, form)
+        b = network_power(P, rates, form, n)
         parts = [b.ubs_active_w, b.ubs_sleep_w, b.fronthaul_w, b.edge_cloud_w, b.ue_w]
         assert all(x >= 0 for x in parts)
         assert sum(parts) == b.total_w
-        assert b.total_w == pytest.approx(form.total(P, rates), rel=1e-12)
+        assert b.total_w == pytest.approx(form.total(P, rates, n), rel=1e-12)
 

@@ -38,9 +38,8 @@ def instances(draw):
 
 
 def solve(ctx, assoc):
-    form = ctx.form_for(active_count(assoc))
-    return slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos,
-                       ctx.settings), form
+    return slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form,
+                       active_count(assoc), ctx.qos, ctx.settings)
 
 
 def assert_clean(diag):
@@ -51,7 +50,7 @@ def assert_clean(diag):
 @given(instances())
 def test_feasible_slmdb_properties(instance):
     ctx, assoc = instance
-    sol, form = solve(ctx, assoc)
+    sol = solve(ctx, assoc)
     if not sol.feasible:
         return
     diag = sol.diagnostics
@@ -63,13 +62,14 @@ def test_feasible_slmdb_properties(instance):
     assert (sol.p >= 0).all() and (sol.p <= pmax).all()
     assert (sol.rates >= ctx.qos.r_min_bps * (1 - QOS_RATE_RTOL)).all()
 
-    again, _ = solve(ctx, assoc)
+    again = solve(ctx, assoc)
     assert np.array_equal(again.p, sol.p) and np.array_equal(again.rates, sol.rates)
     assert again.ee == sol.ee and again.diagnostics == diag
 
     if diag.interior_infeasible:
         return
-    prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, form, ctx.qos)
+    prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form,
+                          sol.n_active, ctx.qos)
     sur = Surrogate(prob, sol.p[prob.idx])
     assert sur.ratio(sur.anchor) == prob.ee(sur.anchor)    # what _dinkelbach starts from
     pi = max(sur.ratio(sur.anchor), 0.0)

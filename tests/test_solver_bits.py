@@ -84,7 +84,7 @@ def problems(draw):
         full = rates_from_coeffs(np.where(lc.served, ctx.qos.p_max_w, 0.0), lc, ctx.frame)
         r_min = full * (1.0 if target == "edge" else 1.5)
     qos = make_qos(r_min, K, ctx.frame, ctx.qos.p_max_w)
-    return lc, ctx.frame, ctx.form_for(active_count(S)), qos, ctx.settings
+    return lc, ctx.frame, ctx.form, active_count(S), qos, ctx.settings
 
 
 def diagnostics_bits(diag):

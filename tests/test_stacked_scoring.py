@@ -3,9 +3,11 @@
 `evaluate` on a stack scores every cache miss among the matchings in one call:
 link coefficients, powers, rates and EE are stacked, and QoPC's closed form is
 stacked per served set. Every member must come back bitwise the result of
-scoring it alone in a fresh cache, in every power mode. Generated drops span
-M 1-6, K 1-4, valid L and N, shadowing 0-8 dB, power caps over three decades
-and per-UE rate targets from none to ones no association meets. Matchings are
+scoring it alone in a fresh cache, in every power mode, under the drop's one
+power form at the member's active-BS count (all M under no-sleeping).
+Generated drops span M 1-6, K 1-4, valid L and N, shadowing 0-8 dB, power caps
+over three decades, per-UE rate targets from none to ones no association
+meets, and sleeping allowed or not. Matchings are
 any serving matrices, up to 40 in a stack, so members leave UEs unserved
 (structurally infeasible under a target), repeat, share a served set, and pass
 or fail QoPC's M-matrix certificate. A crafted tensor adds a member whose -W
@@ -45,6 +47,7 @@ def drops(draw):
     for _ in range(draw(st.integers(0, 32))):
         base = matchings[draw(st.integers(0, bases - 1))]
         matchings.append(base[draw(st.permutations(range(M)))])
+    ctx = replace(ctx, no_sleep=draw(st.booleans()))
     return ctx, draw(st.sampled_from(POWER_MODES)), matchings
 
 
@@ -59,7 +62,6 @@ def assert_same(got, alone):
 
 
 def assert_stacked_equals_alone(ctx, mode, matchings):
-    # each member is scored under the one form its context holds for its active count
     stacked = replace(ctx)
     together = list(evaluate(np.array(matchings), mode, stacked, np.ones(len(matchings), bool)))
     assert len(together) == len(matchings)
@@ -67,8 +69,9 @@ def assert_stacked_equals_alone(ctx, mode, matchings):
         alone = replace(ctx)
         one = evaluate(S, mode, alone)
         assert_same(got, one)
-        n_active = int(S.any(axis=1).sum())
-        assert got.form is stacked.form_for(n_active) and one.form is alone.form_for(n_active)
+        assert got.form is one.form is ctx.form
+        n_active = ctx.scenario.M if ctx.no_sleep else int(S.any(axis=1).sum())
+        assert got.n_active == one.n_active == n_active
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -89,7 +92,7 @@ def test_singular_member_is_scored_as_alone():
                               gamma=np.ones(2), p_max_w=0.1))
     singular = np.array([[1, 1], [0, 0]], dtype=bool)
     lc = link_coefficients(singular, ctx.tensor)
-    prob = ReducedProblem(lc, ctx.frame, None, ctx.qos)
+    prob = ReducedProblem(lc, ctx.frame, None, None, ctx.qos)
     assert np.array_equal(prob.W, [[-1.0, 1.0], [1.0, -1.0]])
     _, _, certified = _balanced_point(prob.W[None], prob.c[None], prob.rscale[None], prob.pmax)
     assert not certified[0]

@@ -103,10 +103,11 @@ def _oracle_check(args) -> int:
                           "qos": {"r_min_bps": 10e6}})
     if args.instances < 1:
         raise ConfigError("instances must be >= 1")
+    qos, form = harness._check_point(config)
     worst = 1.0
     failures = 0
     for i in range(args.instances):
-        ctx = harness._make_context(config, config.base_seed ^ i)
+        ctx = harness._make_context(config, config.base_seed ^ i, qos, form)
         oracle = exhaustive_search(ctx)
         matcher = trimsm(ctx, "slmdb")
         if oracle.infeasible and matcher.infeasible:

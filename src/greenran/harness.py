@@ -6,10 +6,10 @@ derives its scenario seed as base_seed XOR d, generates a topology, builds the
 coefficient tensor once, and hands the identical tensor to every requested
 algorithm, so cross-algorithm comparisons are paired. Each algorithm starts
 from an empty evaluation cache, so its counts do not depend on which ran
-before it. Each drop builds one power form, which its algorithms share. Each
-record is written from the algorithm's `SolutionReport` alone: its final
-`PowerSolution` carries the power form, the active-BS count and the QoS
-violation count.
+before it. Each parameter point builds one QoS spec and one power form, which
+its drops share. Each record is written from the algorithm's `SolutionReport`
+alone: its final `PowerSolution` carries the power form, the active-BS count
+and the QoS violation count.
 Records are emitted in a fixed column order; identical configs produce
 byte-identical files (wall-clock timing is recorded only when `record_timing`
 is set, and is zero otherwise).
@@ -31,9 +31,9 @@ from .matching import (EvaluationContext, SolutionReport, check_exhaustive_size,
                        tsap_assoc)
 from .netmodel import (ConfigError, FrameConfig, ScenarioParams, build_correlation,
                        generate_topology)
-from .powerctl import SolverSettings, make_qos
-from .powermodel import (BsPowerConfig, SubComponentSpec, SystemPowerParams,
-                         build_affine_form, network_power)
+from .powerctl import QosSpec, SolverSettings, make_qos
+from .powermodel import (AffinePowerForm, BsPowerConfig, SubComponentSpec,
+                         SystemPowerParams, build_affine_form, network_power)
 
 ALGORITHMS = ("trimsm-slmdb", "trimsm-fipc", "trimsm-qopc", "trimsm-eipc",
               "recp", "llsf", "tsap", "nos", "exhaustive")
@@ -193,18 +193,20 @@ def load_config(source) -> RunConfig:
 
     sweep_parameter = None
     sweep_values = ()
-    if sweep_section:
-        if not isinstance(sweep_section, dict):
-            raise ConfigError("sweep must be an object")
-        sweep_parameter = sweep_section.get("parameter")
+    if sweep_section is not None:    # null or no key: no sweep
+        sweep_section = _merge({"parameter": None, "values": None}, sweep_section, "sweep")
+        sweep_parameter = sweep_section["parameter"]
         if sweep_parameter not in SWEEPABLE:
-            raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}")
-        sweep_values = sweep_section.get("values")
+            raise ConfigError(f"sweep.parameter must be one of {SWEEPABLE}")
+        sweep_values = sweep_section["values"]
         if not isinstance(sweep_values, list) or not sweep_values:
             raise ConfigError("sweep.values must be a nonempty list")
         kind = float if sweep_parameter in ("area_side", "r_min_bps") else int
         sweep_values = tuple(_number(v, f"sweep.values[{i}]", kind)
                              for i, v in enumerate(sweep_values))
+        for i, value in enumerate(sweep_values):
+            if value in sweep_values[:i]:    # its records would count every drop twice
+                raise ConfigError(f"sweep.values[{i}] repeats the value {value!r}")
 
     config = RunConfig(
         scenario=scenario, frame=frame, bs_config=bs_config, system=system,
@@ -241,9 +243,10 @@ def _check_algorithms(algorithms) -> None:
             raise ConfigError(f"algorithm {alg!r} is listed more than once")
 
 
-def _check_point(point: RunConfig) -> None:
+def _check_point(point: RunConfig) -> tuple[QosSpec, AffinePowerForm]:
     """What a run of one parameter point rejects before its first drop: the
-    pilots, the exhaustive search guard, the QoS targets and the power tables."""
+    pilots, the exhaustive search guard, the QoS targets and the power tables.
+    Returns the point's QoS spec and power form, which its drops share."""
     scen, frame = point.scenario, point.frame
     if scen.K > frame.tau_p:
         raise ConfigError(
@@ -251,19 +254,19 @@ def _check_point(point: RunConfig) -> None:
     if "exhaustive" in point.algorithms:
         check_exhaustive_size(scen)
     with _section("qos", ("r_min_bps", "p_max_w")):
-        make_qos(point.r_min_bps, scen.K, frame, point.p_max_w)    # QosSpec checks the values
-    with _section("power"):    # the checks of the tables that a drop's power form makes
-        build_affine_form(point.bs_config, point.system, scen.M, scen.K)
+        qos = make_qos(point.r_min_bps, scen.K, frame, point.p_max_w)    # QosSpec checks them
+    with _section("power"):    # building the form checks the tables
+        form = build_affine_form(point.bs_config, point.system, scen.M, scen.K)
+    return qos, form
 
 
-def _make_context(config: RunConfig, drop_seed: int) -> EvaluationContext:
+def _make_context(config: RunConfig, drop_seed: int, qos: QosSpec,
+                  form: AffinePowerForm) -> EvaluationContext:
     scen = replace(config.scenario, seed=drop_seed)
     topo = generate_topology(scen)
     corr = build_correlation(topo, config.frame)
     from .statistics import mmse_statistics
     tensor = mmse_statistics(corr, config.frame)
-    qos = make_qos(config.r_min_bps, scen.K, config.frame, config.p_max_w)
-    form = build_affine_form(config.bs_config, config.system, scen.M, scen.K)
     return EvaluationContext(scenario=scen, frame=config.frame, corr=corr, tensor=tensor,
                              form=form, qos=qos, settings=config.settings)
 
@@ -314,11 +317,11 @@ def _record(config: RunConfig, report: SolutionReport, algorithm: str, drop_inde
 
 def run(config: RunConfig, sweep_value: float = 0.0) -> list:
     """Execute all drops and algorithms for one parameter point."""
-    _check_point(config)
+    qos, form = _check_point(config)
     records = []
     for d in range(config.drops):
         drop_seed = config.base_seed ^ d
-        ctx = _make_context(config, drop_seed)
+        ctx = _make_context(config, drop_seed, qos, form)
         for algorithm in config.algorithms:
             t0 = time.perf_counter()
             report = _dispatch(algorithm, replace(ctx))    # a cache of its own

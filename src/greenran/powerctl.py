@@ -194,13 +194,11 @@ class ReducedProblem:
     """Fixed-association power problem restricted to UEs with a serving set.
 
     Unserved UEs keep zero power and zero rate; they still contribute circuit
-    power through the affine form's constant at `n_active` BSs. Only the EE,
-    the surrogate and the parametric solve read `form` and `n_active`, so they
-    may be None for the others.
+    power through the affine form's constant at `n_active` BSs.
     """
 
-    def __init__(self, lc: LinkCoefficients, frame: FrameConfig,
-                 form: AffinePowerForm | None, n_active: int | None, qos: QosSpec):
+    def __init__(self, lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
+                 n_active: int, qos: QosSpec):
         self.form = form
         self.n_active = n_active
         self.qos = qos
@@ -221,10 +219,9 @@ class ReducedProblem:
         self.Ag = self.Af - np.diag(self.D)
         self.n = frame.noise_power_w * lc.ns[sel]
         self.gamma = qos.gamma[sel]
-        if form is not None:
-            self.alpha = form.alpha_per_k[sel]
-            self.delta = form.delta_per_k[sel]
-            self.c0, self.r_ref = float(form.c0_w[n_active]), form.r_ref_bps
+        self.alpha = form.alpha_per_k[sel]
+        self.delta = form.delta_per_k[sel]
+        self.c0, self.r_ref = float(form.c0_w[n_active]), form.r_ref_bps
 
         self.W, self.c, self.rscale = _qos_rows(self.Af, self.D, self.n, self.gamma,
                                                 self.pmax)
@@ -262,10 +259,6 @@ class ReducedProblem:
             return np.full(len(self.idx), 0.5 * self.pmax)
         raise InfeasibleError("QoS constraints leave no strictly feasible power")
 
-    def ee(self, p: np.ndarray) -> float:
-        r = self.rates(p)
-        return float(_sum(r)) / self.power_total(p, r)
-
     def margin(self, p: np.ndarray) -> float:
         """Largest normalized QoS residual over rows with a rate target, or -inf."""
         rows = self.qrows
@@ -273,12 +266,12 @@ class ReducedProblem:
             return -np.inf
         return float(_max((self.W[rows].dot(p) + self.c[rows]) / self.rscale[rows]))
 
-    def solution(self, p_red: np.ndarray, feasible: bool,
+    def solution(self, p_red: np.ndarray, rates_red: np.ndarray, feasible: bool,
                  diag: SolveDiagnostics) -> PowerSolution:
-        """Rates, EE and QoS deficits at the reduced powers `p_red`, network
-        power from the form over full vectors."""
+        """EE and QoS deficits at the reduced powers `p_red` and their rates,
+        network power from the form over full vectors."""
         p = self.expand(p_red)
-        rates = self.expand(self.rates(p_red))
+        rates = self.expand(rates_red)
         ee = float(_sum(rates)) / self.form.total(p, rates, self.n_active)
         deficits = qos_deficits(rates, self.qos)
         return PowerSolution(p=p, ee=ee, rates=rates, feasible=feasible,
@@ -308,7 +301,9 @@ class ReducedProblem:
 
 
 class Surrogate:
-    """Tangent data of the two concave logs at the anchor point."""
+    """An SLM iterate: the point `anchor`, its true rates and EE, and the
+    tangents there of the two concave logs, which make the surrogate EE a lower
+    bound of the true EE, tight at the anchor. One set of logs gives all three."""
 
     def __init__(self, prob: ReducedProblem, anchor: np.ndarray):
         if not (_min(anchor) >= -1e-12 and _max(anchor) <= prob.pmax + 1e-12):
@@ -321,6 +316,8 @@ class Surrogate:
             raise ConfigError("anchor produces a nonpositive log argument")
         self.f0 = np.log2(self.f_den)
         self.g0 = np.log2(self.g_den)
+        self.rates = prob.cr * (self.f0 - self.g0)
+        self.ee = float(_sum(self.rates)) / prob.power_total(anchor, self.rates)
         self.vf = prob.Af / (_LN2 * self.f_den[:, None])
         self.vg = prob.Ag / (_LN2 * self.g_den[:, None])
         self.neg_vg_sum = -_sum(self.vg, axis=0)    # the parametric q's anchor term
@@ -453,22 +450,20 @@ _DINKELBACH_MAX_ITER = 50
 _STALL_ROUNDS = 3        # non-increasing ratio updates that end the rounds
 
 
-def _dinkelbach(prob: ReducedProblem, anchor: np.ndarray, anchor_ee: float,
-                diag: SolveDiagnostics) -> np.ndarray:
-    """Maximize the fractional surrogate anchored at `anchor`, starting from its
-    ratio there, which is bitwise the anchor's EE `anchor_ee`. The first
+def _dinkelbach(sur: Surrogate, diag: SolveDiagnostics) -> np.ndarray:
+    """Maximize the fractional surrogate of the iterate `sur`, starting from its
+    ratio at the anchor, which is the anchor's EE `sur.ee`. The first
     parametric solve starts at the anchor. Returns the maximizer; the ratio
     values, nondecreasing up to solver noise, go to `diag.pi_traces`."""
-    sur = Surrogate(prob, anchor)
-    pi = max(anchor_ee, 0.0)
+    pi = max(sur.ee, 0.0)
     pi_trace = [pi]
-    p = anchor
+    p = sur.anchor
     stall = 0
     for _ in range(_DINKELBACH_MAX_ITER):
         p = _solve_parametric(sur, pi, p, diag)
         num, den = sur.fraction(p)
         f_val = num - pi * den
-        if abs(f_val) <= _DINKELBACH_TOL * max(prob.cr, abs(num)):
+        if abs(f_val) <= _DINKELBACH_TOL * max(sur.prob.cr, abs(num)):
             break
         pi_new = num / den
         pi_trace.append(pi_new)    # raw ratio updates; nondecreasing up to solver noise
@@ -495,22 +490,21 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
     p_red, feasible, _ = prob.qopc
     if not feasible or len(prob.idx) == 0:
         # nothing to optimize: no served UE (the EE stays 0), or no feasible power
-        return prob.solution(p_red, feasible, diag)
+        return prob.solution(p_red, prob.rates(p_red), feasible, diag)
 
-    ee_prev = prob.ee(p_red)
-    diag.ee_trace.append(ee_prev)
+    sur = Surrogate(prob, p_red)
+    diag.ee_trace.append(sur.ee)
     try:
         for n in range(1, settings.slm_max_iter + 1):
             diag.slm_iterations = n
-            p_new = _dinkelbach(prob, p_red, ee_prev, diag)
-            ee = prob.ee(p_new)
-            diag.ee_trace.append(ee)
-            if not ee > ee_prev:
+            cand = Surrogate(prob, _dinkelbach(sur, diag))
+            diag.ee_trace.append(cand.ee)
+            if not cand.ee > sur.ee:
                 # the surrogate is tight at the anchor, so only the inner
-                # solve's tolerance can lose EE: no ascent left, keep p_red
+                # solve's tolerance can lose EE: no ascent left, keep the anchor
                 break
-            improvement = (ee - ee_prev) / ee_prev if ee_prev > 0 else np.inf
-            p_red, ee_prev = p_new, ee
+            improvement = (cand.ee - sur.ee) / sur.ee if sur.ee > 0 else np.inf
+            sur = cand
             if improvement <= settings.slm_tol:
                 break
         else:
@@ -520,7 +514,7 @@ def slmdb_solve(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
         # the feasible start is already the solution
         diag.interior_infeasible = True
 
-    return prob.solution(p_red, True, diag)
+    return prob.solution(sur.anchor, sur.rates, True, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,10 @@ def test_qos_residual_sign_equivalence():
     for seed in range(10):
         ctx = make_context(M=4, K=3, N=4, L=2, area=400.0, seed=50 + seed,
                            r_min=20e6)
-        lc = link_coefficients(strongest_assoc(ctx), ctx.tensor)
-        prob = ReducedProblem(lc, ctx.frame, None, None, ctx.qos)    # every UE is served
+        assoc = strongest_assoc(ctx)
+        lc = link_coefficients(assoc, ctx.tensor)
+        prob = ReducedProblem(lc, ctx.frame, ctx.form, active_count(assoc),
+                              ctx.qos)    # every UE is served
         for _ in range(100):
             p = rng.random(3) * 0.1
             r = residual(prob, p)

@@ -25,6 +25,7 @@ REJECTED_AT_RUN = [
     ({"power": {"bs": {"rf_components": [], "bbu_components": []}}}, "theta undefined"),
     ({"power": {"system": {"fronthaul_trf_w_per_bps": -1}}},
      "traffic coefficients must be positive"),
+    (dict(BASE, sweep={"parameter": "K", "values": [2, 2]}), "sweep.values[1] repeats"),
 ]
 
 

@@ -39,8 +39,9 @@ def drops(draw, max_links=15):
 @given(drops())
 def test_trimsm_drop_properties(config):
     seed, scen = config.base_seed, config.scenario
+    point = harness._check_point(config)
     for mode in POWER_MODES:
-        ctx = harness._make_context(config, seed)
+        ctx = harness._make_context(config, seed, *point)
         rep = trimsm(ctx, mode)
         S = rep.S
         assert (S.sum(axis=0) <= scen.L).all() and (S.sum(axis=1) <= scen.N).all()
@@ -49,7 +50,7 @@ def test_trimsm_drop_properties(config):
         start, end = evaluate(init, mode, ctx), evaluate(S, mode, ctx)
         assert (end.shortfall_bps, -end.ee) <= (start.shortfall_bps, -start.ee), mode
 
-        again = trimsm(harness._make_context(config, seed), mode)
+        again = trimsm(harness._make_context(config, seed, *point), mode)
         assert np.array_equal(again.S, S) and again.ee == rep.ee, mode
 
         r = harness._record(config, rep, f"trimsm-{mode}", 0, seed, 0.0, 0.0)
@@ -81,7 +82,7 @@ def test_nos_record_counts_every_bs_active():
 def test_exhaustive_oracle_bounds_matcher(config):
     # the oracle scores the matcher's matching too, through the same cache, so
     # the comparison is exact
-    ctx = harness._make_context(config, config.base_seed)
+    ctx = harness._make_context(config, config.base_seed, *harness._check_point(config))
     mine = evaluate(trimsm(ctx, "slmdb").S, "slmdb", ctx)
     best = evaluate(exhaustive_search(ctx).S, "slmdb", ctx)
     if mine.qos_ok:

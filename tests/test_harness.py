@@ -83,6 +83,9 @@ class TestConfig:
             load_config(dict(BASE, sweep={"parameter": "bogus", "values": [1]}))
         with pytest.raises(ConfigError):
             load_config(dict(BASE, sweep={"parameter": "K", "values": []}))
+        for raw in (dict(BASE, sweep=None), BASE):    # null or no key: no sweep
+            cfg = load_config(raw)
+            assert cfg.sweep_parameter is None and cfg.sweep_values == ()
 
     @pytest.mark.parametrize("bad, key", [
         ({"scenario": 5}, "scenario"),
@@ -129,6 +132,19 @@ class TestConfig:
         # drop seeds base_seed ^ d must fit a scenario seed
         ({"base_seed": -1}, "base_seed"),
         ({"base_seed": 2**64}, "base_seed"),
+        # a repeated sweep value would write its records twice and count its
+        # drops twice in the aggregate
+        ({"sweep": {"parameter": "K", "values": [2, 2]}}, "sweep.values[1] repeats"),
+        ({"sweep": {"parameter": "K", "values": [2, 4, 2]}}, "sweep.values[2] repeats"),
+        ({"sweep": {"parameter": "r_min_bps", "values": [1e6, 1000000]}},
+         "sweep.values[1] repeats"),
+        # only null means no sweep; an object names parameter and values only
+        ({"sweep": []}, "sweep must be an object"),
+        ({"sweep": 0}, "sweep must be an object"),
+        ({"sweep": False}, "sweep must be an object"),
+        ({"sweep": ""}, "sweep must be an object"),
+        ({"sweep": {}}, "sweep.parameter"),
+        ({"sweep": {"parameter": "K", "values": [2, 4], "extra": 1}}, "'sweep.extra'"),
     ])
     def test_wrong_typed_values_rejected(self, bad, key):
         with warnings.catch_warnings():
@@ -139,7 +155,8 @@ class TestConfig:
     def test_largest_base_seed_accepted(self):
         cfg = load_config(dict(BASE, base_seed=2**64 - 1))
         assert cfg.base_seed == 2**64 - 1
-        assert harness._make_context(cfg, cfg.base_seed ^ 1).scenario.seed == 2**64 - 2
+        ctx = harness._make_context(cfg, cfg.base_seed ^ 1, *harness._check_point(cfg))
+        assert ctx.scenario.seed == 2**64 - 2
 
     def test_scenario_seed_rejected(self):
         # base_seed XOR d is drop d's seed, so a scenario seed would be ignored
@@ -194,8 +211,9 @@ class TestRun:
     def test_shared_tensor_across_algorithms(self):
         # identical drop seed => identical topology-derived quantities
         cfg = load_config(dict(BASE, algorithm=["llsf", "tsap"]))
-        ctx1 = harness._make_context(cfg, 11)
-        ctx2 = harness._make_context(cfg, 11)
+        point = harness._check_point(cfg)
+        ctx1 = harness._make_context(cfg, 11, *point)
+        ctx2 = harness._make_context(cfg, 11, *point)
         assert np.array_equal(ctx1.tensor.mu, ctx2.tensor.mu)
         assert np.array_equal(ctx1.corr.beta, ctx2.corr.beta)
 
@@ -220,7 +238,7 @@ class TestRun:
         assert after_qopc["trimsm-eipc"] == counts("trimsm-eipc")["trimsm-eipc"]
         assert after_qopc["trimsm-qopc"] == counts("trimsm-qopc")["trimsm-qopc"]
 
-    def test_a_drop_builds_one_form_that_every_solution_holds(self, monkeypatch):
+    def test_a_run_builds_one_form_that_every_solution_holds(self, monkeypatch):
         config = load_config(dict(BASE, algorithm=["trimsm-eipc", "trimsm-qopc", "llsf",
                                                    "nos"]))
         built, build = [], harness.build_affine_form
@@ -233,19 +251,18 @@ class TestRun:
         monkeypatch.setattr(harness, "_record", lambda config, report, *args: (
             reports.append(report) or record(config, report, *args)))
         run(config)
-        # run checks the power tables with one form, then each drop builds one
-        assert len(built) == 1 + config.drops
-        per_drop = len(config.algorithms)
-        for d, form in enumerate(built[1:]):
-            drop = slice(d * per_drop, (d + 1) * per_drop)
-            assert all(ctx.form is form for ctx in contexts[drop])
-            assert all(report.power.form is form for report in reports[drop])
-            assert all(solution.form is form for ctx in contexts[drop]
-                       for cache in ctx._cache.values() for solution in cache.values())
+        # run checks the power tables with one form, which every drop shares
+        assert config.drops > 1 and len(built) == 1
+        form = built[0]
+        assert len(contexts) == len(reports) == config.drops * len(config.algorithms)
+        assert all(ctx.form is form for ctx in contexts)
+        assert all(report.power.form is form for report in reports)
+        assert all(solution.form is form for ctx in contexts
+                   for cache in ctx._cache.values() for solution in cache.values())
 
     def test_copy_with_another_form_scores_under_it(self):
         config = load_config(BASE)
-        ctx = harness._make_context(config, 11)
+        ctx = harness._make_context(config, 11, *harness._check_point(config))
         M, K = ctx.scenario.M, ctx.scenario.K
         system = replace(config.system, ue_circuit_w=2.0)
         other = replace(ctx, form=build_affine_form(config.bs_config, system, M, K))

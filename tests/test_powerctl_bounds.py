@@ -24,17 +24,19 @@ class TestGammaThresholds:
 
 
 class TestQosResidual:
-    # strongest_assoc serves both UEs, so reduced and full power vectors agree
+    # strongest_assoc serves both UEs, so reduced and full power vectors agree,
+    # and it wakes all M = 3 BSs
     def test_zero_gamma_always_satisfied(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         qos = make_qos(0.0, 2, small_ctx.frame, 0.1)
-        prob = ReducedProblem(lc, small_ctx.frame, None, None, qos)
+        prob = ReducedProblem(lc, small_ctx.frame, small_ctx.form, small_ctx.scenario.M, qos)
         r = residual(prob, np.array([0.05, 0.01]))
         assert (r <= 0).all()
 
     def test_affine_in_power(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
-        prob = ReducedProblem(lc, small_ctx.frame, None, None, small_ctx.qos)
+        prob = ReducedProblem(lc, small_ctx.frame, small_ctx.form, small_ctx.scenario.M,
+                              small_ctx.qos)
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.random(2) * 0.1
@@ -47,7 +49,7 @@ class TestQosResidual:
     def test_sign_matches_rate_deficit(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
         qos = small_ctx.qos
-        prob = ReducedProblem(lc, small_ctx.frame, None, None, qos)
+        prob = ReducedProblem(lc, small_ctx.frame, small_ctx.form, small_ctx.scenario.M, qos)
         rng = np.random.default_rng(1)
         for _ in range(200):
             p = rng.random(2) * 0.1
@@ -60,11 +62,13 @@ class TestQosResidual:
 
 
 class TestTaylorBounds:
-    # (Rhat, Rbar) of the surrogate at an anchor inside the power box
+    # (Rhat, Rbar) of the surrogate at an anchor inside the power box; strongest_assoc
+    # wakes all M = 3 BSs
 
     def test_equality_at_anchor(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
-        prob = ReducedProblem(lc, small_ctx.frame, None, None, small_ctx.qos)
+        prob = ReducedProblem(lc, small_ctx.frame, small_ctx.form, small_ctx.scenario.M,
+                              small_ctx.qos)
         anchor = np.array([0.03, 0.07])
         rates = rates_from_coeffs(anchor, lc, small_ctx.frame)
         hi, lo = Surrogate(prob, anchor).rate_bounds(anchor)
@@ -73,7 +77,8 @@ class TestTaylorBounds:
 
     def test_sandwich_everywhere(self, small_ctx):
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
-        prob = ReducedProblem(lc, small_ctx.frame, None, None, small_ctx.qos)
+        prob = ReducedProblem(lc, small_ctx.frame, small_ctx.form, small_ctx.scenario.M,
+                              small_ctx.qos)
         rng = np.random.default_rng(2)
         for _ in range(100):
             anchor = rng.random(2) * 0.1
@@ -86,7 +91,8 @@ class TestTaylorBounds:
     def test_upper_bound_gradient_matches_rate_gradient(self, small_ctx):
         # at the anchor the tangent of the concave log reproduces the slope
         lc = link_coefficients(strongest_assoc(small_ctx), small_ctx.tensor)
-        prob = ReducedProblem(lc, small_ctx.frame, None, None, small_ctx.qos)
+        prob = ReducedProblem(lc, small_ctx.frame, small_ctx.form, small_ctx.scenario.M,
+                              small_ctx.qos)
         anchor = np.array([0.04, 0.06])
         sur = Surrogate(prob, anchor)
         h = 1e-7

@@ -6,7 +6,7 @@ import pytest
 from greenran import (ConfigError, CorrelationSet, FrameConfig, eipc,
                       fipc, link_coefficients, make_qos)
 from greenran.powerctl import ReducedProblem
-from conftest import make_context, qopc_alone, strongest_assoc
+from conftest import active_count, make_context, qopc_alone, strongest_assoc
 from reference import residual
 
 
@@ -95,7 +95,8 @@ class TestQopc:
         assoc = strongest_assoc(ctx)
         p, ok = qopc_alone(assoc, ctx)
         assert ok
-        prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, None, None, ctx.qos)
+        prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form,
+                              active_count(assoc), ctx.qos)
         assert (residual(prob, p[prob.idx]) <= 0).all()
         # P = 0 itself satisfies the constraints when gamma = 0
         assert (residual(prob, np.zeros(2)) <= 0).all()
@@ -131,7 +132,7 @@ class TestQopc:
             assoc = strongest_assoc(ctx)
             lc = link_coefficients(assoc, ctx.tensor)
             p, ok = qopc_alone(assoc, ctx)
-            prob = ReducedProblem(lc, ctx.frame, None, None, ctx.qos)
+            prob = ReducedProblem(lc, ctx.frame, ctx.form, active_count(assoc), ctx.qos)
             oracle = feasibility_by_vertex_enumeration(prob)
             assert ok == oracle, trial
             agree_feasible += ok
@@ -143,7 +144,7 @@ class TestQopc:
         assoc = strongest_assoc(ctx)
         lc = link_coefficients(assoc, ctx.tensor)
         p, ok = qopc_alone(assoc, ctx)
-        prob = ReducedProblem(lc, ctx.frame, None, None, ctx.qos)
+        prob = ReducedProblem(lc, ctx.frame, ctx.form, active_count(assoc), ctx.qos)
         attained = np.max(residual(prob, p[prob.idx]) / prob.rscale)
         # no random candidate does better than the LP optimum
         rng = np.random.default_rng(0)

@@ -36,7 +36,7 @@ def cold_solve(sur, pi):
 def dinkelbach_ratio(prob, anchor):
     """The largest surrogate ratio one Dinkelbach run from `anchor` reaches."""
     diag = SolveDiagnostics()
-    _dinkelbach(prob, anchor, prob.ee(anchor), diag)
+    _dinkelbach(Surrogate(prob, anchor), diag)
     return max(diag.pi_traces[0])
 
 
@@ -150,7 +150,7 @@ class TestInteriorPoint:
         threshold = gam * ctx.frame.noise_power_w * lc.ns[0] / denom
         qos = powerctl.QosSpec(r_min_bps=ctx.qos.r_min_bps, gamma=ctx.qos.gamma,
                                p_max_w=threshold)
-        prob = ReducedProblem(lc, ctx.frame, None, None, qos)
+        prob = ReducedProblem(lc, ctx.frame, ctx.form, active_count(assoc), qos)
         with pytest.raises(InfeasibleError):
             prob.interior_point()
 
@@ -248,9 +248,9 @@ class TestSlmdb:
         st = SolverSettings(slm_tol=1e-8, slm_max_iter=3000)
         sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, form, prob.n_active,
                           ctx.qos, st)
-        anchor = sol.p[prob.idx]
-        p = _dinkelbach(prob, anchor, prob.ee(anchor), SolveDiagnostics())
-        ee, ee_prev = prob.ee(p), prob.ee(anchor)
+        sur = Surrogate(prob, sol.p[prob.idx])
+        p = _dinkelbach(sur, SolveDiagnostics())
+        ee, ee_prev = Surrogate(prob, p).ee, sur.ee
         assert (ee - ee_prev) / ee_prev <= ctx.settings.slm_tol
         assert ee == pytest.approx(sol.ee, rel=1e-6)
 
@@ -315,6 +315,35 @@ class TestSlmdb:
         sol = pinned_slmdb()
         assert sol.feasible and sol.diagnostics.interior_infeasible
         assert np.array_equal(sol.p, start)
+
+    def test_one_surrogate_per_iterate(self, monkeypatch):
+        # each SLM iterate is one Surrogate that carries its rates and EE: the
+        # QoPC start and each round's candidate, which nothing re-evaluates
+        built, rate_calls = [], []
+        init, rates = Surrogate.__init__, ReducedProblem.rates
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        def counting_rates(self, p):
+            rate_calls.append(1)
+            return rates(self, p)
+
+        monkeypatch.setattr(Surrogate, "__init__", counting_init)
+        monkeypatch.setattr(ReducedProblem, "rates", counting_rates)
+        instances = [pinned_instance()]
+        for seed in (100, 101, 102):
+            ctx = make_context(M=4, K=3, N=4, L=2, area=320.0, seed=seed)
+            instances.append((ctx, strongest_assoc(ctx)))
+        for ctx, assoc in instances:
+            built.clear()
+            sol = slmdb_solve(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form,
+                              active_count(assoc), ctx.qos, ctx.settings)
+            diag = sol.diagnostics
+            assert sol.feasible and diag.slm_iterations >= 1 and not diag.interior_infeasible
+            assert len(built) == diag.slm_iterations + 1
+        assert rate_calls == []
 
     def test_unserved_ue_with_target_infeasible(self):
         ctx = make_context(M=2, K=2, N=3, L=1, area=300.0, seed=2, r_min=10e6)

@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 from greenran import link_coefficients, make_qos
 from greenran.powerctl import (_FEAS_TOL, ReducedProblem, _balanced_point,
                                _least_power_point, _minmax)
-from conftest import make_context
+from conftest import active_count, make_context
 from reference import least_power_point_ix
 
 R_MIN = (0.0, 1e6, 5e6, 15e6, 40e6, 100e6, 300e6)
@@ -85,7 +85,7 @@ def problems(draw):
     p_max = 10.0 ** draw(st.floats(-3.0, 0.5))
     qos = make_qos(r_min, K, ctx.frame, p_max)
     lc = link_coefficients(S, ctx.tensor)
-    return ReducedProblem(lc, ctx.frame, None, None, qos)
+    return ReducedProblem(lc, ctx.frame, ctx.form, active_count(S), qos)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -143,7 +143,7 @@ def test_certificate_holds_on_reachable_targets():
     ctx = make_context(M=4, K=2, N=2, L=2, area=400.0, seed=0)
     S = np.ones((4, 2), dtype=bool)
     lc = link_coefficients(S, ctx.tensor)
-    prob = ReducedProblem(lc, ctx.frame, None, None, ctx.qos)
+    prob = ReducedProblem(lc, ctx.frame, ctx.form, active_count(S), ctx.qos)
     p, s = closed_form(prob)
     assert s < 0 and np.isclose(p.max(), prob.pmax, rtol=1e-12, atol=0.0)
     p_ref, s_ref = ref_minmax(prob)

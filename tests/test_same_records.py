@@ -6,7 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("desk.csv", "modes.csv", "sparse.csv", "scan.csv", "sweep.csv",
-         "sweep_aggregates.csv")
+         "sweep_aggregates.csv", "desk.json", "sweep.json", "sweep_aggregates.json")
 
 
 def _listing(path: Path) -> dict:

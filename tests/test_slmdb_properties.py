@@ -71,7 +71,7 @@ def test_feasible_slmdb_properties(instance):
     prob = ReducedProblem(link_coefficients(assoc, ctx.tensor), ctx.frame, ctx.form,
                           sol.n_active, ctx.qos)
     sur = Surrogate(prob, sol.p[prob.idx])
-    assert sur.ratio(sur.anchor) == prob.ee(sur.anchor)    # what _dinkelbach starts from
+    assert sur.ratio(sur.anchor) == sur.ee    # what _dinkelbach starts from
     pi = max(sur.ratio(sur.anchor), 0.0)
     cold_diag, warm_diag = SolveDiagnostics(), SolveDiagnostics()
     cold = _solve_parametric(sur, pi, np.zeros(len(prob.idx)), cold_diag)    # centered QoPC start

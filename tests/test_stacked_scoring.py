@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from greenran.matching import POWER_MODES, evaluate
 from greenran.powerctl import QosSpec, ReducedProblem, _balanced_point
 from greenran.rates import link_coefficients
-from conftest import make_context
+from conftest import active_count, make_context
 from reference import SecondMoments, gain_form
 
 R_MIN = (0.0, 1e6, 10e6, 40e6, 200e6)
@@ -92,7 +92,7 @@ def test_singular_member_is_scored_as_alone():
                               gamma=np.ones(2), p_max_w=0.1))
     singular = np.array([[1, 1], [0, 0]], dtype=bool)
     lc = link_coefficients(singular, ctx.tensor)
-    prob = ReducedProblem(lc, ctx.frame, None, None, ctx.qos)
+    prob = ReducedProblem(lc, ctx.frame, ctx.form, active_count(singular), ctx.qos)
     assert np.array_equal(prob.W, [[-1.0, 1.0], [1.0, -1.0]])
     _, _, certified = _balanced_point(prob.W[None], prob.c[None], prob.rscale[None], prob.pmax)
     assert not certified[0]

@@ -188,7 +188,8 @@ def drops(draw):
 def judged_run(scan, config, no_sleep, mode):
     """`scan`'s report on a fresh context of the drop, and every judge call's
     incumbent and candidate (shortfall, EE) in float hex with its verdict."""
-    ctx = replace(harness._make_context(config, config.base_seed), no_sleep=no_sleep)
+    ctx = harness._make_context(config, config.base_seed, *harness._check_point(config))
+    ctx = replace(ctx, no_sleep=no_sleep)
     calls, judge = [], matching_module.is_swap_blocking
 
     def logged(before, after):

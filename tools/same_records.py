@@ -4,8 +4,9 @@
 
 Each tree's `greenran.cli` runs in a subprocess, with `PYTHONPATH=<tree>/src`,
 no bytecode written and BLAS pinned to one thread, on B's configs: `run` on
-`configs/{desk,modes,sparse,scan}.json`, and `sweep` with its aggregates on
-`configs/sweep.json`. Outputs go to a temporary directory only. For each
+`configs/{desk,modes,sparse,scan}.json` and `sweep` with its aggregates on
+`configs/sweep.json`, all as CSV, then `run` on `desk.json` and the sweep
+again as JSON. Outputs go to a temporary directory only. For each
 output file the tool prints `<file> identical` or `<file> differs at line <n>`
 (the first differing line, counted from 1), or `<file> failed on <side>: ...`
 with the last line of a failed run's error output; it exits 1 on any
@@ -26,12 +27,17 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def commands(configs: Path) -> list:
     """(output files, cli arguments) of each command; the outputs are named
     relative to the command's working directory."""
-    out = [((f"{name}.csv",), ["run", "--config", str(configs / f"{name}.json"),
-                               "--out", f"{name}.csv"]) for name in RUNS]
-    out.append((("sweep.csv", "sweep_aggregates.csv"),
-                ["sweep", "--config", str(configs / "sweep.json"), "--out", "sweep.csv",
-                 "--aggregates-out", "sweep_aggregates.csv"]))
-    return out
+    def run(name, fmt):
+        return ((f"{name}.{fmt}",), ["run", "--config", str(configs / f"{name}.json"),
+                                     "--format", fmt, "--out", f"{name}.{fmt}"])
+
+    def sweep(fmt):
+        return ((f"sweep.{fmt}", f"sweep_aggregates.{fmt}"),
+                ["sweep", "--config", str(configs / "sweep.json"), "--format", fmt,
+                 "--out", f"sweep.{fmt}", "--aggregates-out", f"sweep_aggregates.{fmt}"])
+
+    return [run(name, "csv") for name in RUNS] + [sweep("csv"), run("desk", "json"),
+                                                  sweep("json")]
 
 
 def run_tree(tree: Path, args: list, into: Path) -> str | None:

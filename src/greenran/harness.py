@@ -25,6 +25,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
+from . import statistics
 from .defaults import table3_defaults
 from .matching import (EvaluationContext, SolutionReport, check_exhaustive_size, evaluate,
                        exhaustive_search, llsf_assoc, nos_assoc, recp_init, trimsm,
@@ -264,9 +265,8 @@ def _make_context(config: RunConfig, drop_seed: int, qos: QosSpec,
                   form: AffinePowerForm) -> EvaluationContext:
     scen = replace(config.scenario, seed=drop_seed)
     topo = generate_topology(scen)
-    corr = build_correlation(topo, config.frame)
-    from .statistics import mmse_statistics
-    tensor = mmse_statistics(corr, config.frame)
+    corr = build_correlation(topo)
+    tensor = statistics.mmse_statistics(corr, config.frame)
     return EvaluationContext(scenario=scen, frame=config.frame, corr=corr, tensor=tensor,
                              form=form, qos=qos, settings=config.settings)
 

@@ -100,21 +100,21 @@ def _greedy_assoc(corr: CorrelationSet, scenario: ScenarioParams,
     skipping BSs that already serve N UEs. It stops before a gain below
     floor[k], and after L BSs or once the cumulative gain reaches target[k].
     """
-    beta = corr.beta
-    M, K = beta.shape
+    gain = corr.gain
+    M, K = gain.shape
     S = np.zeros((M, K), dtype=bool)
     bs_load = np.zeros(M, dtype=int)
     for k in range(K):
         cum = 0.0
         taken = 0
-        for m in np.lexsort((np.arange(M), -beta[:, k])):
-            if beta[m, k] < floor[k]:
+        for m in np.lexsort((np.arange(M), -gain[:, k])):
+            if gain[m, k] < floor[k]:
                 break
             if bs_load[m] >= scenario.N:
                 continue
             S[m, k] = True
             bs_load[m] += 1
-            cum += beta[m, k]
+            cum += gain[m, k]
             taken += 1
             if cum >= target[k] * (1 - 1e-12) or taken >= scenario.L:
                 break
@@ -127,23 +127,22 @@ def recp_init(corr: CorrelationSet, scenario: ScenarioParams,
     gain reaches delta% of the UE's total, truncated to L."""
     if not 0 < delta_percent <= 100:
         raise ConfigError("delta_percent must lie in (0, 100]")
-    beta = corr.beta    # per-column sums: beta.sum(axis=0) rounds differently
-    totals = np.array([beta[:, k].sum() for k in range(beta.shape[1])])
-    return _greedy_assoc(corr, scenario, np.zeros(beta.shape[1]),
+    totals = corr.gain.sum(axis=0)
+    return _greedy_assoc(corr, scenario, np.zeros(len(totals)),
                          delta_percent / 100.0 * totals)
 
 
 def llsf_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> np.ndarray:
     """Single strongest-gain BS per UE, ties to the lowest index."""
-    K = corr.beta.shape[1]
+    K = corr.gain.shape[1]
     return _greedy_assoc(corr, scenario, np.zeros(K), np.zeros(K))
 
 
 def tsap_assoc(corr: CorrelationSet, scenario: ScenarioParams) -> np.ndarray:
     """Neighborhood selection: every BS within 30% of the UE's best gain
     (inclusive), strongest L kept, capacity respected."""
-    K = corr.beta.shape[1]
-    return _greedy_assoc(corr, scenario, 0.3 * corr.beta.max(axis=0), np.full(K, np.inf))
+    K = corr.gain.shape[1]
+    return _greedy_assoc(corr, scenario, 0.3 * corr.gain.max(axis=0), np.full(K, np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +358,13 @@ def nos_assoc(ctx: EvaluationContext) -> SolutionReport:
 def _repair_empty_bs(S: np.ndarray, ctx: EvaluationContext):
     """Give every empty BS a UE when capacity allows; returns (S, gap)."""
     S = S.copy()
-    beta = ctx.corr.beta
+    gain = ctx.corr.gain
     M, K = S.shape
     L = ctx.scenario.L
     for m in range(M):
         if S[m].any():
             continue
-        order = np.lexsort((np.arange(K), -beta[m]))
+        order = np.lexsort((np.arange(K), -gain[m]))
         placed = False
         for k in order:
             if S[:, k].sum() < L:
@@ -377,7 +376,7 @@ def _repair_empty_bs(S: np.ndarray, ctx: EvaluationContext):
                 serving = np.flatnonzero(S[:, k])
                 removable = [m2 for m2 in serving if S[m2].sum() >= 2]
                 if removable:
-                    weakest = min(removable, key=lambda m2: (beta[m2, k], -m2))
+                    weakest = min(removable, key=lambda m2: (gain[m2, k], -m2))
                     S[weakest, k] = False
                     S[m, k] = True
                     placed = True

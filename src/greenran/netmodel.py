@@ -35,6 +35,8 @@ class ScenarioParams:
             raise ConfigError(f"L must satisfy 1 <= L <= M (got L={self.L}, M={self.M})")
         if self.area_side <= 0:
             raise ConfigError(f"area_side must be positive (got {self.area_side})")
+        if self.shadowing_std_db < 0:
+            raise ConfigError(f"shadowing_std_db must be >= 0 (got {self.shadowing_std_db})")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
@@ -72,20 +74,15 @@ class Topology:
     params: ScenarioParams
 
 
+@dataclass(frozen=True)
 class CorrelationSet:
     """Isotropic spatial correlation R[m, k] = gain[m, k] * I_N of every link.
 
-    Stores the (M, K) linear gains and N. beta[m, k] = trace(R[m, k])/N, which
-    at N >= 5 may differ from gain in the last bit; the association rules read
-    beta. `R` builds the whole (M, K, N, N) array on each read.
+    Stores the (M, K) linear gains, each also trace(R[m, k])/N, and N. `R`
+    builds the whole (M, K, N, N) array on each read.
     """
-
-    def __init__(self, gain: np.ndarray, N: int):
-        self.gain, self.N = gain, N
-        # summed over a stride-0 view, as over the strided diagonal of gain * I,
-        # so beta is trace(gain * I)/N to the bit (a contiguous copy is not)
-        trace = np.einsum("mkn->mk", np.broadcast_to(gain[:, :, None], (*gain.shape, N)))
-        self.beta = trace / N
+    gain: np.ndarray             # (M, K) linear
+    N: int                       # antennas per uplink BS
 
     @property
     def R(self) -> np.ndarray:
@@ -108,20 +105,20 @@ def generate_topology(params: ScenarioParams) -> Topology:
     return Topology(ubs_positions=ubs, ue_positions=ue, params=params)
 
 
-def build_correlation(topology: Topology, frame: FrameConfig) -> CorrelationSet:
-    """Isotropic correlation beta * I_N from log-distance path loss.
+def build_correlation(topology: Topology) -> CorrelationSet:
+    """Isotropic correlation gain * I_N from log-distance path loss.
 
-    beta * I_N is real symmetric PSD, hence Hermitian PSD; the set stores the
+    gain * I_N is real symmetric PSD, hence Hermitian PSD; the set stores the
     float64 gains.
-    beta_dB = -intercept - 10 * exponent * log10(d) + shadowing, with the wrap
+    gain_dB = -intercept - 10 * exponent * log10(d) + shadowing, with the wrap
     distance floored at 1 m. Shadowing draws are seeded from the scenario seed,
     so an identical scenario reproduces the identical set.
     """
     p = topology.params
     dist = _wrap_distance_matrix(topology.ubs_positions, topology.ue_positions, p.area_side)
     dist = np.maximum(dist, 1.0)
-    beta_db = -p.pathloss_intercept_db - 10.0 * p.pathloss_exponent * np.log10(dist)
+    gain_db = -p.pathloss_intercept_db - 10.0 * p.pathloss_exponent * np.log10(dist)
     if p.shadowing_std_db > 0:
         rng = np.random.default_rng([p.seed, 1])
-        beta_db = beta_db + rng.normal(0.0, p.shadowing_std_db, size=beta_db.shape)
-    return CorrelationSet(gain=10.0 ** (beta_db / 10.0), N=p.N)
+        gain_db = gain_db + rng.normal(0.0, p.shadowing_std_db, size=gain_db.shape)
+    return CorrelationSet(gain=10.0 ** (gain_db / 10.0), N=p.N)

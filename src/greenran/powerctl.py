@@ -660,7 +660,7 @@ def eipc(S: np.ndarray, corr, qos: QosSpec) -> np.ndarray:
     the cap. Unserved UEs get zero. S is a serving matrix (M, K), or a stack of
     them (B, M, K) giving (B, K).
     """
-    gains = np.where(S, corr.N * corr.beta, 0.0)
+    gains = np.where(S, corr.N * corr.gain, 0.0)
     g2 = np.sum(gains**2, axis=-2)
     served = g2 > 0
     weakest = np.min(g2, axis=-1, keepdims=True, where=served, initial=np.inf)

@@ -66,6 +66,8 @@ class BsPowerConfig:
                 raise ConfigError(f"ref/act values must cover {x}")
             if self.ref_values[x] <= 0:
                 raise ConfigError(f"reference value for {x} must be positive")
+            if self.act_values[x] <= 0:
+                raise ConfigError(f"actual value for {x} must be positive")
 
     @property
     def loss_divisor(self) -> float:
@@ -100,6 +102,9 @@ class SystemPowerParams:
             raise ConfigError("stacking/pooling/cooling gains must be positive")
         if not 0 <= self.loss_co_ec < 1:
             raise ConfigError("loss_co_ec must lie in [0, 1)")
+        for name in ("fronthaul_fix_w", "pooling_power", "ue_circuit_w"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -169,8 +174,9 @@ def theta(cfg: BsPowerConfig, params: SystemPowerParams) -> float:
     ratio independent of M, so it reduces to psi_d * BBU / (RF + BBU).
     """
     act = dict(cfg.act_values)
-    bbu = sum(component_power(s, act, cfg.ref_values) for s in cfg.bbu_components)
-    rf = sum(component_power(s, act, cfg.ref_values) for s in cfg.rf_components)
+    # left folds, as 3.11's sum adds floats (3.12's sum is compensated)
+    bbu = reduce(add, (component_power(s, act, cfg.ref_values) for s in cfg.bbu_components), 0.0)
+    rf = reduce(add, (component_power(s, act, cfg.ref_values) for s in cfg.rf_components), 0.0)
     if rf + bbu <= 0:
         raise ConfigError("total BS power is zero; theta undefined")
     return params.psi_d * bbu / (rf + bbu)
@@ -256,7 +262,7 @@ def network_power(P: np.ndarray, rates: np.ndarray, form: AffinePowerForm,
     vals = {}
     for name, (c, a, d) in form.parts.items():
         vals[name] = float(c[n_active] + a @ (rates / form.r_ref_bps) + d @ P)
-    total = sum(vals.values())
+    total = reduce(add, vals.values(), 0.0)    # a left fold, as theta's sums
     return PowerBreakdown(ubs_active_w=vals["ubs_active"], ubs_sleep_w=vals["ubs_sleep"],
                           fronthaul_w=vals["fronthaul"], edge_cloud_w=vals["edge_cloud"],
                           ue_w=vals["ue"], total_w=total)

@@ -26,7 +26,7 @@ def make_context(M=4, K=3, N=3, L=2, area=350.0, seed=0, r_min=10e6,
     scen = ScenarioParams(M=M, K=K, N=N, L=L, area_side=area,
                           shadowing_std_db=shadowing, seed=seed)
     frame = FrameConfig()
-    corr = build_correlation(generate_topology(scen), frame)
+    corr = build_correlation(generate_topology(scen))
     tensor = mmse_statistics(corr, frame)
     qos = make_qos(r_min, K, frame, p_max)
     return EvaluationContext(
@@ -48,12 +48,12 @@ def qopc_alone(S, ctx) -> tuple[np.ndarray, bool]:
 
 def strongest_assoc(ctx, per_ue=None) -> np.ndarray:
     """Each UE takes its strongest BSs up to L (ignores the per-BS cap)."""
-    beta = ctx.corr.beta
-    M, K = beta.shape
+    gain = ctx.corr.gain
+    M, K = gain.shape
     per_ue = per_ue or ctx.scenario.L
     S = np.zeros((M, K), dtype=bool)
     for k in range(K):
-        S[np.argsort(-beta[:, k])[:per_ue], k] = True
+        S[np.argsort(-gain[:, k])[:per_ue], k] = True
     return S
 
 

@@ -40,7 +40,7 @@ def test_closed_form_statistics_match_monte_carlo():
         scen = ScenarioParams(M=M, K=K, N=N, L=M, area_side=400.0,
                               shadowing_std_db=4.0 if trial % 3 == 0 else 0.0,
                               seed=int(rng.integers(0, 2**31)))
-        corr = build_correlation(generate_topology(scen), frame)
+        corr = build_correlation(generate_topology(scen))
         exact = expand(mmse_statistics(corr, frame))
         mc, mu_se, omega_se = monte_carlo_statistics(corr.R, frame, samples=100000,
                                                      seed=int(rng.integers(0, 2**31)))

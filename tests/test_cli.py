@@ -14,7 +14,8 @@ BASE = {"scenario": {"M": 4, "K": 2, "N": 3, "L": 2, "area_side": 300.0},
 
 # configs that `run` rejects, and the error each must fail with: the default
 # M*K = 80 and the sweep point M = 9 (M*K = 18) exceed the exhaustive search
-# guard, and the three power tables fail their affine form
+# guard, the three power tables fail their affine form, and a negative UE
+# circuit power would price the network below zero
 REJECTED_AT_RUN = [
     ({"algorithm": ["llsf", "exhaustive"], "drops": 1}, "exhaustive search guard"),
     (dict(BASE, algorithm=["exhaustive"], scenario={"M": 4, "K": 2, "N": 2, "L": 2},
@@ -26,6 +27,8 @@ REJECTED_AT_RUN = [
     ({"power": {"system": {"fronthaul_trf_w_per_bps": -1}}},
      "traffic coefficients must be positive"),
     (dict(BASE, sweep={"parameter": "K", "values": [2, 2]}), "sweep.values[1] repeats"),
+    (dict(BASE, power={"system": {"ue_circuit_w": -100}}, algorithm=["trimsm-slmdb", "llsf"]),
+     "power.system.ue_circuit_w must be >= 0"),
 ]
 
 

@@ -8,10 +8,12 @@ own mode. A run on a fresh context of the same drop must give the same matching
 and EE, the record's power parts must sum to its total power, and every number
 in the record and the power solution must be finite. The record's QoS violation
 count and active-BS count are the final solution's, a feasible record violates
-no target, and a zero count goes with a zero shortfall. On drops with M*K <= 6 the
-exhaustive oracle, which enumerates every matching within the caps, bounds the
-slmdb matcher: feasible with EE no lower when the matcher is feasible, else with
-a rate shortfall no larger.
+no target, and a zero count goes with a zero shortfall. No slmdb solve cached in
+the context falls back to least squares, exhausts its line search or hits the
+Newton step cap; an infeasible interior is a legitimate path and is not
+asserted. On drops with M*K <= 6 the exhaustive oracle, which enumerates every
+matching within the caps, bounds the slmdb matcher: feasible with EE no lower
+when the matcher is feasible, else with a rate shortfall no larger.
 """
 
 import numpy as np
@@ -65,6 +67,10 @@ def test_trimsm_drop_properties(config):
         assert not r.feasible or r.qos_violation_count == 0, mode
         assert (r.qos_violation_count == 0) == (rep.power.shortfall_bps == 0.0), mode
         assert r.active_ubs_count == rep.power.n_active == active_count(rep.S), mode
+
+        for sol in ctx._cache["slmdb"].values():
+            d = sol.diagnostics
+            assert d.lstsq_fallbacks == d.line_search_exhausted == d.newton_cap_hits == 0, mode
 
 
 def test_nos_record_counts_every_bs_active():

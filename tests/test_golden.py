@@ -6,6 +6,7 @@ The files under tests/data were produced from the same configs with
     greenran run --config configs/modes.json --out tests/data/modes.csv
     greenran run --config configs/sparse.json --out tests/data/sparse.csv
     greenran run --config configs/scan.json --out tests/data/scan.csv
+    greenran run --config configs/oracle.json --out tests/data/oracle.csv
     greenran sweep --config configs/sweep.json --out tests/data/sweep.csv \
         --aggregates-out tests/data/sweep_aggregates.csv
 
@@ -94,6 +95,14 @@ def test_scan_records_match_golden(tmp_path):
     assert main(["run", "--config", str(ROOT / "configs" / "scan.json"),
                  "--out", str(out)]) == 0
     assert_records_match(DATA / "scan.csv", out)
+
+
+def test_oracle_records_match_golden(tmp_path):
+    # exhaustive search and shadowed gains, with infeasible drops among the four
+    out = tmp_path / "oracle.csv"
+    assert main(["run", "--config", str(ROOT / "configs" / "oracle.json"),
+                 "--out", str(out)]) == 0
+    assert_records_match(DATA / "oracle.csv", out)
 
 
 def test_sweep_records_and_aggregates_match_golden(tmp_path, capsys):

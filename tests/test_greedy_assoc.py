@@ -73,9 +73,7 @@ def instances(draw):
     N = draw(st.integers(1, 3))
     L = draw(st.integers(1, M))
     gains = draw(st.lists(st.sampled_from(GAINS), min_size=M * K, max_size=M * K))
-    beta = np.array(gains).reshape(M, K)
-    # one antenna: beta = trace(R) / N is exactly the drawn gain
-    corr = CorrelationSet(gain=beta, N=1)
+    corr = CorrelationSet(gain=np.array(gains).reshape(M, K), N=1)
     return corr, ScenarioParams(M=M, K=K, N=N, L=L)
 
 
@@ -83,9 +81,8 @@ def instances(draw):
 @given(instances(), st.sampled_from((30.0, 80.0, 95.0, 100.0)))
 def test_rules_match_reference_loops(inst, delta_percent):
     corr, scen = inst
-    assert np.array_equal(corr.beta, corr.gain)
-    beta = corr.beta
+    gain = corr.gain
     assert np.array_equal(recp_init(corr, scen, delta_percent),
-                          ref_recp(beta, scen.N, scen.L, delta_percent))
-    assert np.array_equal(llsf_assoc(corr, scen), ref_llsf(beta, scen.N))
-    assert np.array_equal(tsap_assoc(corr, scen), ref_tsap(beta, scen.N, scen.L))
+                          ref_recp(gain, scen.N, scen.L, delta_percent))
+    assert np.array_equal(llsf_assoc(corr, scen), ref_llsf(gain, scen.N))
+    assert np.array_equal(tsap_assoc(corr, scen), ref_tsap(gain, scen.N, scen.L))

@@ -145,6 +145,21 @@ class TestConfig:
         ({"sweep": ""}, "sweep must be an object"),
         ({"sweep": {}}, "sweep.parameter"),
         ({"sweep": {"parameter": "K", "values": [2, 4], "extra": 1}}, "'sweep.extra'"),
+        # power tables that would make network power negative, or fail to price it
+        ({"power": {"system": {"ue_circuit_w": -100}}}, "power.system.ue_circuit_w must be >= 0"),
+        ({"power": {"system": {"fronthaul_fix_w": -50}}},
+         "power.system.fronthaul_fix_w must be >= 0"),
+        ({"power": {"system": {"pooling_power": -1}}}, "power.system.pooling_power must be >= 0"),
+        ({"power": {"bs": {"act_values": {"Q": 0}, "rf_components": [
+            {"name": "adc", "p_ref_w": 0.2, "scaling_exponents": {"Q": -1}}]}}},
+         "power.bs: actual value for Q must be positive"),
+        ({"power": {"bs": {"act_values": {"Q": -4}, "rf_components": [
+            {"name": "adc", "p_ref_w": 0.2, "scaling_exponents": {"Q": 0.5}}]}}},
+         "power.bs: actual value for Q must be positive"),
+        ({"power": {"bs": {"act_values": {"N": -5}}}},
+         "power.bs: actual value for N must be positive"),
+        # a negative spread is no shadowing model; 0 disables shadowing
+        ({"scenario": {"shadowing_std_db": -8.0}}, "scenario.shadowing_std_db must be >= 0"),
     ])
     def test_wrong_typed_values_rejected(self, bad, key):
         with warnings.catch_warnings():
@@ -215,7 +230,7 @@ class TestRun:
         ctx1 = harness._make_context(cfg, 11, *point)
         ctx2 = harness._make_context(cfg, 11, *point)
         assert np.array_equal(ctx1.tensor.mu, ctx2.tensor.mu)
-        assert np.array_equal(ctx1.corr.beta, ctx2.corr.beta)
+        assert np.array_equal(ctx1.corr.gain, ctx2.corr.gain)
 
     def test_evaluation_count_does_not_depend_on_earlier_algorithms(self, monkeypatch):
         # the desk.json drop of seed 42; each algorithm of a drop starts from an

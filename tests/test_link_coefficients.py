@@ -29,7 +29,7 @@ def cases(draw):
                           area_side=draw(st.sampled_from((100.0, 500.0, 2000.0))),
                           shadowing_std_db=draw(st.floats(0.0, 8.0)))
     frame = FrameConfig(pilot_power_w=draw(st.sampled_from((0.0, 1e-9, 0.1))))
-    t = mmse_statistics(build_correlation(generate_topology(scen), frame), frame)
+    t = mmse_statistics(build_correlation(generate_topology(scen)), frame)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dead = rng.random((M, K)) < draw(st.sampled_from((0.0, 0.3)))
     tensor = CoefficientTensor(mu=np.where(dead, 0.0, t.mu), gain=t.gain,

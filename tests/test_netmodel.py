@@ -75,14 +75,14 @@ class TestFrame:
 
 class TestCorrelation:
     def test_pathloss_formula_at_100m(self):
-        # beta_dB = -30.5 - 36.7 * log10(100) = -103.9
+        # gain_dB = -30.5 - 36.7 * log10(100) = -103.9
         p = ScenarioParams(M=1, K=1, N=2, L=1, area_side=400.0, seed=0)
         topo = generate_topology(p)
         topo.ubs_positions[0] = (0.0, 0.0)
         topo.ue_positions[0] = (100.0, 0.0)
-        corr = build_correlation(topo, FrameConfig())
-        assert 10 * np.log10(corr.beta[0, 0]) == pytest.approx(-103.9)
-        assert np.allclose(corr.R[0, 0], corr.beta[0, 0] * np.eye(2))
+        corr = build_correlation(topo)
+        assert 10 * np.log10(corr.gain[0, 0]) == pytest.approx(-103.9)
+        assert np.allclose(corr.R[0, 0], corr.gain[0, 0] * np.eye(2))
 
     def test_equal_distance_equal_gain(self):
         p = ScenarioParams(M=2, K=1, N=1, L=1, area_side=400.0, seed=0)
@@ -90,8 +90,8 @@ class TestCorrelation:
         topo.ubs_positions[0] = (100.0, 50.0)
         topo.ubs_positions[1] = (300.0, 50.0)
         topo.ue_positions[0] = (200.0, 50.0)
-        corr = build_correlation(topo, FrameConfig())
-        assert corr.beta[0, 0] == pytest.approx(corr.beta[1, 0])
+        corr = build_correlation(topo)
+        assert corr.gain[0, 0] == pytest.approx(corr.gain[1, 0])
 
     def test_distance_floor_one_meter(self):
         p = ScenarioParams(M=2, K=1, N=1, L=1, area_side=400.0, seed=0)
@@ -99,26 +99,25 @@ class TestCorrelation:
         topo.ubs_positions[0] = (200.0, 200.0)
         topo.ubs_positions[1] = (200.0, 200.5)
         topo.ue_positions[0] = (200.0, 200.0)
-        corr = build_correlation(topo, FrameConfig())
-        assert corr.beta[0, 0] == pytest.approx(corr.beta[1, 0])
-        assert 10 * np.log10(corr.beta[0, 0]) == pytest.approx(-30.5)
+        corr = build_correlation(topo)
+        assert corr.gain[0, 0] == pytest.approx(corr.gain[1, 0])
+        assert 10 * np.log10(corr.gain[0, 0]) == pytest.approx(-30.5)
 
     def test_shadowing_deterministic_per_seed(self):
         p = ScenarioParams(M=3, K=2, N=2, L=2, seed=11, shadowing_std_db=8.0)
-        f = FrameConfig()
-        c1 = build_correlation(generate_topology(p), f)
-        c2 = build_correlation(generate_topology(p), f)
-        assert np.array_equal(c1.beta, c2.beta)
+        c1 = build_correlation(generate_topology(p))
+        c2 = build_correlation(generate_topology(p))
+        assert np.array_equal(c1.gain, c2.gain)
 
     def test_correlation_matrices_hermitian_psd(self):
         p = ScenarioParams(M=3, K=3, N=4, L=2, seed=2, shadowing_std_db=4.0)
-        corr = build_correlation(generate_topology(p), FrameConfig())
+        corr = build_correlation(generate_topology(p))
         for m in range(3):
             for k in range(3):
                 R = corr.R[m, k]
                 assert np.allclose(R, R.conj().T)
                 assert (np.linalg.eigvalsh(R) >= -1e-18).all()
-                assert corr.beta[m, k] > 0
+                assert corr.gain[m, k] > 0
 
 
 def _same_bits(a, b):
@@ -127,9 +126,8 @@ def _same_bits(a, b):
 
 
 class TestIsotropicSetBits:
-    # The set stores the gains; the whole array and beta must keep the bits of
-    # the dense construction R = gain * I, beta = trace(R)/N (at N >= 5 beta is
-    # not the drawn gain).
+    # The set stores the gains; the whole array must keep the bits of the
+    # dense construction R = gain * I.
     @pytest.mark.parametrize("shadowing_db", [0.0, 8.0])
     @pytest.mark.parametrize("N", [1, 2, 5, 8, 64])
     def test_matches_dense_construction(self, N, shadowing_db):
@@ -143,10 +141,8 @@ class TestIsotropicSetBits:
                 0.0, shadowing_db, size=gain_db.shape)
         gain = 10.0 ** (gain_db / 10.0)
         R = gain[:, :, None, None] * np.eye(N)[None, None, :, :]
-        beta = np.einsum("mknn->mk", R) / N
 
-        corr = build_correlation(topo, FrameConfig())
+        corr = build_correlation(topo)
         assert corr.N == N
         assert _same_bits(corr.gain, gain)
-        assert _same_bits(corr.beta, beta)
         assert _same_bits(corr.R, R)

@@ -46,7 +46,7 @@ class TestEipc:
         ctx = make_context(M=4, K=3, N=3, L=2, seed=6)
         assoc = strongest_assoc(ctx)
         p = eipc(assoc, ctx.corr, ctx.qos)
-        gains = np.where(assoc, ctx.corr.N * ctx.corr.beta, 0.0)
+        gains = np.where(assoc, ctx.corr.N * ctx.corr.gain, 0.0)
         g2 = (gains**2).sum(axis=0)
         assert p[np.argmin(g2)] == pytest.approx(ctx.qos.p_max_w)
         assert (p <= ctx.qos.p_max_w + 1e-15).all()

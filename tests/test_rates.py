@@ -40,7 +40,7 @@ class TestSinr:
         # empirical E{|sum_m v_m^H h_m|^2} must match the coefficient assembly
         p = ScenarioParams(M=2, K=1, N=3, L=2, area_side=200.0, seed=31)
         frame = FrameConfig()
-        corr = build_correlation(generate_topology(p), frame)
+        corr = build_correlation(generate_topology(p))
         mc, _, _ = monte_carlo_statistics(corr.R, frame, samples=30000, seed=7)
         assoc = np.ones((2, 1), dtype=bool)
         lc = link_coefficients(assoc, gain_form(mc))

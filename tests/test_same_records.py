@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = ("desk.csv", "modes.csv", "sparse.csv", "scan.csv", "sweep.csv",
+FILES = ("desk.csv", "modes.csv", "sparse.csv", "scan.csv", "oracle.csv", "sweep.csv",
          "sweep_aggregates.csv", "desk.json", "sweep.json", "sweep_aggregates.json")
 
 

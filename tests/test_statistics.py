@@ -46,7 +46,7 @@ class TestClosedForm:
     def test_second_moment_dominates_squared_mean(self):
         rng = np.random.default_rng(0)
         p = ScenarioParams(M=3, K=3, N=5, L=2, seed=0, shadowing_std_db=8.0)
-        corr = build_correlation(generate_topology(p), FrameConfig())
+        corr = build_correlation(generate_topology(p))
         for t in (mmse_reference(random_psd_set(rng, 3, 3, 5), FrameConfig()),
                   expand(mmse_statistics(corr, FrameConfig()))):
             assert (t.omega[:, np.arange(3), np.arange(3)] >= t.mu**2 - 1e-25).all()
@@ -56,8 +56,8 @@ class TestClosedForm:
         # LAPACK/BLAS calls and agrees with complex arithmetic on the same R
         p = ScenarioParams(M=3, K=2, N=4, L=2, seed=12, shadowing_std_db=8.0)
         frame = FrameConfig()
-        corr = build_correlation(generate_topology(p), frame)
-        assert corr.gain.dtype == corr.beta.dtype == np.float64
+        corr = build_correlation(generate_topology(p))
+        assert corr.gain.dtype == np.float64
         assert corr.gain.shape == (3, 2)
         R = corr.R
         assert R.dtype == np.float64
@@ -69,7 +69,7 @@ class TestClosedForm:
     def test_cross_terms_nonnegative(self):
         rng = np.random.default_rng(1)
         p = ScenarioParams(M=2, K=3, N=4, L=2, seed=1, shadowing_std_db=8.0)
-        corr = build_correlation(generate_topology(p), FrameConfig())
+        corr = build_correlation(generate_topology(p))
         for t in (mmse_reference(random_psd_set(rng, 2, 3, 4), FrameConfig()),
                   expand(mmse_statistics(corr, FrameConfig()))):
             assert (t.omega >= 0).all()
@@ -79,7 +79,7 @@ class TestClosedForm:
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
         p = ScenarioParams(M=2, K=2, N=3, L=2, area_side=300.0, seed=4)
-        corr = build_correlation(generate_topology(p), FrameConfig())
+        corr = build_correlation(generate_topology(p))
         a, _, _ = monte_carlo_statistics(corr.R, FrameConfig(), samples=2000, seed=5)
         b, _, _ = monte_carlo_statistics(corr.R, FrameConfig(), samples=2000, seed=5)
         assert np.array_equal(a.mu, b.mu)
@@ -88,7 +88,7 @@ class TestMonteCarlo:
     def test_real_and_complex_storage_give_identical_estimates(self):
         p = ScenarioParams(M=3, K=2, N=4, L=2, seed=12, shadowing_std_db=8.0)
         frame = FrameConfig()
-        corr = build_correlation(generate_topology(p), frame)
+        corr = build_correlation(generate_topology(p))
         real, *real_se = monte_carlo_statistics(corr.R, frame, samples=20000, seed=12)
         cplx, *cplx_se = monte_carlo_statistics(corr.R + 0j, frame, samples=20000, seed=12)
         for name in ("mu", "omega"):
@@ -99,27 +99,27 @@ class TestMonteCarlo:
     def test_chunk_boundary_consistency(self):
         # crossing the internal chunk size must not depend on call pattern
         p = ScenarioParams(M=1, K=2, N=2, L=1, area_side=300.0, seed=9)
-        corr = build_correlation(generate_topology(p), FrameConfig())
+        corr = build_correlation(generate_topology(p))
         t, _, _ = monte_carlo_statistics(corr.R, FrameConfig(), samples=20000, seed=1)
         assert np.isfinite(t.mu).all() and np.isfinite(t.omega).all()
 
     def test_single_sample_degenerate(self):
         p = ScenarioParams(M=1, K=1, N=2, L=1, area_side=300.0, seed=2)
-        corr = build_correlation(generate_topology(p), FrameConfig())
+        corr = build_correlation(generate_topology(p))
         t, mu_se, _ = monte_carlo_statistics(corr.R, FrameConfig(), samples=1, seed=0)
         assert t.omega[0, 0, 0] > 0.0    # a live link, where E{||v||^2} = 1 is asserted
         assert mu_se[0, 0] >= 0.0
 
     def test_rejects_zero_samples(self):
         p = ScenarioParams(M=1, K=1, N=1, L=1, seed=0)
-        corr = build_correlation(generate_topology(p), FrameConfig())
+        corr = build_correlation(generate_topology(p))
         with pytest.raises(ConfigError):
             monte_carlo_statistics(corr.R, FrameConfig(), samples=0, seed=0)
 
     def test_matches_closed_form_identity_correlation(self):
         p = ScenarioParams(M=2, K=2, N=3, L=2, area_side=300.0, seed=12)
         frame = FrameConfig()
-        corr = build_correlation(generate_topology(p), frame)
+        corr = build_correlation(generate_topology(p))
         exact = expand(mmse_statistics(corr, frame))
         mc = monte_carlo_statistics(corr.R, frame, samples=40000, seed=3)
         _assert_within_se(exact, *mc, factor=4.0)

@@ -24,7 +24,7 @@ def drops(draw):
                           seed=draw(st.integers(0, 2**32 - 1)),
                           area_side=draw(st.sampled_from((100.0, 500.0, 2000.0))),
                           shadowing_std_db=draw(st.floats(0.0, 8.0)))
-    return build_correlation(generate_topology(scen), FrameConfig())
+    return build_correlation(generate_topology(scen))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -4,7 +4,7 @@
 
 Each tree's `greenran.cli` runs in a subprocess, with `PYTHONPATH=<tree>/src`,
 no bytecode written and BLAS pinned to one thread, on B's configs: `run` on
-`configs/{desk,modes,sparse,scan}.json` and `sweep` with its aggregates on
+`configs/{desk,modes,sparse,scan,oracle}.json` and `sweep` with its aggregates on
 `configs/sweep.json`, all as CSV, then `run` on `desk.json` and the sweep
 again as JSON. Outputs go to a temporary directory only. For each
 output file the tool prints `<file> identical` or `<file> differs at line <n>`
@@ -20,7 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-RUNS = ("desk", "modes", "sparse", "scan")
+RUNS = ("desk", "modes", "sparse", "scan", "oracle")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -1,11 +1,15 @@
-"""Command-line front end: run, sweep, oracle-check, validate-config."""
+"""Command-line front end: run, sweep, oracle-check, validate-config.
+
+Every command reads its config through `_load`. `run`, `sweep` and
+`oracle-check` are each one `harness.run` and a fold over its records.
+"""
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import harness
-from .matching import exhaustive_search, trimsm
 from .netmodel import ConfigError
 
 
@@ -15,7 +19,7 @@ def main(argv=None) -> int:
         description="Uplink RAN energy-efficiency simulator and optimizer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run all drops for one parameter point")
+    p_run = sub.add_parser("run", help="run all drops of every parameter point")
     _common_args(p_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep and aggregate")
@@ -24,6 +28,7 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate-config", help="check a config against the schema")
     p_val.add_argument("--config", required=True)
+    p_val.set_defaults(drops=None, algorithm=None, seed=None)
 
     p_oracle = sub.add_parser("oracle-check",
                               help="compare the swap matcher against exhaustive search "
@@ -57,7 +62,7 @@ def _load(args, raw=None) -> harness.RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-    if not isinstance(raw, dict):    # a str would be taken for a path
+    if not isinstance(raw, dict):    # dict() below would take [] for {}
         raise ConfigError("config must be an object")
     overrides = {"drops": args.drops, "base_seed": args.seed}
     if args.algorithm is not None:
@@ -67,34 +72,23 @@ def _load(args, raw=None) -> harness.RunConfig:
 
 
 def _run_command(args) -> int:
-    if args.command == "validate-config":
-        harness.load_config(args.config)
-        print("config ok")
-        return 0
-
     if args.command == "oracle-check":
         return _oracle_check(args)
-
     config = _load(args)
+    if args.command == "validate-config":
+        print("config ok")
+        return 0
     if args.command == "run":
-        records = harness.run(config)
-        text = harness.emit(records, args.format, args.out)
-        if args.out is None:
-            print(text, end="")
-        return 0
-
-    if args.command == "sweep":
+        outputs = [(harness.emit, harness.run(config), args.out)]
+    else:
         records, aggregates = harness.sweep(config)
-        text = harness.emit(records, args.format, args.out)
-        if args.out is None:
+        outputs = [(harness.emit, records, args.out),
+                   (harness.emit_aggregates, aggregates, args.aggregates_out)]
+    for emit, rows, path in outputs:
+        text = emit(rows, args.format, path)
+        if path is None:
             print(text, end="")
-        agg_text = harness.emit_aggregates(aggregates, args.format,
-                                           getattr(args, "aggregates_out", None))
-        if getattr(args, "aggregates_out", None) is None:
-            print(agg_text, end="")
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    return 0
 
 
 def _oracle_check(args) -> int:
@@ -103,21 +97,21 @@ def _oracle_check(args) -> int:
                           "qos": {"r_min_bps": 10e6}})
     if args.instances < 1:
         raise ConfigError("instances must be >= 1")
-    qos, form = harness._check_point(config)
+    records = harness.run(replace(config, algorithms=("exhaustive", "trimsm-slmdb"),
+                                  drops=args.instances, sweep_parameter=None,
+                                  sweep_values=()))
     worst = 1.0
     failures = 0
-    for i in range(args.instances):
-        ctx = harness._make_context(config, config.base_seed ^ i, qos, form)
-        oracle = exhaustive_search(ctx)
-        matcher = trimsm(ctx, "slmdb")
-        if oracle.infeasible and matcher.infeasible:
+    for i, (oracle, matcher) in enumerate(zip(records[::2], records[1::2])):
+        if not oracle.feasible and not matcher.feasible:
             print(f"instance {i}: infeasible (both)")
             continue
-        ratio = matcher.ee / oracle.ee if oracle.ee > 0 else float("nan")
+        oracle_ee, matcher_ee = oracle.ee_bits_per_joule, matcher.ee_bits_per_joule
+        ratio = matcher_ee / oracle_ee if oracle_ee > 0 else float("nan")
         worst = min(worst, ratio)
-        ok = oracle.ee >= matcher.ee * (1 - 1e-9)
+        ok = oracle_ee >= matcher_ee * (1 - 1e-9)
         failures += 0 if ok else 1
-        print(f"instance {i}: matcher={matcher.ee:.1f} oracle={oracle.ee:.1f} "
+        print(f"instance {i}: matcher={matcher_ee:.1f} oracle={oracle_ee:.1f} "
               f"ratio={ratio:.4f} {'ok' if ok else 'ORACLE BELOW MATCHER'}")
     print(f"worst ratio: {worst:.4f}")
     return 1 if failures else 0

@@ -1,15 +1,17 @@
 """Experiment runner: config ingestion, seeded drops, dispatch, persistence.
 
-A run config is a JSON document whose sections mirror the parameter
-dataclasses field-for-field (dB fields suffixed _db, watts _w). Each drop d
-derives its scenario seed as base_seed XOR d, generates a topology, builds the
-coefficient tensor once, and hands the identical tensor to every requested
-algorithm, so cross-algorithm comparisons are paired. Each algorithm starts
-from an empty evaluation cache, so its counts do not depend on which ran
-before it. Each parameter point builds one QoS spec and one power form, which
-its drops share. Each record is written from the algorithm's `SolutionReport`
-alone: its final `PowerSolution` carries the power form, the active-BS count
-and the QoS violation count.
+A run config is a JSON object whose sections mirror the parameter dataclasses
+field-for-field (dB fields suffixed _db, watts _w). `run` is the one drop
+loop: it runs every parameter point the config names, each sweep value's point
+in order or else the config's own point, and `sweep` adds the aggregates of
+its records. Each drop d derives its scenario seed as base_seed XOR d,
+generates a topology, builds the coefficient tensor once, and hands the
+identical tensor to every requested algorithm, so cross-algorithm comparisons
+are paired. Each algorithm starts from an empty evaluation cache, so its
+counts do not depend on which ran before it. Each parameter point builds one
+QoS spec and one power form, which its drops share. Each record is written
+from the algorithm's `SolutionReport` alone: its final `PowerSolution` carries
+the power form, the active-BS count and the QoS violation count.
 Records are emitted in a fixed column order; identical configs produce
 byte-identical files (wall-clock timing is recorded only when `record_timing`
 is set, and is zero otherwise).
@@ -152,13 +154,8 @@ def _build_dataclass(cls, section, name: str):
         return cls(**section)
 
 
-def load_config(source) -> RunConfig:
-    """Parse a config dict or JSON file path, filling gaps from the defaults."""
-    if isinstance(source, (str, bytes)):
-        with open(source, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raw = source
+def load_config(raw: dict) -> RunConfig:
+    """Parse a config object, filling gaps from the defaults."""
     merged = _merge(dict(table3_defaults(), sweep=None), raw)    # rejects a non-object
     sweep_section = merged.pop("sweep")
 
@@ -298,8 +295,7 @@ def _record(config: RunConfig, report: SolutionReport, algorithm: str, drop_inde
     breakdown = network_power(power.p, power.rates, power.form, power.n_active)
     sum_rate = float(np.sum(power.rates))
     return ResultRecord(
-        sweep_parameter=config.sweep_parameter or "",
-        sweep_value=float(sweep_value) if config.sweep_parameter else 0.0,
+        sweep_parameter=config.sweep_parameter or "", sweep_value=float(sweep_value),
         drop_index=drop_index, drop_seed=drop_seed, algorithm=algorithm,
         feasible=not report.infeasible,
         ee_bits_per_joule=sum_rate / breakdown.total_w,
@@ -315,19 +311,22 @@ def _record(config: RunConfig, report: SolutionReport, algorithm: str, drop_inde
         wall_time_ms=wall_ms if config.record_timing else 0.0)
 
 
-def run(config: RunConfig, sweep_value: float = 0.0) -> list:
-    """Execute all drops and algorithms for one parameter point."""
-    qos, form = _check_point(config)
+def run(config: RunConfig) -> list:
+    """Execute all drops and algorithms of every parameter point the config
+    names: each sweep value's point in order, else the config's own point."""
+    points = [(value, _apply_sweep(config, value)) for value in config.sweep_values]
     records = []
-    for d in range(config.drops):
-        drop_seed = config.base_seed ^ d
-        ctx = _make_context(config, drop_seed, qos, form)
-        for algorithm in config.algorithms:
-            t0 = time.perf_counter()
-            report = _dispatch(algorithm, replace(ctx))    # a cache of its own
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            records.append(_record(config, report, algorithm, d, drop_seed, sweep_value,
-                                   wall_ms))
+    for value, point in points or [(0.0, config)]:
+        qos, form = _check_point(point)
+        for d in range(point.drops):
+            drop_seed = point.base_seed ^ d
+            ctx = _make_context(point, drop_seed, qos, form)
+            for algorithm in point.algorithms:
+                t0 = time.perf_counter()
+                report = _dispatch(algorithm, replace(ctx))    # a cache of its own
+                wall_ms = (time.perf_counter() - t0) * 1e3
+                records.append(_record(point, report, algorithm, d, drop_seed, value,
+                                       wall_ms))
     return records
 
 
@@ -335,10 +334,7 @@ def sweep(config: RunConfig) -> tuple[list, list]:
     """Run every sweep point; returns (records, aggregate rows)."""
     if not config.sweep_parameter:
         raise ConfigError("config has no sweep section")
-    records = []
-    for value in config.sweep_values:
-        point = _apply_sweep(config, value)
-        records.extend(run(point, sweep_value=value))
+    records = run(config)
     return records, aggregate(records)
 
 

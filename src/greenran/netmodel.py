@@ -35,8 +35,9 @@ class ScenarioParams:
             raise ConfigError(f"L must satisfy 1 <= L <= M (got L={self.L}, M={self.M})")
         if self.area_side <= 0:
             raise ConfigError(f"area_side must be positive (got {self.area_side})")
-        if self.shadowing_std_db < 0:
-            raise ConfigError(f"shadowing_std_db must be >= 0 (got {self.shadowing_std_db})")
+        for name in ("pathloss_exponent", "shadowing_std_db"):    # 0 is legal for both
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0 (got {getattr(self, name)})")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 

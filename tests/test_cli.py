@@ -7,6 +7,8 @@ import pytest
 
 from greenran.cli import main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 BASE = {"scenario": {"M": 4, "K": 2, "N": 3, "L": 2, "area_side": 300.0},
         "qos": {"r_min_bps": 10e6},
         "algorithm": "trimsm-eipc",
@@ -14,8 +16,9 @@ BASE = {"scenario": {"M": 4, "K": 2, "N": 3, "L": 2, "area_side": 300.0},
 
 # configs that `run` rejects, and the error each must fail with: the default
 # M*K = 80 and the sweep point M = 9 (M*K = 18) exceed the exhaustive search
-# guard, the three power tables fail their affine form, and a negative UE
-# circuit power would price the network below zero
+# guard, the three power tables fail their affine form, a negative UE
+# circuit power would price the network below zero, and a negative path-loss
+# exponent would make gains grow with distance
 REJECTED_AT_RUN = [
     ({"algorithm": ["llsf", "exhaustive"], "drops": 1}, "exhaustive search guard"),
     (dict(BASE, algorithm=["exhaustive"], scenario={"M": 4, "K": 2, "N": 2, "L": 2},
@@ -29,6 +32,8 @@ REJECTED_AT_RUN = [
     (dict(BASE, sweep={"parameter": "K", "values": [2, 2]}), "sweep.values[1] repeats"),
     (dict(BASE, power={"system": {"ue_circuit_w": -100}}, algorithm=["trimsm-slmdb", "llsf"]),
      "power.system.ue_circuit_w must be >= 0"),
+    (dict(BASE, scenario={"pathloss_exponent": -3.67}, algorithm=["llsf"]),
+     "scenario.pathloss_exponent must be >= 0"),
 ]
 
 
@@ -155,6 +160,16 @@ class TestCli:
         assert row["feasible_drops"] == 0 and row["ee_mean"] is row["ee_median"] is None
         assert ",nan,nan," in out["csv"][1]    # the CSV keeps repr(nan)
 
+    def test_run_of_a_sweep_config_writes_the_sweep_records(self, tmp_path):
+        config = str(CONFIGS / "sweep.json")
+        ran, swept = tmp_path / "run.csv", tmp_path / "sweep.csv"
+        assert main(["run", "--config", config, "--out", str(ran)]) == 0
+        assert main(["sweep", "--config", config, "--out", str(swept),
+                     "--aggregates-out", str(tmp_path / "agg.csv")]) == 0
+        assert ran.read_bytes() == swept.read_bytes()
+        values = [line.split(",")[1] for line in ran.read_text().splitlines()[1:]]
+        assert values and "0.0" not in values
+
     def test_bad_algorithm_override(self, cfg_path):
         assert main(["run", "--config", cfg_path, "--algorithm", "nope"]) == 1
 
@@ -188,6 +203,16 @@ class TestCli:
     def test_oracle_check(self, capsys):
         assert main(["oracle-check", "--instances", "1"]) == 0
         assert "ratio" in capsys.readouterr().out
+        # every line pinned, one drop infeasible under both selectors
+        assert main(["oracle-check", "--config", str(CONFIGS / "oracle.json"),
+                     "--instances", "4"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "instance 0: infeasible (both)",
+            "instance 1: matcher=733227.4 oracle=1096392.8 ratio=0.6688 ok",
+            "instance 2: matcher=1162544.5 oracle=1162544.5 ratio=1.0000 ok",
+            "instance 3: matcher=1090024.8 oracle=1090024.8 ratio=1.0000 ok",
+            "worst ratio: 0.6688",
+        ]
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_oracle_check_seed_outside_range_rejected(self, capsys, seed):

@@ -160,6 +160,8 @@ class TestConfig:
          "power.bs: actual value for N must be positive"),
         # a negative spread is no shadowing model; 0 disables shadowing
         ({"scenario": {"shadowing_std_db": -8.0}}, "scenario.shadowing_std_db must be >= 0"),
+        # a negative exponent makes gains grow with distance; 0 stays legal
+        ({"scenario": {"pathloss_exponent": -3.67}}, "scenario.pathloss_exponent must be >= 0"),
     ])
     def test_wrong_typed_values_rejected(self, bad, key):
         with warnings.catch_warnings():
@@ -184,20 +186,15 @@ class TestConfig:
             load_config([1])
 
     @pytest.mark.parametrize("text", ["[]", "0", "false", '""', "null"])
-    def test_falsy_non_object_config_rejected(self, tmp_path, text):
+    def test_falsy_non_object_config_rejected(self, text):
         # a falsy top level is no object either, not the default config
-        path = tmp_path / "cfg.json"
-        path.write_text(text)
         with pytest.raises(ConfigError, match="config must be an object"):
-            load_config(str(path))
-        if text != '""':    # a str source is a path
-            with pytest.raises(ConfigError, match="config must be an object"):
-                load_config(json.loads(text))
+            load_config(json.loads(text))
 
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(BASE))
-        cfg = load_config(str(path))
+        cfg = load_config(json.loads(path.read_text()))
         assert cfg.scenario.M == 4
         assert cfg.algorithms == ("trimsm-eipc",)
 
@@ -345,6 +342,14 @@ class TestSweep:
         assert rows[0]["infeasible_drops"] == 2
         assert np.isnan(rows[0]["ee_mean"])
         assert rows[0]["ee_cdf"] == ""
+
+    def test_run_runs_every_sweep_point(self):
+        # a sweep config's run is its sweep's records, each labelled with its point
+        cfg = load_config(dict(BASE, algorithm="llsf", drops=1,
+                               sweep={"parameter": "K", "values": [3, 2]}))
+        records = run(cfg)
+        assert records == sweep(cfg)[0]
+        assert [(r.sweep_value, r.ue_count) for r in records] == [(3.0, 3), (2.0, 2)]
 
     def test_sweeping_m_clamps_l(self):
         cfg = load_config(dict(BASE, sweep={"parameter": "M", "values": [1, 4]}))

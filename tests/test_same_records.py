@@ -6,7 +6,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("desk.csv", "modes.csv", "sparse.csv", "scan.csv", "oracle.csv", "sweep.csv",
-         "sweep_aggregates.csv", "desk.json", "sweep.json", "sweep_aggregates.json")
+         "sweep_aggregates.csv", "desk.json", "sweep.json", "sweep_aggregates.json",
+         "oracle-check.txt")
 
 
 def _listing(path: Path) -> dict:

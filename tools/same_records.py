@@ -6,8 +6,9 @@ Each tree's `greenran.cli` runs in a subprocess, with `PYTHONPATH=<tree>/src`,
 no bytecode written and BLAS pinned to one thread, on B's configs: `run` on
 `configs/{desk,modes,sparse,scan,oracle}.json` and `sweep` with its aggregates on
 `configs/sweep.json`, all as CSV, then `run` on `desk.json` and the sweep
-again as JSON. Outputs go to a temporary directory only. For each
-output file the tool prints `<file> identical` or `<file> differs at line <n>`
+again as JSON, and last `oracle-check --instances 4` on `oracle.json`, whose
+printed lines are kept as `oracle-check.txt`. Outputs go to a temporary
+directory only. For each output file the tool prints `<file> identical` or `<file> differs at line <n>`
 (the first differing line, counted from 1), or `<file> failed on <side>: ...`
 with the last line of a failed run's error output; it exits 1 on any
 difference or failed run.
@@ -36,18 +37,23 @@ def commands(configs: Path) -> list:
                 ["sweep", "--config", str(configs / "sweep.json"), "--format", fmt,
                  "--out", f"sweep.{fmt}", "--aggregates-out", f"sweep_aggregates.{fmt}"])
 
+    oracle = (("oracle-check.txt",), ["oracle-check", "--config", str(configs / "oracle.json"),
+                                      "--instances", "4"])
     return [run(name, "csv") for name in RUNS] + [sweep("csv"), run("desk", "json"),
-                                                  sweep("json")]
+                                                  sweep("json"), oracle]
 
 
-def run_tree(tree: Path, args: list, into: Path) -> str | None:
-    """Run the tree's cli in the directory `into`; the error text if it fails."""
+def run_tree(tree: Path, args: list, into: Path, files: tuple) -> str | None:
+    """Run the tree's cli in the directory `into`; the error text if it fails.
+    A command without `--out` prints its output, which goes to `files[0]`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
                **{var: "1" for var in BLAS_VARS})
     proc = subprocess.run([sys.executable, "-m", "greenran.cli", *args],
                           capture_output=True, text=True, env=env, cwd=into)
     if proc.returncode:
         return (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+    if "--out" not in args:
+        (into / files[0]).write_text(proc.stdout)
     return None
 
 
@@ -76,7 +82,8 @@ def main(argv=None) -> int:
         for path in dirs.values():
             path.mkdir()
         for files, cli_args in commands(trees["B"] / "configs"):
-            errors = {side: run_tree(trees[side], cli_args, dirs[side]) for side in trees}
+            errors = {side: run_tree(trees[side], cli_args, dirs[side], files)
+                      for side in trees}
             failed = "; ".join(f"{side}: {err}" for side, err in errors.items() if err)
             for name in files:
                 line = None if failed else first_difference(dirs["A"] / name,

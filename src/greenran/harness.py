@@ -213,7 +213,8 @@ def load_config(raw: dict) -> RunConfig:
         base_seed=base_seed,
         record_timing=timing,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values)
-    _check_point(config)
+    if not sweep_values:    # a sweep runs only its sweep points
+        _check_point(config)
     for i, value in enumerate(sweep_values):
         with _section(f"sweep.values[{i}]"):
             _check_point(_apply_sweep(config, value))

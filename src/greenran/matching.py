@@ -32,7 +32,11 @@ each further served set, and for each member its closed form leaves
 uncertified). A member's `PowerSolution`, which holds views of the stack's
 rows, is built and cached only when the judge reaches it. The judge compares
 the incumbent's result with one member's; the first member approved is
-committed. slmdb solves each member when it is reached.
+committed. slmdb solves each member when it is reached, unless the incumbent
+meets QoS and the member's EE ceiling (`powerctl.ee_ceiling`, one stacked call
+over the stack's cache misses) does not exceed the incumbent's EE: then the
+judge gets the ceiling as an `EeCeiling`, the best (shortfall, EE) the member
+can score, and rejects it unsolved. Such a member counts as judged.
 """
 
 from dataclasses import dataclass, field, replace
@@ -41,8 +45,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .netmodel import ConfigError, CorrelationSet, FrameConfig, ScenarioParams
-from .powerctl import (PowerSolution, QosSpec, SolveDiagnostics, SolverSettings, eipc,
-                       fipc, qopc_solve, qos_deficits, slmdb_solve)
+from .powerctl import (PowerSolution, QosSpec, SolveDiagnostics, SolverSettings, ee_ceiling,
+                       eipc, fipc, qopc_solve, qos_deficits, slmdb_solve)
 # build_affine_form is not called here; perfbench/tracer.py patches it by this name
 from .powermodel import AffinePowerForm, build_affine_form
 from .rates import link_coefficients, rates_from_coeffs
@@ -51,13 +55,15 @@ from .statistics import CoefficientTensor
 POWER_MODES = ("slmdb", "fipc", "qopc", "eipc")
 _MAX_SWEEPS = 200        # swap sweeps before the scan gives up unconverged
 _NO_SOLVE = SolveDiagnostics()    # shared by the cached closed-form results; never written
+_CEILING_RTOL = 1e-9     # an EE ceiling's rounding margin before it rejects a move unsolved
 
 
 @dataclass
 class EvaluationContext:
-    """Everything needed to score a matching, the drop's power form and the
-    per-mode result cache. `dataclasses.replace` gives a copy with an empty
-    result cache that shares the form."""
+    """Everything needed to score a matching, the drop's power form, the
+    per-mode result cache and the per-mode keys an EE ceiling rejected
+    unsolved. `dataclasses.replace` gives a copy with both empty that shares
+    the form."""
     scenario: ScenarioParams
     frame: FrameConfig
     corr: CorrelationSet
@@ -67,11 +73,23 @@ class EvaluationContext:
     settings: SolverSettings
     no_sleep: bool = False
     _cache: dict = field(default_factory=dict, init=False, repr=False)
+    _bounded: dict = field(default_factory=dict, init=False, repr=False)    # mode -> keys
 
 
 @dataclass(frozen=True)
 class PreferenceOutcome:
     approved: bool
+
+
+class EeCeiling:
+    """A candidate judged unsolved: `ee` bounds the EE of each of its results
+    with zero shortfall, so (0, ee) is the best (shortfall, EE) it can score.
+    A plain class: a dataclass would cost about 1 ms at import."""
+    __slots__ = ("ee",)
+    shortfall_bps = 0.0
+
+    def __init__(self, ee: float):
+        self.ee = ee
 
 
 @dataclass(frozen=True)
@@ -156,18 +174,15 @@ def evaluate(S: np.ndarray, power_mode: str, ctx: EvaluationContext, applies=Non
     generator of their results in order, None where a member does not apply.
     The closed-form controllers score every cache miss now, in one stacked call
     and bitwise as if one by one; slmdb solves a member when it is reached. A
-    result is built and cached only when it is reached, so the cache, and
-    evaluation_count, hold only the matchings asked for."""
+    result is built and cached only when it is reached, so the cache holds
+    only the matchings asked for."""
     if power_mode not in POWER_MODES:
         raise ConfigError(f"unknown power mode {power_mode!r}")
     mode_cache = ctx._cache.setdefault(power_mode, {})
     if S.ndim == 3:
         if power_mode == "slmdb":
             return (evaluate(s, power_mode, ctx) if ok else None for s, ok in zip(S, applies))
-        # a member's key is its slice of the stack's bytes, S[b].tobytes()
-        buf, size = S.tobytes(), S.itemsize * S.shape[1] * S.shape[2]
-        keys = [buf[b * size:(b + 1) * size] if ok else None
-                for b, ok in enumerate(applies.tolist())]
+        keys = _member_keys(S, applies)
         misses = [b for b, key in enumerate(keys) if key is not None and key not in mode_cache]
         member = _score(S[misses], power_mode, ctx) if misses else None
         row = dict(zip(misses, range(len(misses))))    # a miss's index among those scored
@@ -186,9 +201,7 @@ def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext):
     member is one call, with the constant c0 of each member's active-BS count
     (the traffic and PA slopes do not depend on it)."""
     qos, form = ctx.qos, ctx.form
-    B, M, K = S.shape
-    load = S.reshape(B * M, K) @ np.ones(K)    # UEs per BS: one product, not B * M short sums
-    counts = [M] * B if ctx.no_sleep else (load.reshape(B, M) > 0).sum(axis=1).tolist()
+    counts = _active_counts(S, ctx)
     if power_mode == "slmdb":    # solved one by one, so nothing is stacked
         return [slmdb_solve(link_coefficients(s, ctx.tensor), ctx.frame, form, n, qos,
                             ctx.settings) for s, n in zip(S, counts)].__getitem__
@@ -215,8 +228,52 @@ def _score(S: np.ndarray, power_mode: str, ctx: EvaluationContext):
     return member
 
 
+def _member_keys(S: np.ndarray, applies) -> list:
+    """The cache key of each member of the stack S (B, M, K) that applies, its
+    slice of the stack's bytes S[b].tobytes(), and None for the others."""
+    buf, size = S.tobytes(), S.itemsize * S.shape[1] * S.shape[2]
+    return [buf[b * size:(b + 1) * size] if ok else None
+            for b, ok in enumerate(applies.tolist())]
+
+
+def _active_counts(S: np.ndarray, ctx: EvaluationContext) -> list:
+    """The active-BS count of each serving matrix stacked (B, M, K): all M
+    under no-sleeping."""
+    B, M, K = S.shape
+    load = S.reshape(B * M, K) @ np.ones(K)    # UEs per BS: one product, not B * M short sums
+    return [M] * B if ctx.no_sleep else (load.reshape(B, M) > 0).sum(axis=1).tolist()
+
+
+def _bounded_slmdb(S: np.ndarray, applies, ee: float, ctx: EvaluationContext):
+    """slmdb's results of the stack S (B, M, K) in order, as `evaluate` gives
+    them, except that a member not in the cache whose EE ceiling, raised by
+    _CEILING_RTOL, does not exceed `ee` gives that ceiling as an `EeCeiling`
+    and is not solved. The ceilings of the cache misses take one stacked
+    call; a member's key joins the mode's bounded set when it is reached."""
+    cache = ctx._cache.setdefault("slmdb", {})
+    bounded = ctx._bounded.setdefault("slmdb", set())
+    keys = _member_keys(S, applies)
+    misses = [b for b, key in enumerate(keys) if key is not None and key not in cache]
+    ceilings = {}
+    if misses:
+        sub = S[misses]
+        ceiling = ee_ceiling(link_coefficients(sub, ctx.tensor), ctx.frame, ctx.form,
+                             _active_counts(sub, ctx), ctx.qos)
+        ceilings = dict(zip(misses, (ceiling * (1.0 + _CEILING_RTOL)).tolist()))
+    for b, key in enumerate(keys):
+        if key is None:
+            yield None
+        elif ceilings.get(b, np.inf) <= ee:
+            bounded.add(key)
+            yield EeCeiling(ceilings[b])
+        else:
+            yield evaluate(S[b], "slmdb", ctx)
+
+
 def _eval_count(ctx: EvaluationContext, power_mode: str) -> int:
-    return len(ctx._cache.get(power_mode, {}))
+    """The matchings judged in the mode: those scored, and those an EE
+    ceiling rejected unsolved."""
+    return len(ctx._cache.get(power_mode, {}).keys() | ctx._bounded.get(power_mode, set()))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +339,11 @@ def _pair_order(K: int):
 _APPROVED, _REJECTED = PreferenceOutcome(approved=True), PreferenceOutcome(approved=False)
 
 
-def is_swap_blocking(before: PowerSolution, after: PowerSolution | None) -> PreferenceOutcome:
-    """Approve the candidate scored `after` (None: the move does not apply)
-    over the incumbent scored `before` iff it strictly improves (shortfall, EE)
-    lexicographically.
+def is_swap_blocking(before: PowerSolution,
+                     after: PowerSolution | EeCeiling | None) -> PreferenceOutcome:
+    """Approve the candidate scored `after` (None: the move does not apply; an
+    `EeCeiling`: the best it can score) over the incumbent scored `before` iff
+    it strictly improves (shortfall, EE) lexicographically.
 
     With QoS currently met that reduces to: QoS stays met and EE strictly
     increases (the shared-preference reading of a blocking pair).
@@ -302,7 +360,11 @@ def _scan(S: np.ndarray, moves: np.ndarray, power_mode: str, ctx: EvaluationCont
     first approved one: (moves judged, the approved serving matrix or None)."""
     stack, applies = _candidates(S, moves, ctx)
     before = evaluate(S, power_mode, ctx)
-    for b, after in enumerate(evaluate(stack, power_mode, ctx, applies)):
+    if power_mode == "slmdb" and before.shortfall_bps == 0.0:
+        results = _bounded_slmdb(stack, applies, before.ee, ctx)
+    else:
+        results = evaluate(stack, power_mode, ctx, applies)
+    for b, after in enumerate(results):
         if is_swap_blocking(before, after).approved:
             return b + 1, stack[b].copy()
     return moves.shape[1], None

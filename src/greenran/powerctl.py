@@ -652,6 +652,55 @@ def qopc_solve(lc: LinkCoefficients, frame: FrameConfig, qos: QosSpec):
     return p, feasible
 
 
+_YATES_STEPS = 4         # steps from 0 toward the least-power point in `ee_ceiling`
+
+
+def ee_ceiling(lc: LinkCoefficients, frame: FrameConfig, form: AffinePowerForm,
+               n_active, qos: QosSpec) -> np.ndarray:
+    """Upper bounds (B,) on the EE of every power vector in [0, p_max]^K whose
+    rates leave zero `qos_deficits`, for coefficients stacked (B, ...) with
+    `n_active` (B,) BSs counted as active.
+
+    Such a vector P meets the SINR thresholds g of r_min (1 - QOS_RATE_RTOL):
+    P_k d_k >= g_k (sum_{j != k} interf_kj P_j + sigma^2 ns_k) with
+    d_k = (1 + g_k) ds2_k - g_k interf_kk. So P lies above the thresholds'
+    least-power point (Yates, IEEE JSAC 1995), and Yates steps from 0 toward it
+    give a floor L below it, because the off-diagonal interference is
+    nonnegative; a UE with d_k <= 0 keeps L_k = 0. Each other UE j's row, at
+    P_j <= p_max and the others at L, caps P_k at a top U_k. A UE's rate is at
+    most its rate with its own power at U_k and every other UE's at L (the
+    box-corner bound of monotonic optimization: Zappone, Bjornson, Sanguinetti
+    & Jorswieck, IEEE TSP 2017), and an unserved UE's rate is 0. At sum rate R
+    the network power is at least c0 + min(alpha) R / r_ref + delta . L, and
+    that ratio rises with R.
+    """
+    gamma = gamma_thresholds(qos.r_min_bps * (1.0 - QOS_RATE_RTOL), frame)
+    pmax, K = qos.p_max_w, lc.ds2.shape[-1]
+    diag = np.arange(K)
+    own = lc.interf[..., diag, diag]
+    cross = lc.interf.copy()
+    cross[..., diag, diag] = 0.0
+    noise = frame.noise_power_w * lc.ns
+    d = (1.0 + gamma) * lc.ds2 - gamma * own
+    shape = d.shape
+    gain = np.divide(gamma, d, out=np.zeros(shape), where=d > 0)
+    low = np.zeros(shape)
+    for _ in range(_YATES_STEPS):
+        low = np.minimum(gain * ((cross @ low[..., None])[..., 0] + noise), pmax)
+    inflow = (cross @ low[..., None])[..., 0] + noise
+    # row j: interf_jk P_k <= p_max d_j / g_j - inflow_j + interf_jk L_k
+    room = np.divide(pmax * d, gamma, out=np.full(shape, np.inf), where=(gamma > 0) & (d > 0))
+    cap = np.divide((room - inflow)[..., :, None] + cross * low[..., None, :], cross,
+                    out=np.full(cross.shape, np.inf), where=cross > 0)
+    top = np.minimum(np.maximum(_min(cap, axis=-2), low), pmax)    # below L: no such P
+    sinr = np.divide(lc.ds2 * top, (own - lc.ds2) * top + inflow, out=np.zeros(shape),
+                     where=lc.ns > 0)
+    rate = frame.rate_scale * _sum(np.log2(1.0 + sinr), axis=-1)
+    power = (form.c0_w[n_active] + _min(form.alpha_per_k) * (rate / form.r_ref_bps)
+             + low @ form.delta_per_k)
+    return np.divide(rate, power, out=np.full(rate.shape, np.inf), where=power > 0)
+
+
 def eipc(S: np.ndarray, corr, qos: QosSpec) -> np.ndarray:
     """Statistical channel inversion.
 

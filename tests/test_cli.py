@@ -49,6 +49,18 @@ class TestCli:
         assert main(["validate-config", "--config", cfg_path]) == 0
         assert "config ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cfg", [
+        {"scenario": {"K": 12}, "sweep": {"parameter": "K", "values": [2, 4]}},
+        {"scenario": {"M": 16, "K": 2}, "algorithm": ["exhaustive"],
+         "sweep": {"parameter": "M", "values": [2, 4]}},
+    ])
+    def test_validate_checks_only_the_sweep_points(self, tmp_path, capsys, cfg):
+        # the config's own point breaks a check, but a sweep never runs it
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "config ok\n"
+
     def test_validate_bad_schema(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scenario": {"M": 4, "nope": 1}}))

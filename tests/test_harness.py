@@ -351,6 +351,19 @@ class TestSweep:
         assert records == sweep(cfg)[0]
         assert [(r.sweep_value, r.ue_count) for r in records] == [(3.0, 3), (2.0, 2)]
 
+    @pytest.mark.parametrize("raw", [
+        {"scenario": {"K": 12}, "sweep": {"parameter": "K", "values": [2, 4]}},
+        {"scenario": {"M": 16, "K": 2}, "algorithm": ["exhaustive"],
+         "sweep": {"parameter": "M", "values": [2, 4]}},
+    ])
+    def test_sweep_checks_only_its_points(self, raw):
+        # a sweep runs only its points, so its own point, which has more UEs
+        # than pilots or too many links for the exhaustive search, loads
+        cfg = load_config(raw)
+        assert cfg.sweep_values == (2, 4)
+        with pytest.raises(ConfigError):
+            harness._check_point(cfg)
+
     def test_sweeping_m_clamps_l(self):
         cfg = load_config(dict(BASE, sweep={"parameter": "M", "values": [1, 4]}))
         records, aggregates = sweep(cfg)

@@ -277,13 +277,19 @@ class TestTrimsm:
                                              ("slmdb", 106)])
     def test_evaluation_count_is_matchings_judged(self, mode, count, monkeypatch):
         # a stack's stacked scoring scores members that no judge reaches once
-        # an earlier move is approved; the count is of the judged ones alone
+        # an earlier move is approved; the count is of the judged ones alone.
+        # slmdb solves each judged matching once, or rejects it by its ceiling
         scored, score = [], matching_module._score
         monkeypatch.setattr(matching_module, "_score",
                             lambda S, *args: scored.append(len(S)) or score(S, *args))
-        rep = trimsm(make_context(M=6, K=3, N=3, L=2, seed=13), mode)
+        ctx = make_context(M=6, K=3, N=3, L=2, seed=13)
+        rep = trimsm(ctx, mode)
         assert rep.evaluation_count == count
-        assert sum(scored) > count if mode != "slmdb" else sum(scored) == count
+        bounded = len(ctx._bounded.get(mode, ()))
+        if mode == "slmdb":
+            assert sum(scored) + bounded == count and bounded > 0
+        else:
+            assert sum(scored) > count and bounded == 0
 
     @pytest.mark.parametrize("mode", ["eipc", "qopc"])
     def test_power_solutions_built_only_for_judged_matchings(self, mode, monkeypatch):

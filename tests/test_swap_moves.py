@@ -12,7 +12,10 @@ rebuilds from the remaining moves after a commit.
 On generated small drops, in every power mode and with and without
 no-sleeping, `trimsm` must judge the same results in the same order as
 `reference.move_by_move_trimsm`, which builds and scores each candidate alone
-when its turn comes, and end with the same matching and counts.
+when its turn comes, and end with the same matching and counts. Where the
+slmdb scan rejects a candidate by its EE ceiling instead of solving it, the
+reference must reject it too, at an EE within that ceiling; such rejections
+must occur over the examples.
 """
 
 from dataclasses import dataclass, replace
@@ -23,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from greenran import ConfigError, ScenarioParams, harness
 from greenran import matching as matching_module
-from greenran.matching import POWER_MODES, _candidates, _moves, _pair_order, trimsm
+from greenran.matching import (POWER_MODES, EeCeiling, _candidates, _moves, _pair_order,
+                              trimsm)
 from reference import move_by_move_trimsm
 
 
@@ -187,15 +191,14 @@ def drops(draw):
 
 def judged_run(scan, config, no_sleep, mode):
     """`scan`'s report on a fresh context of the drop, and every judge call's
-    incumbent and candidate (shortfall, EE) in float hex with its verdict."""
+    incumbent, candidate and verdict."""
     ctx = harness._make_context(config, config.base_seed, *harness._check_point(config))
     ctx = replace(ctx, no_sleep=no_sleep)
     calls, judge = [], matching_module.is_swap_blocking
 
     def logged(before, after):
         outcome = judge(before, after)
-        calls.append(tuple(None if r is None else (r.shortfall_bps.hex(), r.ee.hex())
-                           for r in (before, after)) + (outcome.approved,))
+        calls.append((before, after, outcome.approved))
         return outcome
 
     matching_module.is_swap_blocking = logged
@@ -205,14 +208,34 @@ def judged_run(scan, config, no_sleep, mode):
         matching_module.is_swap_blocking = judge
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(drops())
-def test_array_scan_matches_move_by_move_scan(drop):
-    config, no_sleep = drop
-    for mode in POWER_MODES:
-        rep, calls = judged_run(trimsm, config, no_sleep, mode)
-        ref, ref_calls = judged_run(move_by_move_trimsm, config, no_sleep, mode)
-        assert calls == ref_calls, mode    # approvals in order, and the judge's call count
-        assert (rep.swap_count, rep.evaluation_count, rep.stable, rep.infeasible) == (
-            ref.swap_count, ref.evaluation_count, ref.stable, ref.infeasible), mode
-        assert np.array_equal(rep.S, ref.S) and rep.ee == ref.ee, mode
+def hexes(result) -> tuple | None:
+    """A judged result's (shortfall, EE) in float hex, None where the move does not apply."""
+    return None if result is None else (result.shortfall_bps.hex(), result.ee.hex())
+
+
+def test_array_scan_matches_move_by_move_scan():
+    pruned = []    # moves each example's slmdb scan rejected by an EE ceiling
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(drops())
+    def check(drop):
+        config, no_sleep = drop
+        for mode in POWER_MODES:
+            rep, calls = judged_run(trimsm, config, no_sleep, mode)
+            ref, ref_calls = judged_run(move_by_move_trimsm, config, no_sleep, mode)
+            assert len(calls) == len(ref_calls), mode    # the judge's call count
+            for (before, after, ok), (ref_before, ref_after, ref_ok) in zip(calls, ref_calls):
+                assert ok == ref_ok and hexes(before) == hexes(ref_before), mode
+                if isinstance(after, EeCeiling):    # the candidate was not solved
+                    assert mode == "slmdb" and not ref_ok, mode
+                    # the ceiling bounds the EE of a result that meets QoS
+                    assert ref_after.shortfall_bps > 0 or ref_after.ee <= after.ee
+                else:
+                    assert hexes(after) == hexes(ref_after), mode
+            pruned.append(sum(isinstance(after, EeCeiling) for _, after, _ in calls))
+            assert (rep.swap_count, rep.evaluation_count, rep.stable, rep.infeasible) == (
+                ref.swap_count, ref.evaluation_count, ref.stable, ref.infeasible), mode
+            assert np.array_equal(rep.S, ref.S) and rep.ee == ref.ee, mode
+
+    check()
+    assert sum(pruned) > 0
